@@ -1,8 +1,11 @@
 """Command-line front end.
 
 Bulk tables go out as CSV, scalar results and reports as JSON; everything
-is written to stdout unless --out is given.  Usage errors exit with code 2
-(argparse default), failed verification with 1.
+is written to stdout unless --out is given.  Exit codes: 0 on success, 1
+when verify finds a failing check, 2 on a user error.  User errors are bad
+arguments (argparse's usage message), bad values, files that cannot be read
+or written and limits over budget; the last three print one line,
+"factorbench: error: <message>", on stderr.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import json
 import sys
 
 from . import counting, verify, zeta
-from .config import RunConfig
 from .dirichlet import ArithFn, ComplexPoint, convolve, dirichlet_inverse, series_eval
 from .factorizations import (
     PartitionMultiset,
@@ -84,7 +86,7 @@ def cmd_factorisatio(args) -> int:
         header = ["n", "f"]
     elif which == "fk":
         if ft.k_max < 1:
-            raise SystemExit("no f_k tables built; pass --k >= 1")
+            raise ValueError("no f_k tables built; pass --k >= 1")
         header = ["n"] + [f"f{k}" for k in range(1, ft.k_max + 1)]
         rows = [
             tuple([n] + [ft.fk[k][n] for k in range(1, ft.k_max + 1)])
@@ -93,7 +95,7 @@ def cmd_factorisatio(args) -> int:
     else:
         table = ft.f_even if which == "feven" else ft.f_odd
         if not table:
-            raise SystemExit("parity tables need --k >= 1 (or omit --k)")
+            raise ValueError("parity tables need --k >= 1 (or omit --k)")
         rows = [(n, table[n]) for n in range(1, args.limit + 1)]
         header = ["n", which]
     _emit(_rows_to_csv(header, rows), args.out)
@@ -119,31 +121,24 @@ def cmd_dlambda(args) -> int:
 
 def cmd_invert(args) -> int:
     if args.identity:
+        if args.limit is None:
+            raise ValueError("--identity needs --limit")
         F = ArithFn.unit(args.limit)
     elif args.input:
         F = ArithFn.from_csv(args.input)
-        if args.limit and args.limit != F.limit:
-            raise SystemExit(f"input covers 1..{F.limit}, not 1..{args.limit}")
+        if args.limit is not None and args.limit != F.limit:
+            raise ValueError(f"input covers 1..{F.limit}, not 1..{args.limit}")
     else:
-        raise SystemExit("need --input FILE or --identity")
-    inv = dirichlet_inverse(F)
-    _emit(_arithfn_csv(inv), args.out)
+        raise ValueError("need --input FILE or --identity")
+    _emit(dirichlet_inverse(F).csv_text(), args.out)
     return 0
 
 
 def cmd_convolve(args) -> int:
     F = ArithFn.from_csv(args.a)
     G = ArithFn.from_csv(args.b)
-    _emit(_arithfn_csv(convolve(F, G)), args.out)
+    _emit(convolve(F, G).csv_text(), args.out)
     return 0
-
-
-def _arithfn_csv(F: ArithFn) -> str:
-    rows = []
-    for n in range(1, F.limit + 1):
-        v = complex(F.values[n])
-        rows.append((n, repr(v.real), repr(v.imag)))
-    return _rows_to_csv(["n", "re", "im"], rows)
 
 
 def cmd_hr_count(args) -> int:
@@ -178,7 +173,7 @@ def cmd_dz(args) -> int:
     tables = build_sieve(args.limit)
     ctx = build_context(args.z, args.limit, tables)
     fn = {"fz": ctx.fz, "fztilde": ctx.fz_tilde, "gz": ctx.gz}[args.emit]
-    _emit(_arithfn_csv(fn), args.out)
+    _emit(fn.csv_text(), args.out)
     return 0
 
 
@@ -260,9 +255,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    config = RunConfig(sieve_limit=args.limit, seed=args.seed)
-    report = reproduce_report(config)
-    _emit_json(report, args.out)
+    _emit_json(reproduce_report(args.limit, args.seed), args.out)
     return 0
 
 
@@ -296,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("invert", cmd_invert, help="Dirichlet inverse of a CSV function")
     p.add_argument("--input")
-    p.add_argument("--limit", type=int, default=100)
+    p.add_argument("--limit", type=int, help="table length; required with --identity")
     p.add_argument("--identity", action="store_true", help="invert the unit I")
 
     p = add("convolve", cmd_convolve, help="Dirichlet convolution of two CSV functions")
@@ -357,7 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, OSError) as exc:  # CapacityError is a ValueError
+        print(f"factorbench: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 if __name__ == "__main__":

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import cmath
 import csv
+import io
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable
 
-from .sieve import SieveTables
+from .sieve import SieveTables, _big_omega, _divisors
 
 
 @dataclass(frozen=True)
@@ -84,22 +84,37 @@ class ArithFn:
     def scale(self, c) -> "ArithFn":
         return ArithFn(self.limit, [0] + [c * v for v in self.values[1:]])
 
+    def csv_text(self) -> str:
+        """CSV with header n,re,im and one row per n; integers are written exactly."""
+        buf = io.StringIO()
+        w = csv.writer(buf)
+        w.writerow(["n", "re", "im"])
+        for n in range(1, self.limit + 1):
+            v = self.values[n]
+            if isinstance(v, int):
+                w.writerow([n, int(v), 0])
+            else:
+                v = complex(v)
+                w.writerow([n, repr(v.real), repr(v.imag)])
+        return buf.getvalue()
+
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["n", "re", "im"])
-            for n in range(1, self.limit + 1):
-                v = complex(self.values[n])
-                w.writerow([n, repr(v.real), repr(v.imag)])
+            fh.write(self.csv_text())
 
     @classmethod
     def from_csv(cls, path) -> "ArithFn":
+        """Read csv_text's layout; a real column such as 3.0 also reads as an int."""
         rows = {}
         with open(path, newline="") as fh:
             for rec in csv.DictReader(fh):
-                n = int(rec["n"])
-                re, im = float(rec["re"]), float(rec["im"])
-                rows[n] = complex(re, im) if im else (int(re) if re.is_integer() else re)
+                im = float(rec["im"])
+                try:
+                    re = int(rec["re"])
+                except ValueError:
+                    re = float(rec["re"])
+                    re = int(re) if re.is_integer() else re
+                rows[int(rec["n"])] = complex(re, im) if im else re
         limit = max(rows)
         if set(rows) != set(range(1, limit + 1)):
             raise ValueError("CSV must cover n = 1..N without gaps")
@@ -149,6 +164,24 @@ def dirichlet_inverse(F: ArithFn) -> ArithFn:
     return ArithFn(limit=N, values=out)
 
 
+def _f_k_recursion(values) -> Callable:
+    """fk(m, j): the sum of values[n_1]...values[n_j] over ordered j-tuples
+    of integers >= 2 with product m, memoized over (first factor, rest)."""
+    memo: dict[tuple[int, int], complex] = {}
+
+    def fk(m: int, j: int):
+        if j == 1:
+            return values[m] if m >= 2 else 0
+        if m == 1:
+            return 0
+        key = (m, j)
+        if key not in memo:
+            memo[key] = sum(values[d] * fk(m // d, j - 1) for d in _divisors(m)[1:])
+        return memo[key]
+
+    return fk
+
+
 def f_k_F(F: ArithFn, n: int, k: int) -> complex:
     """Sum of F(n_1)...F(n_k) over ordered k-tuples of integers >= 2 with
     product n.  Zero for k > Omega(n).  Exponential-size object computed by
@@ -156,39 +189,9 @@ def f_k_F(F: ArithFn, n: int, k: int) -> complex:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    memo: dict[tuple[int, int], complex] = {}
-
-    def rec_full(m: int, j: int):
-        if j == 1:
-            return F.values[m] if m >= 2 else 0
-        if m == 1:
-            return 0
-        key = (m, j)
-        if key not in memo:
-            total = 0
-            for d in _divisors_ge2(m):
-                total += F.values[d] * rec_full(m // d, j - 1)
-            memo[key] = total
-        return memo[key]
-
     if n > F.limit:
         raise ValueError(f"n={n} beyond truncation limit {F.limit}")
-    return rec_full(n, k)
-
-
-@lru_cache(maxsize=200_000)
-def _divisors_ge2(n: int) -> tuple[int, ...]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    if n >= 2:
-        out.append(n)
-    return tuple(sorted(out))
+    return _f_k_recursion(F.values)(n, k)
 
 
 def inverse_via_alternating(F: ArithFn) -> ArithFn:
@@ -203,42 +206,14 @@ def inverse_via_alternating(F: ArithFn) -> ArithFn:
     if f1 == 0:
         raise ValueError("F(1) = 0: Dirichlet inverse does not exist")
     G = F if f1 == 1 else F.scale(1 / f1)
-    gv = G.values
-    memo: dict[tuple[int, int], complex] = {}
-
-    def fk(m: int, j: int):
-        if j == 1:
-            return gv[m] if m >= 2 else 0
-        if m == 1:
-            return 0
-        key = (m, j)
-        if key not in memo:
-            memo[key] = sum(gv[d] * fk(m // d, j - 1) for d in _divisors_ge2(m))
-        return memo[key]
-
+    fk = _f_k_recursion(G.values)
     out = [0] * (N + 1)
     out[1] = 1
     for n in range(2, N + 1):
-        total = 0
-        sign = -1
-        for k in range(1, _big_omega(n) + 1):
-            total += sign * fk(n, k)
-            sign = -sign
-        out[n] = total
+        out[n] = sum((-1) ** k * fk(n, k) for k in range(1, _big_omega(n) + 1))
     if f1 != 1:
         out = [0] + [v / f1 for v in out[1:]]
     return ArithFn(limit=N, values=out)
-
-
-def _big_omega(n: int) -> int:
-    count = 0
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            n //= d
-            count += 1
-        d += 1
-    return count + (1 if n > 1 else 0)
 
 
 def restrict_support(F: ArithFn, predicate: Callable[[int], bool]) -> ArithFn:

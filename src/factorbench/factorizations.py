@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .sieve import CapacityError, FactoredInt, SieveTables, factorize
+from .sieve import CapacityError, FactoredInt, SieveTables, _big_omega, _divisors, factorize
 
 MAX_PARTITION_ELL = 90
 
@@ -94,18 +94,6 @@ def d_lambda_bound(lam: PartitionMultiset) -> int:
     return q
 
 
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
 @lru_cache(maxsize=None)
 def _omega_profile_counts(n: int) -> dict[tuple[int, ...], int]:
     """Counts of ordered factorization tuples of n, grouped by the sorted
@@ -113,28 +101,12 @@ def _omega_profile_counts(n: int) -> dict[tuple[int, ...], int]:
     if n == 1:
         return {(): 1}
     out: dict[tuple[int, ...], int] = {}
-    for d in _divisors(n):
-        if d < 2:
-            continue
+    for d in _divisors(n)[1:]:
         od = _big_omega(d)
         for profile, c in _omega_profile_counts(n // d).items():
             key = tuple(sorted(profile + (od,)))
             out[key] = out.get(key, 0) + c
     return out
-
-
-@lru_cache(maxsize=None)
-def _big_omega(n: int) -> int:
-    count = 0
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            n //= d
-            count += 1
-        d += 1
-    if n > 1:
-        count += 1
-    return count
 
 
 def d_lambda(n: FactoredInt, lam: PartitionMultiset) -> int:
@@ -253,9 +225,7 @@ def enumerate_ordered_factorizations(n: int) -> list[tuple[int, ...]]:
     if n == 1:
         return [()]
     out: list[tuple[int, ...]] = []
-    for d in _divisors(n):
-        if d < 2:
-            continue
+    for d in _divisors(n)[1:]:
         for rest in enumerate_ordered_factorizations(n // d):
             out.append((d,) + rest)
     return out

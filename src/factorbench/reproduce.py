@@ -7,38 +7,44 @@ outputs of the run, not inputs.
 
 from __future__ import annotations
 
-import cmath
-import math
 import random
 import time
 
 from . import counting, zeta
-from .config import RunConfig
-from .dirichlet import ArithFn, dirichlet_inverse
-from .factorizations import build_factorisation_tables, mu_via_parity
+from .factorizations import build_factorisation_tables
 from .sieve import build_sieve
-from .zfamily import build_context, inverse_at_prime_power
+from .verify import closed_form_mismatches, cm_inverse_residual, mu_parity_failures
+from .zfamily import build_context
+
+KAPPAS = (2, 3)
+CHECKPOINTS = (10**2, 10**3, 10**4, 10**5, 10**6)
+PARITY_LIMIT = 100_000  # largest n for the per-k f_k tables
+PSI_N = 4400  # the psi_4400 section factors this n
 
 
-def reproduce_report(config: RunConfig | None = None) -> dict:
-    config = config or RunConfig()
-    rng = random.Random(config.seed)
+def reproduce_report(sieve_limit: int = 1_000_000, seed: int = 12345) -> dict:
+    if sieve_limit < PSI_N:
+        raise ValueError(
+            f"reproduce needs a sieve limit of at least {PSI_N} for its psi_{PSI_N} "
+            f"section, got {sieve_limit}"
+        )
+    rng = random.Random(seed)
     t0 = time.time()
 
-    tables = build_sieve(config.sieve_limit)
-    ftables = build_factorisation_tables(config.sieve_limit, k_max=0)
-    parity_limit = min(config.parity_limit, config.sieve_limit)
+    tables = build_sieve(sieve_limit)
+    ftables = build_factorisation_tables(sieve_limit, k_max=0)
+    parity_limit = min(PARITY_LIMIT, sieve_limit)
     ptables = build_factorisation_tables(parity_limit)
 
     report: dict = {"config": {
-        "sieve_limit": config.sieve_limit,
-        "kappas": list(config.kappas),
-        "checkpoints": list(config.checkpoints),
-        "seed": config.seed,
+        "sieve_limit": sieve_limit,
+        "kappas": list(KAPPAS),
+        "checkpoints": list(CHECKPOINTS),
+        "seed": seed,
     }}
 
     # Psi(4400) with kappa=5 and its largest index
-    tup, j = counting.psi_tuple(4400, 5, tables)
+    tup, j = counting.psi_tuple(PSI_N, 5, tables)
     report["psi_4400"] = {"indices": list(tup), "J": j, "pass": tup == (1, 2, 3, 4, 9, 10, 17) and j == 17}
 
     beta = zeta.kalmar_beta()
@@ -48,49 +54,23 @@ def reproduce_report(config: RunConfig | None = None) -> dict:
     }
 
     # squarefree support of the inverse of completely multiplicative F
-    lim = min(3000, config.sieve_limit)
-    worst = 0.0
-    for _ in range(20):
-        pv = {
-            int(p): cmath.rect(rng.uniform(0, 1), rng.uniform(0, 2 * math.pi))
-            for p in tables.primes
-            if p <= lim
-        }
-        F = ArithFn.completely_multiplicative(lim, tables, pv)
-        inv = dirichlet_inverse(F)
-        scale = max(abs(v) for v in inv.values[1:]) or 1.0
-        for n in range(2, lim + 1):
-            if tables.mu[n] == 0:
-                worst = max(worst, abs(inv.values[n]) / scale)
+    lim = min(3000, sieve_limit)
+    worst = cm_inverse_residual(tables, lim, rng)
     report["cm_inverse_squarefree_support"] = {
         "samples": 20, "limit": lim, "worst_relative": worst, "pass": worst <= 1e-9,
     }
 
     # closed form for the inverse of F_z at prime powers times coprime n
     small_ft = build_factorisation_tables(64)
-    mismatches = 0
-    cases = 0
-    for z in (-1, 1, 2):
-        ctx = build_context(z, min(4000, config.sieve_limit), tables)
-        for p in (2, 3, 5):
-            for alpha in (1, 2, 3):
-                for n in (1, 2, 3, 6, 15):
-                    if n % p == 0 or p**alpha * n > ctx.limit:
-                        continue
-                    cases += 1
-                    if inverse_at_prime_power(z, alpha, n, p, small_ft) != ctx.fz_tilde.values[p**alpha * n]:
-                        mismatches += 1
-    report["closed_form_vs_inversion"] = {"cases": cases, "mismatches": mismatches, "pass": mismatches == 0}
+    contexts = (build_context(z, min(4000, sieve_limit), tables) for z in (-1, 1, 2))
+    cases, bad = closed_form_mismatches(contexts, small_ft, (2, 3, 5), (1, 2, 3), (1, 2, 3, 6, 15))
+    report["closed_form_vs_inversion"] = {"cases": cases, "mismatches": len(bad), "pass": not bad}
 
     # mu = f_even - f_odd
-    bad = sum(
-        1
-        for n in range(1, parity_limit + 1)
-        if mu_via_parity(n, ptables) != int(tables.mu[n])
-    )
-    report["mu_parity_relation"] = {"limit": parity_limit, "failures": bad, "pass": bad == 0}
+    bad = mu_parity_failures(tables, ptables, parity_limit)
+    report["mu_parity_relation"] = {"limit": parity_limit, "failures": len(bad), "pass": not bad}
 
-    checkpoints = [x for x in config.checkpoints if x <= config.sieve_limit]
+    checkpoints = [x for x in CHECKPOINTS if x <= sieve_limit]
     report["kalmar_ratio"] = {
         "rows": [{"x": x, "ratio": zeta.kalmar_ratio(x, ftables)} for x in checkpoints]
     }
@@ -115,11 +95,11 @@ def reproduce_report(config: RunConfig | None = None) -> dict:
         ],
     }
 
-    c1, c2 = counting.fit_counting_constants(checkpoints, config.kappas, tables)
+    c1, c2 = counting.fit_counting_constants(checkpoints, KAPPAS, tables)
     holds = all(
         counting.check_counting_bound(x, kappa, ell, c1, c2, tables).passes
         for x in checkpoints
-        for kappa in config.kappas
+        for kappa in KAPPAS
         for ell in counting.profile_N_kappa(x, kappa, tables).per_ell
         if ell >= 1
     )

@@ -11,11 +11,9 @@ import math
 import os
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-
-# Linear-memory sieve; override with FACTORBENCH_MAX_SIEVE for bigger boxes.
-DEFAULT_LIMIT_CAP = int(os.environ.get("FACTORBENCH_MAX_SIEVE", 50_000_000))
 
 
 class CapacityError(ValueError):
@@ -82,10 +80,24 @@ class SieveTables:
         return i + 1
 
 
-def build_sieve(limit: int, *, cap: int = DEFAULT_LIMIT_CAP) -> SieveTables:
-    """Single pass producing spf, mu, Omega and omega over 1..limit."""
+def _limit_cap() -> int:
+    """The sieve budget: FACTORBENCH_MAX_SIEVE when set, else 50,000,000."""
+    raw = os.environ.get("FACTORBENCH_MAX_SIEVE", "50000000")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"FACTORBENCH_MAX_SIEVE must be an integer, got {raw!r}") from None
+
+
+def build_sieve(limit: int, *, cap: int | None = None) -> SieveTables:
+    """Single pass producing spf, mu, Omega and omega over 1..limit.
+
+    cap defaults to the budget read from FACTORBENCH_MAX_SIEVE at call time.
+    """
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
+    if cap is None:
+        cap = _limit_cap()
     if limit > cap:
         raise CapacityError(f"sieve limit {limit} exceeds budget {cap}")
 
@@ -145,6 +157,33 @@ def factorize(n: int, tables: SieveTables) -> FactoredInt:
         factors.append((p, e))
     big = sum(e for _, e in factors)
     return FactoredInt(n=n, factors=tuple(factors), big_omega=big, small_omega=len(factors))
+
+
+@lru_cache(maxsize=200_000)
+def _divisors(n: int) -> tuple[int, ...]:
+    """All divisors of n >= 1 in increasing order, by trial division."""
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+        d += 1
+    return tuple(small + large[::-1])
+
+
+@lru_cache(maxsize=None)
+def _big_omega(n: int) -> int:
+    """Omega(n) for n >= 1, prime factors with multiplicity, by trial division."""
+    count = 0
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            n //= d
+            count += 1
+        d += 1
+    return count + (n > 1)
 
 
 def is_kappa_free(n: int, kappa: int, tables: SieveTables) -> bool:

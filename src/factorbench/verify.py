@@ -1,7 +1,9 @@
 """Self-contained invariant suites, runnable from the CLI without pytest.
 
-Each check returns (name, passed, detail).  These duplicate the spirit of
-the test suite at adjustable scale so a deployment can sanity-check itself.
+Each suite check returns (name, passed, detail).  These duplicate the spirit
+of the test suite at adjustable scale so a deployment can sanity-check itself.
+The public checks take the tables and grid they check and build no tables;
+the suites here and the reproduction report both call them.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from typing import Iterable
 
 from . import counting, factorizations, zfamily
 from .dirichlet import ArithFn, convolve, dirichlet_inverse
@@ -50,13 +53,19 @@ def _f_bruteforce(tables: SieveTables, limit: int) -> Check:
     return ("f-equals-bruteforce", not bad, f"n <= {lim}, failures {bad[:5]}")
 
 
-def _mu_parity(tables: SieveTables, limit: int) -> Check:
-    ft = factorizations.build_factorisation_tables(limit)
-    bad = [
+def mu_parity_failures(
+    tables: SieveTables, ftables: factorizations.FactorisationTables, limit: int
+) -> list[int]:
+    """The n <= limit where f_even(n) - f_odd(n) differs from the sieve's mu."""
+    return [
         n
         for n in range(1, limit + 1)
-        if factorizations.mu_via_parity(n, ft) != int(tables.mu[n])
+        if factorizations.mu_via_parity(n, ftables) != int(tables.mu[n])
     ]
+
+
+def _mu_parity(tables: SieveTables, limit: int) -> Check:
+    bad = mu_parity_failures(tables, factorizations.build_factorisation_tables(limit), limit)
     return ("mu-equals-feven-minus-fodd", not bad, f"n <= {limit}, failures {bad[:5]}")
 
 
@@ -93,21 +102,27 @@ def _inverse_of_ones(tables: SieveTables, limit: int) -> Check:
     return ("inverse-of-ones-is-mu", not bad, f"n <= {limit}, failures {bad[:5]}")
 
 
-def _cm_support(tables: SieveTables, limit: int, rng: random.Random) -> Check:
-    lim = min(limit, 3000)
+def cm_inverse_residual(tables: SieveTables, limit: int, rng: random.Random) -> float:
+    """Worst |Ft - F mu| / max |Ft| over 20 random completely multiplicative F
+    on 1..limit (|F(p)| <= 1); zero off the squarefree n follows from it."""
     worst = 0.0
     for _ in range(20):
         pv = {
             int(p): cmath.rect(rng.uniform(0, 1), rng.uniform(0, 2 * math.pi))
             for p in tables.primes
-            if p <= lim
+            if p <= limit
         }
-        F = ArithFn.completely_multiplicative(lim, tables, pv)
+        F = ArithFn.completely_multiplicative(limit, tables, pv)
         inv = dirichlet_inverse(F)
         scale = max(abs(v) for v in inv.values[1:]) or 1.0
-        for n in range(1, lim + 1):
+        for n in range(1, limit + 1):
             expect = F.values[n] * int(tables.mu[n])
             worst = max(worst, abs(inv.values[n] - expect) / scale)
+    return worst
+
+
+def _cm_support(tables: SieveTables, limit: int, rng: random.Random) -> Check:
+    worst = cm_inverse_residual(tables, min(limit, 3000), rng)
     return (
         "completely-multiplicative-inverse-is-F-mu",
         worst <= 1e-9,
@@ -126,20 +141,34 @@ def _binomial_identity(tables: SieveTables, limit: int) -> Check:
     return ("binomial-identity", not bad, f"alpha,ell <= 12, failures {bad[:5]}")
 
 
-def _closed_form(tables: SieveTables, limit: int) -> Check:
-    ft = factorizations.build_factorisation_tables(64)
-    bad = []
-    for z in (-1, 1, 2, 3):
-        ctx = zfamily.build_context(z, min(tables.limit, 4000), tables)
-        for p in (2, 3):
-            for alpha in (1, 2, 3):
-                for n in (3, 5, 9, 15, 35):
+def closed_form_mismatches(
+    contexts: Iterable[zfamily.ZFamilyContext],
+    ftables: factorizations.FactorisationTables,
+    ps: tuple[int, ...],
+    alphas: tuple[int, ...],
+    ns: tuple[int, ...],
+) -> tuple[int, list[tuple]]:
+    """The prime-power closed form against each context's inverted table at
+    p^alpha * n, over p not dividing n with p^alpha * n in range.  Returns
+    the number of cases and the (z, p, alpha, n) that disagree."""
+    cases, bad = 0, []
+    for ctx in contexts:
+        for p in ps:
+            for alpha in alphas:
+                for n in ns:
                     if n % p == 0 or p**alpha * n > ctx.limit:
                         continue
-                    lhs = zfamily.inverse_at_prime_power(z, alpha, n, p, ft)
-                    rhs = ctx.fz_tilde.values[p**alpha * n]
-                    if lhs != rhs:
-                        bad.append((z, p, alpha, n))
+                    cases += 1
+                    lhs = zfamily.inverse_at_prime_power(ctx.z, alpha, n, p, ftables)
+                    if lhs != ctx.fz_tilde.values[p**alpha * n]:
+                        bad.append((ctx.z, p, alpha, n))
+    return cases, bad
+
+
+def _closed_form(tables: SieveTables, limit: int) -> Check:
+    ft = factorizations.build_factorisation_tables(64)
+    contexts = (zfamily.build_context(z, min(tables.limit, 4000), tables) for z in (-1, 1, 2, 3))
+    _, bad = closed_form_mismatches(contexts, ft, (2, 3), (1, 2, 3), (3, 5, 9, 15, 35))
     return ("inverse-closed-form", not bad, f"failures {bad[:5]}")
 
 

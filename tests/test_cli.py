@@ -67,8 +67,9 @@ def test_factorisatio_fk(capsys):
 
 
 def test_factorisatio_parity_requires_k(capsys):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["factorisatio", "--limit", "10", "--k", "0", "--emit", "feven"])
+    assert exc.value.code == 2
 
 
 def test_dlambda(capsys):
@@ -88,8 +89,9 @@ def test_invert_identity(capsys):
 
 
 def test_invert_requires_input(capsys):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["invert", "--limit", "10"])
+    assert exc.value.code == 2
 
 
 def test_invert_and_convolve_csv_roundtrip(tmp_path, capsys, sieve_small):
@@ -212,3 +214,59 @@ def test_unknown_command_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_invert_input_without_limit(tmp_path, capsys):
+    unit = tmp_path / "unit.csv"
+    assert main(["invert", "--identity", "--limit", "5", "--out", str(unit)]) == 0
+    code, out = run(capsys, "invert", "--input", str(unit))
+    _, rows = parse_csv(out)
+    assert code == 0
+    assert [(int(n), int(re)) for n, re, _ in rows] == [(1, 1), (2, 0), (3, 0), (4, 0), (5, 0)]
+
+
+def test_invert_identity_requires_limit(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["invert", "--identity"])
+    assert exc.value.code == 2
+
+
+def test_dz_writes_exact_integers(capsys):
+    code, out = run(capsys, "dz", "--z", "1000", "--limit", "64", "--emit", "fztilde")
+    _, rows = parse_csv(out)
+    assert code == 0
+    # F~_z(2^6) = sum_k z^k C(5, k-1) = z (1 + z)^5
+    assert rows[63] == ["64", str(1000 * 1001**5), "0"]
+
+
+def user_error(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("factorbench: error: ")
+    return lines[0]
+
+
+def test_reproduce_below_psi_limit_is_a_user_error(capsys):
+    assert "psi_4400" in user_error(capsys, "reproduce", "--limit", "1000")
+
+
+def test_sieve_limit_below_two_is_a_user_error(capsys):
+    assert "sieve limit" in user_error(capsys, "hr-count", "--x", "0.5", "--kappa", "2")
+
+
+def test_sieve_over_budget_is_a_user_error(capsys):
+    assert "budget" in user_error(capsys, "sieve", "--limit", "100000000")
+
+
+def test_missing_input_file_is_a_user_error(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    assert str(missing) in user_error(capsys, "invert", "--input", str(missing))
+
+
+def test_bad_sieve_budget_variable_is_a_user_error(monkeypatch, capsys):
+    monkeypatch.setenv("FACTORBENCH_MAX_SIEVE", "1e7")
+    assert "FACTORBENCH_MAX_SIEVE" in user_error(capsys, "sieve", "--limit", "10")

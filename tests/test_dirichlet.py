@@ -208,3 +208,18 @@ def test_csv_roundtrip(tmp_path, sieve_small):
     G = ArithFn.from_csv(path)
     assert G.limit == 50
     assert [complex(v) for v in G.values[1:]] == [complex(v) for v in F.values[1:]]
+
+
+def test_csv_keeps_big_integers_exact(tmp_path):
+    F = ArithFn.from_values([1, 2**60 + 1, -(3**50), 0.5, 2j])
+    path = tmp_path / "big.csv"
+    F.to_csv(path)
+    G = ArithFn.from_csv(path)
+    assert G.values == F.values
+    assert all(type(g) is type(f) for f, g in zip(F.values, G.values))
+
+
+def test_csv_reads_float_columns(tmp_path):
+    path = tmp_path / "old.csv"
+    path.write_text("n,re,im\n1,1.0,0.0\n2,-3.0,0.0\n3,0.25,0.0\n4,1.0,2.0\n")
+    assert ArithFn.from_csv(path).values == [0, 1, -3, 0.25, 1 + 2j]

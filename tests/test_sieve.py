@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factorbench import (
@@ -13,6 +13,7 @@ from factorbench import (
     mobius,
     unit_I,
 )
+from factorbench.sieve import _big_omega, _divisors
 
 
 def trial_division_is_prime(n):
@@ -144,3 +145,17 @@ def test_prime_index(sieve_small):
     assert sieve_small.prime_index(11) == 5
     with pytest.raises(ValueError):
         sieve_small.prime_index(9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=10**6))
+def test_divisor_and_omega_helpers_match_sympy(n):
+    sympy = pytest.importorskip("sympy")
+    assert _divisors(n) == tuple(sympy.divisors(n))
+    assert _big_omega(n) == sympy.primeomega(n)
+
+
+def test_sieve_budget_is_read_from_the_environment_at_call_time(monkeypatch):
+    monkeypatch.setenv("FACTORBENCH_MAX_SIEVE", "100")
+    with pytest.raises(CapacityError):
+        build_sieve(1000)
