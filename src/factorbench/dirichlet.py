@@ -4,6 +4,23 @@ Values are plain Python scalars (int or complex) in a list indexed 1..N, so
 integer-valued inputs stay exact through convolution and inversion; mixed or
 complex inputs fall back to complex doubles.  Instances are treated as
 immutable: every operation returns a new ArithFn.
+
+convolve and dirichlet_inverse sweep strided slices of numpy arrays, and
+every result equals the plain double loop's in value, type and signed zero:
+
+- Each cell takes its terms in increasing order of the first factor: a in
+  (F*G)(ab), m in the push F(d) Ft(m) to dm.  Where one numpy step covers a
+  range of those factors, the steps that reach a cell run with the other
+  factor descending.
+- A term whose F(a) or Ft(m) compares equal to 0 is skipped, as the loop
+  skips it; adding it would turn an int 0 into 0j or flip a zero's sign.
+
+The arrays have dtype=object, so each element operation is the same Python
++, -, * or / on the same operands; numpy's complex128 multiply may fuse a
+multiply-add and round differently.  Each step touches at most _CHUNK
+elements, because a step makes a new Python object per element: unchunked
+steps raised the peak RSS of five F_z inversions and convolutions at
+N = 2*10^5 from 146 to 163 MB.
 """
 
 from __future__ import annotations
@@ -15,7 +32,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
+import numpy as np
+
 from .sieve import SieveTables, _big_omega, _divisors
+
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -65,7 +86,7 @@ class ArithFn:
     def mobius(cls, limit: int, tables: SieveTables) -> "ArithFn":
         if limit > tables.limit:
             raise ValueError(f"limit {limit} beyond sieve limit {tables.limit}")
-        return cls(limit=limit, values=[0] + [int(tables.mu[n]) for n in range(1, limit + 1)])
+        return cls(limit=limit, values=[0] + tables.mu[1 : limit + 1].tolist())
 
     @classmethod
     def completely_multiplicative(
@@ -74,10 +95,11 @@ class ArithFn:
         """Extend values on primes to all of 1..limit via F(mn) = F(m)F(n)."""
         if limit > tables.limit:
             raise ValueError(f"limit {limit} beyond sieve limit {tables.limit}")
+        spf = tables.spf[: limit + 1].tolist()
         vals = [0] * (limit + 1)
         vals[1] = 1
         for n in range(2, limit + 1):
-            p = int(tables.spf[n])
+            p = spf[n]
             vals[n] = vals[n // p] * prime_values[p]
         return cls(limit=limit, values=vals)
 
@@ -121,27 +143,48 @@ class ArithFn:
         return cls(limit=limit, values=[0] + [rows[n] for n in range(1, limit + 1)])
 
 
+def _chunks(lo: int, hi: int):
+    """Slices that cover lo..hi-1 in increasing order, _CHUNK long at most."""
+    for start in range(lo, hi, _CHUNK):
+        yield slice(start, min(start + _CHUNK, hi))
+
+
 def convolve(F: ArithFn, G: ArithFn) -> ArithFn:
-    """(F*G)(n) = sum over ab = n of F(a) G(b)."""
+    """(F*G)(n) = sum over ab = n of F(a) G(b), skipping the a with F(a) = 0.
+
+    Hyperbola split at r = isqrt(N): each a <= r pushes F(a) G(b) to every
+    ab <= N at once; then each b <= N/(r+1), in descending order, pushes to
+    the ab with r < a <= N/b.  Every cell takes its terms in increasing a.
+    """
     if F.limit != G.limit:
         raise ValueError(f"limit mismatch: {F.limit} vs {G.limit}")
     N = F.limit
-    out = [0] * (N + 1)
-    fv, gv = F.values, G.values
-    for a in range(1, N + 1):
-        fa = fv[a]
-        if fa == 0:
-            continue
-        for b in range(1, N // a + 1):
-            out[a * b] += fa * gv[b]
-    return ArithFn(limit=N, values=out)
+    f = np.array(F.values, dtype=object)
+    g = np.array(G.values, dtype=object)
+    out = np.zeros(N + 1, dtype=object)
+    nonzero = ~(f == 0)
+    r = math.isqrt(N)
+    for a in range(1, r + 1):
+        if nonzero[a]:
+            for bs in _chunks(1, N // a + 1):
+                cells = out[a * bs.start : a * bs.stop : a]
+                cells += f[a : a + 1] * g[bs]
+    big = r + 1 + np.flatnonzero(nonzero[r + 1 :])
+    for b in range(N // (r + 1), 0, -1):
+        for s in _chunks(0, np.searchsorted(big, N // b, side="right")):
+            out[big[s] * b] += f[big[s]] * g[b : b + 1]
+    del f, g, big  # free the work arrays before the result list is built
+    return ArithFn(limit=N, values=out.tolist())
 
 
 def dirichlet_inverse(F: ArithFn) -> ArithFn:
     """The function Ft with F * Ft = I, by the forward-substitution sweep.
 
     O(N log N): once Ft(m) is final, its contributions F(d) Ft(m) are pushed
-    to all dm <= N.  Exact when F is integer-valued with F(1) = +-1.
+    to all dm <= N, skipping the m with Ft(m) = 0.  Exact when F is
+    integer-valued with F(1) = +-1.  Each m <= isqrt(N) is finalized and
+    pushed on its own.  Above that, a block (M, 2M] hears only from m <= M,
+    so it is finalized whole and pushed for each d, in descending order.
     """
     N = F.limit
     f1 = F.values[1]
@@ -149,19 +192,34 @@ def dirichlet_inverse(F: ArithFn) -> ArithFn:
         raise ValueError("F(1) = 0: Dirichlet inverse does not exist")
     exact_unit = f1 == 1 or f1 == -1
     inv1 = f1 if exact_unit else 1 / f1
-    acc = [0] * (N + 1)
-    out = [0] * (N + 1)
+    f = np.array(F.values, dtype=object)
+    acc = np.zeros(N + 1, dtype=object)
+    out = np.zeros(N + 1, dtype=object)
     out[1] = inv1
-    fv = F.values
-    for m in range(1, N + 1):
+    r = math.isqrt(N)
+    for m in range(1, r + 1):
         if m > 1:
             out[m] = -inv1 * acc[m] if exact_unit else -acc[m] / f1
-        fm = out[m]
-        if fm == 0:
+        if out[m] == 0:
             continue
-        for d in range(2, N // m + 1):
-            acc[d * m] += fv[d] * fm
-    return ArithFn(limit=N, values=out)
+        for ds in _chunks(2, N // m + 1):
+            cells = acc[ds.start * m : ds.stop * m : m]
+            cells += f[ds] * out[m : m + 1]
+    neg_inv1 = -f[1:2]
+    M = r
+    while M < N:
+        top = min(2 * M, N)
+        for s in _chunks(M + 1, top + 1):
+            out[s] = neg_inv1 * acc[s] if exact_unit else -acc[s] / f[1:2]
+            acc[s] = 0  # final cells take no more terms; free their sums
+        ms = M + 1 + np.flatnonzero(~(out[M + 1 : top + 1] == 0))
+        ft = out[ms]
+        for d in range(N // (M + 1), 1, -1):
+            for s in _chunks(0, np.searchsorted(ms, N // d, side="right")):
+                acc[ms[s] * d] += f[d : d + 1] * ft[s]
+        M = top
+    del acc, f  # free the work arrays before the result list is built
+    return ArithFn(limit=N, values=out.tolist())
 
 
 def _f_k_recursion(values) -> Callable:
@@ -233,12 +291,23 @@ def summatory(F: ArithFn, x: float):
 
 
 def series_eval(F: ArithFn, s) -> complex:
-    """Truncated Dirichlet series sum F(n) n^{-s} with n^{-s} = exp(-s log n)."""
+    """Truncated Dirichlet series sum F(n) n^{-s} with n^{-s} = exp(-s log n).
+
+    The sum is taken in doubles; an exact integer F(n) too large for a
+    double is a ValueError that names n.
+    """
     if isinstance(s, ComplexPoint):
         s = s.as_complex()
     total = 0
     for n in range(1, F.limit + 1):
         v = F.values[n]
         if v:
-            total += v * cmath.exp(-s * math.log(n))
+            w = cmath.exp(-s * math.log(n))
+            try:
+                total += v * w
+            except OverflowError:
+                raise ValueError(
+                    f"F({n}) does not fit a double: it is an integer of "
+                    f"{v.bit_length()} bits"
+                ) from None
     return total

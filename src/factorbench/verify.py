@@ -14,7 +14,7 @@ import random
 from typing import Iterable
 
 from . import counting, factorizations, zfamily
-from .dirichlet import ArithFn, convolve, dirichlet_inverse
+from .dirichlet import ArithFn, convolve, dirichlet_inverse, inverse_via_alternating
 from .sieve import SieveTables, build_sieve, factorize
 
 Check = tuple[str, bool, str]
@@ -100,6 +100,24 @@ def _inverse_of_ones(tables: SieveTables, limit: int) -> Check:
     inv = dirichlet_inverse(ArithFn.ones(limit))
     bad = [n for n in range(1, limit + 1) if inv.values[n] != int(tables.mu[n])]
     return ("inverse-of-ones-is-mu", not bad, f"n <= {limit}, failures {bad[:5]}")
+
+
+def _inverse_vs_alternating(tables: SieveTables, limit: int) -> Check:
+    """The sweep against the alternating-series inverse on F_z: exactly for
+    z = 2, to 1e-9 relative for a complex z."""
+    lim = min(limit, 1000)
+    z = complex(0.6, 0.8)
+    f2, fz = (ArithFn(lim, [0, 1] + [-w] * (lim - 1)) for w in (2, z))
+    exact_ok = dirichlet_inverse(f2).values == inverse_via_alternating(f2).values
+    sweep = dirichlet_inverse(fz).values
+    alt = inverse_via_alternating(fz).values
+    scale = max(abs(v) for v in sweep[1:])
+    worst = max(abs(a - b) for a, b in zip(sweep[1:], alt[1:])) / scale
+    return (
+        "inverse-sweep-equals-alternating",
+        exact_ok and worst <= 1e-9,
+        f"n <= {lim}, z = 2 exact {exact_ok}, z = {z} worst relative {worst:.2e}",
+    )
 
 
 def cm_inverse_residual(tables: SieveTables, limit: int, rng: random.Random) -> float:
@@ -192,7 +210,7 @@ def _psi_minimality(tables: SieveTables, limit: int) -> Check:
 SUITES = {
     "sieve": [_mobius_sum_identity, _omega_inequality],
     "factorisatio": [_f_bruteforce, _mu_parity, _d_lambda_bound],
-    "dirichlet": [_roundtrip, _inverse_of_ones, _cm_support],
+    "dirichlet": [_roundtrip, _inverse_of_ones, _cm_support, _inverse_vs_alternating],
     "zfamily": [_binomial_identity, _closed_form],
     "counting": [_psi_minimality],
 }

@@ -51,7 +51,7 @@ def build_context(z, limit: int, tables: SieveTables) -> ZFamilyContext:
     z = _as_scalar(z)
     fz = ArithFn(limit, [0, 1] + [-z] * (limit - 1))
     fz_tilde = dirichlet_inverse(fz)
-    mu = tables.mu
+    mu = tables.mu[: limit + 1].tolist()
     restricted = restrict_support(fz_tilde, lambda n: mu[n] != 0)
     gz = dirichlet_inverse(restricted)
     return ZFamilyContext(

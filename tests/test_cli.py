@@ -270,3 +270,8 @@ def test_missing_input_file_is_a_user_error(tmp_path, capsys):
 def test_bad_sieve_budget_variable_is_a_user_error(monkeypatch, capsys):
     monkeypatch.setenv("FACTORBENCH_MAX_SIEVE", "1e7")
     assert "FACTORBENCH_MAX_SIEVE" in user_error(capsys, "sieve", "--limit", "10")
+
+
+def test_series_overflow_is_a_user_error(capsys):
+    line = user_error(capsys, "dz-eval", "--z", "1e30", "--sigma", "40", "--limit", "5000")
+    assert "does not fit a double" in line

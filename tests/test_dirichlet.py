@@ -21,6 +21,85 @@ from factorbench import (
 from factorbench.factorizations import enumerate_ordered_factorizations
 
 
+def loop_convolve(fv, gv):
+    """Reference: the plain double loop over a, then b."""
+    N = len(fv) - 1
+    out = [0] * (N + 1)
+    for a in range(1, N + 1):
+        fa = fv[a]
+        if fa == 0:
+            continue
+        for b in range(1, N // a + 1):
+            out[a * b] += fa * gv[b]
+    return out
+
+
+def loop_inverse(fv):
+    """Reference: the plain forward-substitution sweep, one m at a time."""
+    N = len(fv) - 1
+    f1 = fv[1]
+    exact_unit = f1 == 1 or f1 == -1
+    inv1 = f1 if exact_unit else 1 / f1
+    acc = [0] * (N + 1)
+    out = [0] * (N + 1)
+    out[1] = inv1
+    for m in range(1, N + 1):
+        if m > 1:
+            out[m] = -inv1 * acc[m] if exact_unit else -acc[m] / f1
+        fm = out[m]
+        if fm == 0:
+            continue
+        for d in range(2, N // m + 1):
+            acc[d * m] += fv[d] * fm
+    return out
+
+
+def typed(values):
+    return [(type(v), repr(v)) for v in values]
+
+
+def random_values(kind, limit, f1, rng):
+    """f1 followed by limit - 1 values of one kind, zeros and signed zeros included."""
+    def one():
+        if kind == "int":
+            return rng.choice([0, 0, 1, -1, 2, -3, 2**64 + rng.randint(0, 99), -(2**65) - 7])
+        if kind == "float":
+            return rng.choice([0.0, -0.0, rng.uniform(-1, 1), rng.uniform(-1, 1)])
+        if kind == "complex":
+            return rng.choice([0j, complex(-0.0, 0.0), complex(0.0, -0.0),
+                               complex(rng.uniform(-1, 1), rng.uniform(-1, 1))])
+        return rng.choice([0, 1, -2, 0j, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))])
+
+    return [f1] + [one() for _ in range(limit - 1)]
+
+
+# small sizes, the sizes around the isqrt(N) split, and the chunk boundaries
+KERNEL_SIZES = st.one_of(
+    st.integers(min_value=1, max_value=40),
+    st.sampled_from([k * k + e for k in (5, 8, 31) for e in (-1, 0, 1)]),
+    st.sampled_from([4095, 4096, 4097, 8193]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    KERNEL_SIZES,
+    st.sampled_from(["int", "float", "complex", "mixed"]),
+    st.sampled_from([1, -1, 2]),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_kernels_match_loops_exactly(limit, kind, f1, seed):
+    rng = random.Random(seed)
+    F = ArithFn.from_values(random_values(kind, limit, f1, rng))
+    G = ArithFn.from_values(random_values(kind, limit, rng.choice([1, 0, -1]), rng))
+    assert typed(dirichlet_inverse(F).values) == typed(loop_inverse(F.values))
+    assert typed(convolve(F, G).values) == typed(loop_convolve(F.values, G.values))
+
+
+def test_inverse_of_ones_is_mu_at_a_million(sieve_big):
+    assert dirichlet_inverse(ArithFn.ones(10**6)).values[1:] == sieve_big.mu[1:].tolist()
+
+
 def test_mu_convolved_with_ones_is_unit(sieve_small):
     limit = 2000
     H = convolve(ArithFn.mobius(limit, sieve_small), ArithFn.ones(limit))
@@ -175,6 +254,11 @@ def test_series_eval_zeta2():
     F = ArithFn.ones(1_000_000)
     val = series_eval(F, ComplexPoint(2.0))
     assert abs(val - math.pi**2 / 6) < 1e-6
+
+
+def test_series_eval_rejects_integers_beyond_a_double():
+    with pytest.raises(ValueError, match=r"F\(2\) does not fit a double"):
+        series_eval(ArithFn.from_values([1, 10**400]), 2)
 
 
 def test_series_eval_complex_point():
