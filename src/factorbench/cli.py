@@ -78,26 +78,18 @@ def cmd_sieve(args) -> int:
 
 
 def cmd_factorisatio(args) -> int:
-    k_max = args.k if args.k is not None else None
-    ft = build_factorisation_tables(args.limit, k_max=k_max)
-    which = args.emit
-    if which == "f":
-        rows = [(n, ft.f[n]) for n in range(1, args.limit + 1)]
-        header = ["n", "f"]
-    elif which == "fk":
-        if ft.k_max < 1:
-            raise ValueError("no f_k tables built; pass --k >= 1")
-        header = ["n"] + [f"f{k}" for k in range(1, ft.k_max + 1)]
-        rows = [
-            tuple([n] + [ft.fk[k][n] for k in range(1, ft.k_max + 1)])
-            for n in range(1, args.limit + 1)
-        ]
+    if args.k is not None and args.k < 1:
+        raise ValueError(f"--k must be >= 1, got {args.k}")
+    ft = build_factorisation_tables(args.limit)
+    if args.emit == "fk":
+        ks = range(1, (args.k or ft.k_max) + 1)  # f_k = 0 for k > k_max
+        header = ["n"] + [f"f{k}" for k in ks]
+        rows = [(n, *(ft.fk[k][n] if k <= ft.k_max else 0 for k in ks))
+                for n in range(1, args.limit + 1)]
     else:
-        table = ft.f_even if which == "feven" else ft.f_odd
-        if not table:
-            raise ValueError("parity tables need --k >= 1 (or omit --k)")
+        table = {"f": ft.f, "feven": ft.f_even, "fodd": ft.f_odd}[args.emit]
+        header = ["n", args.emit]
         rows = [(n, table[n]) for n in range(1, args.limit + 1)]
-        header = ["n", which]
     _emit(_rows_to_csv(header, rows), args.out)
     return 0
 
@@ -162,7 +154,7 @@ def cmd_psi(args) -> int:
 def cmd_coffeeshop(args) -> int:
     x = int(args.x)
     tables = build_sieve(x)
-    ftables = build_factorisation_tables(x, k_max=0)
+    ftables = build_factorisation_tables(x, tables)
     c = int(args.c) if float(args.c).is_integer() else float(args.c)
     total = counting.coffeeshop_sum(x, c, args.kappa, ftables, tables)
     _emit_json({"x": x, "C": c, "kappa": args.kappa, "sum": total}, args.out)
@@ -213,7 +205,7 @@ def cmd_zeta(args) -> int:
 
 def cmd_kalmar(args) -> int:
     x = int(args.x)
-    ftables = build_factorisation_tables(x, k_max=0)
+    ftables = build_factorisation_tables(x)
     beta = zeta.kalmar_beta()
     _emit_json(
         {
@@ -230,7 +222,7 @@ def cmd_kalmar(args) -> int:
 def cmd_sarnak(args) -> int:
     x = int(args.x)
     tables = build_sieve(x)
-    ftables = build_factorisation_tables(x, k_max=0)
+    ftables = build_factorisation_tables(x, tables)
     rep = zeta.sarnak_correlation(x, args.xi, ftables, tables)
     _emit_json(
         {

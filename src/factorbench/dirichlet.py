@@ -137,6 +137,8 @@ class ArithFn:
                     re = float(rec["re"])
                     re = int(re) if re.is_integer() else re
                 rows[int(rec["n"])] = complex(re, im) if im else re
+        if not rows:
+            raise ValueError(f"CSV {path} has no rows")
         limit = max(rows)
         if set(rows) != set(range(1, limit + 1)):
             raise ValueError("CSV must cover n = 1..N without gaps")

@@ -2,9 +2,11 @@
 
 f(n) counts tuples of integers >= 2 with product n (order matters), f_k(n)
 counts those of length exactly k, and f_even/f_odd split by length parity
-(the unit contributes to f_even at n=1).  All counts are exact Python
-integers, so there is no overflow to guard against; widths are checked
-against the configured table budget instead.
+(the unit contributes to f_even at n=1).  All three depend only on n's prime
+signature, the multiset of its exponents, so the tables are computed once
+per signature by MacMahon's formula and read per n through a signature id.
+All counts are exact Python integers, so there is no overflow to guard
+against; the table limit is capped by the sieve budget.
 
 Also houses integer partitions stored by part multiplicities, the tuple
 counter d_lambda grouped by the multiset of Omega-values, and its
@@ -16,8 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, takewhile
+from operator import mul
 
-from .sieve import CapacityError, FactoredInt, SieveTables, _big_omega, _divisors, factorize
+import numpy as np
+
+from .sieve import FactoredInt, SieveTables, _big_omega, _divisors, build_sieve
 
 MAX_PARTITION_ELL = 90
 
@@ -124,94 +130,107 @@ def d_lambda_all(n: int) -> dict[tuple[int, ...], int]:
     return {k: v for k, v in _omega_profile_counts(n).items() if k}
 
 
+@dataclass(frozen=True)
+class _BySignature:
+    """A per-n table stored once per prime signature: t[n] = values[ids[n]]."""
+
+    values: list[int]
+    ids: np.ndarray
+
+    def __getitem__(self, n: int) -> int:
+        return self.values[self.ids[n]]
+
+
 @dataclass
 class FactorisationTables:
-    """Bulk tables of f, f_k, f_even, f_odd over 1..limit.
-
-    fk[k] is the table of f_k for 1 <= k <= k_max (fk[0] is unused filler).
-    With k_max=0 only f is stored; the parity splits need the per-k tables
-    and are left empty in that case.
-    """
+    """f, f_k (k <= k_max = max Omega(n); f_0 is the unit), f_even and f_odd
+    over 1..limit.  signatures[ids[n]] is n's exponent multiset, decreasing;
+    f is a per-n list of shared ints, the others read through ids."""
 
     limit: int
     k_max: int
+    ids: np.ndarray
+    signatures: list[tuple[int, ...]]
     f: list[int]
-    fk: list[list[int]]
-    f_even: list[int]
-    f_odd: list[int]
+    fk: list[_BySignature]
+    f_even: _BySignature
+    f_odd: _BySignature
 
 
-def _divisor_sweep(prev: list[int], limit: int) -> list[int]:
-    """out[n] = sum over divisors m of n with m <= n/2 of prev[m]."""
-    out = [0] * (limit + 1)
-    for m in range(1, limit // 2 + 1):
-        pm = prev[m]
-        if pm:
-            for n in range(2 * m, limit + 1, m):
-                out[n] += pm
-    return out
+def _key_weights(limit: int, primes) -> tuple[list[int], list[int]]:
+    """Weights w_e and radices c_e + 1 of the signature key, at index e - 1
+    for e = 1 .. floor(log2 limit).  c_e, the largest m with
+    (p_1 ... p_m)^e <= limit, bounds how many primes an n <= limit has to
+    exponent exactly e, and w_e = prod_{e' < e} (c_e' + 1)."""
+    primorials = list(takewhile(lambda q: q <= limit, accumulate(map(int, primes), mul)))
+    radices = [1 + sum(q**e <= limit for q in primorials) for e in range(1, limit.bit_length())]
+    return list(accumulate(radices[:-1], mul, initial=1)), radices
+
+
+def _signature_ids(limit: int, tables: SieveTables) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+    """int32 ids over 0..limit (n = 0 shares n = 1's) and each id's exponent multiset.
+
+    n's key sums w_a over its p^a || n, so its mixed-radix digit e counts the
+    primes with exponent e.  It is built as w_1 = 1 per distinct prime (omega)
+    plus w_e - w_{e-1} on every multiple of p^e, e >= 2.  Decodes are checked.
+    """
+    weights, radices = _key_weights(limit, tables.primes)
+    keys = tables.small_omega[: limit + 1].astype(np.int64)
+    for p in tables.primes[: np.searchsorted(tables.primes, math.isqrt(limit), "right")].tolist():
+        pe, e = p * p, 2
+        while pe <= limit:
+            keys[pe::pe] += weights[e - 1] - weights[e - 2]
+            pe, e = pe * p, e + 1
+    uniq = np.unique(keys)
+    ids = np.empty(limit + 1, dtype=np.int32)
+    for lo in range(0, limit + 1, 1 << 16):  # in chunks: searchsorted returns int64
+        ids[lo : lo + (1 << 16)] = np.searchsorted(uniq, keys[lo : lo + (1 << 16)])
+    signatures = []
+    for key in uniq.tolist():
+        sig = tuple(e for e in range(len(radices), 0, -1)
+                    for _ in range(key // weights[e - 1] % radices[e - 1]))
+        smallest = math.prod(int(p) ** a for p, a in zip(tables.primes, sig))
+        if sum(weights[a - 1] for a in sig) != key or smallest > limit:
+            raise AssertionError(f"signature key {key} decodes to {sig}, which is not exact")
+        signatures.append(sig)
+    return ids, signatures
+
+
+def _fk_of_signature(sig: tuple[int, ...]) -> list[int]:
+    """[f_0, ..., f_Omega] of any n with exponent multiset sig, by MacMahon:
+    f_k = sum_j (-1)^j C(k, j) P(k - j), where P(m) = prod_i C(a_i + m - 1, a_i)
+    counts the ways to spread each exponent over m ordered factors >= 1."""
+    P = [math.prod(math.comb(a + m - 1, a) for a in sig) for m in range(sum(sig) + 1)]
+    return [sum((-1) ** j * math.comb(k, j) * P[k - j] for j in range(k + 1))
+            for k in range(len(P))]
 
 
 def build_factorisation_tables(
-    limit: int,
-    k_max: int | None = None,
-    tables: SieveTables | None = None,
-    *,
-    budget: int = 20_000_000,
+    limit: int, tables: SieveTables | None = None
 ) -> FactorisationTables:
-    """Divisor-recurrence sweeps: f(1)=1, f(n) = sum_{d|n, d<n} f(d) for n >= 2,
-    and f_k(n) = sum_{d|n, d<=n/2} f_{k-1}(d) with f_1(n) = [n >= 2].
-
-    k_max defaults to the largest Omega(n) for n <= limit (so no f_k is
-    truncated); pass k_max=0 to skip the per-k tables and keep only f.
-    """
+    """The tables over 1..limit, from the sieve tables, or from a sieve to
+    limit (capped like any sieve) when tables is None."""
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    if k_max is None:
-        k_max = limit.bit_length() - 1 if limit >= 2 else 0
-    if (k_max + 2) * (limit + 1) > budget:
-        raise CapacityError(
-            f"tables of size {(k_max + 2) * (limit + 1)} exceed budget {budget}"
-        )
-
-    f = [0] * (limit + 1)
-    if limit >= 1:
-        f[1] = 1
-    for m in range(1, limit // 2 + 1):
-        fm = f[m]
-        for n in range(2 * m, limit + 1, m):
-            f[n] += fm
-
-    fk: list[list[int]] = [[]]
-    f_even: list[int] = []
-    f_odd: list[int] = []
-    if k_max >= 1:
-        f_even = [0] * (limit + 1)
-        f_odd = [0] * (limit + 1)
-        f_even[1] = 1  # the unit's empty product has even length zero
-        f1 = [0, 0] + [1] * (limit - 1) if limit >= 2 else [0] * (limit + 1)
-        fk.append(f1)
-        prev = f1
-        for k in range(2, k_max + 1):
-            prev = _divisor_sweep(prev, limit)
-            fk.append(prev)
-        for k in range(1, k_max + 1):
-            target = f_even if k % 2 == 0 else f_odd
-            col = fk[k]
-            for n in range(2, limit + 1):
-                target[n] += col[n]
-
-    return FactorisationTables(
-        limit=limit, k_max=k_max, f=f, fk=fk, f_even=f_even, f_odd=f_odd
-    )
+    if tables is None:
+        tables = build_sieve(max(limit, 2))
+    elif tables.limit < limit:
+        raise ValueError(f"sieve limit {tables.limit} is below table limit {limit}")
+    ids, signatures = _signature_ids(limit, tables)
+    rows = [_fk_of_signature(sig) for sig in signatures]
+    k_max = limit.bit_length() - 1
+    fk = [_BySignature([r[k] if k < len(r) else 0 for r in rows], ids) for k in range(k_max + 1)]
+    f = np.array([sum(r) for r in rows], dtype=object)[ids].tolist()
+    f[0] = 0
+    f_even = _BySignature([sum(r[0::2]) for r in rows], ids)
+    f_odd = _BySignature([sum(r[1::2]) for r in rows], ids)
+    return FactorisationTables(limit, k_max, ids, signatures, f, fk, f_even, f_odd)
 
 
 def mu_via_parity(n: int, ftables: FactorisationTables) -> int:
     """f_even(n) - f_odd(n); agrees with the Mobius function."""
     if not 1 <= n <= ftables.limit:
         raise ValueError(f"n={n} out of table range [1, {ftables.limit}]")
-    if not ftables.f_even:
-        raise ValueError("tables were built with k_max=0; parity splits unavailable")
     return ftables.f_even[n] - ftables.f_odd[n]
 
 

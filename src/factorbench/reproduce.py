@@ -18,7 +18,7 @@ from .zfamily import build_context
 
 KAPPAS = (2, 3)
 CHECKPOINTS = (10**2, 10**3, 10**4, 10**5, 10**6)
-PARITY_LIMIT = 100_000  # largest n for the per-k f_k tables
+PARITY_LIMIT = 100_000  # largest n of the mu = f_even - f_odd check
 PSI_N = 4400  # the psi_4400 section factors this n
 
 
@@ -32,9 +32,8 @@ def reproduce_report(sieve_limit: int = 1_000_000, seed: int = 12345) -> dict:
     t0 = time.time()
 
     tables = build_sieve(sieve_limit)
-    ftables = build_factorisation_tables(sieve_limit, k_max=0)
+    ftables = build_factorisation_tables(sieve_limit, tables)
     parity_limit = min(PARITY_LIMIT, sieve_limit)
-    ptables = build_factorisation_tables(parity_limit)
 
     report: dict = {"config": {
         "sieve_limit": sieve_limit,
@@ -61,13 +60,12 @@ def reproduce_report(sieve_limit: int = 1_000_000, seed: int = 12345) -> dict:
     }
 
     # closed form for the inverse of F_z at prime powers times coprime n
-    small_ft = build_factorisation_tables(64)
     contexts = (build_context(z, min(4000, sieve_limit), tables) for z in (-1, 1, 2))
-    cases, bad = closed_form_mismatches(contexts, small_ft, (2, 3, 5), (1, 2, 3), (1, 2, 3, 6, 15))
+    cases, bad = closed_form_mismatches(contexts, ftables, (2, 3, 5), (1, 2, 3), (1, 2, 3, 6, 15))
     report["closed_form_vs_inversion"] = {"cases": cases, "mismatches": len(bad), "pass": not bad}
 
     # mu = f_even - f_odd
-    bad = mu_parity_failures(tables, ptables, parity_limit)
+    bad = mu_parity_failures(tables, ftables, parity_limit)
     report["mu_parity_relation"] = {"limit": parity_limit, "failures": len(bad), "pass": not bad}
 
     checkpoints = [x for x in CHECKPOINTS if x <= sieve_limit]

@@ -80,24 +80,19 @@ class SieveTables:
         return i + 1
 
 
-def _limit_cap() -> int:
-    """The sieve budget: FACTORBENCH_MAX_SIEVE when set, else 50,000,000."""
-    raw = os.environ.get("FACTORBENCH_MAX_SIEVE", "50000000")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"FACTORBENCH_MAX_SIEVE must be an integer, got {raw!r}") from None
-
-
-def build_sieve(limit: int, *, cap: int | None = None) -> SieveTables:
+def build_sieve(limit: int) -> SieveTables:
     """Single pass producing spf, mu, Omega and omega over 1..limit.
 
-    cap defaults to the budget read from FACTORBENCH_MAX_SIEVE at call time.
+    The limit is capped by FACTORBENCH_MAX_SIEVE (default 50,000,000), read
+    at call time.
     """
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
-    if cap is None:
-        cap = _limit_cap()
+    raw = os.environ.get("FACTORBENCH_MAX_SIEVE", "50000000")
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ValueError(f"FACTORBENCH_MAX_SIEVE must be an integer, got {raw!r}") from None
     if limit > cap:
         raise CapacityError(f"sieve limit {limit} exceeds budget {cap}")
 

@@ -44,7 +44,7 @@ def _omega_inequality(tables: SieveTables, limit: int) -> Check:
 
 def _f_bruteforce(tables: SieveTables, limit: int) -> Check:
     lim = min(limit, 400)
-    ft = factorizations.build_factorisation_tables(lim)
+    ft = factorizations.build_factorisation_tables(lim, tables)
     bad = [
         n
         for n in range(1, lim + 1)
@@ -65,7 +65,8 @@ def mu_parity_failures(
 
 
 def _mu_parity(tables: SieveTables, limit: int) -> Check:
-    bad = mu_parity_failures(tables, factorizations.build_factorisation_tables(limit), limit)
+    ft = factorizations.build_factorisation_tables(limit, tables)
+    bad = mu_parity_failures(tables, ft, limit)
     return ("mu-equals-feven-minus-fodd", not bad, f"n <= {limit}, failures {bad[:5]}")
 
 
@@ -184,7 +185,7 @@ def closed_form_mismatches(
 
 
 def _closed_form(tables: SieveTables, limit: int) -> Check:
-    ft = factorizations.build_factorisation_tables(64)
+    ft = factorizations.build_factorisation_tables(64, tables)
     contexts = (zfamily.build_context(z, min(tables.limit, 4000), tables) for z in (-1, 1, 2, 3))
     _, bad = closed_form_mismatches(contexts, ft, (2, 3), (1, 2, 3), (3, 5, 9, 15, 35))
     return ("inverse-closed-form", not bad, f"failures {bad[:5]}")

@@ -153,11 +153,7 @@ def sarnak_correlation(
     f = ftables.f
     for n in range(1, cutoff + 1):
         m = int(mu[n])
-        if selector == "f":
+        if m or selector == "f":
             num += m * f[n]
             den += f[n]
-        else:
-            if m:
-                num += m * f[n]
-                den += f[n]
     return CorrelationReport(x=x, selector=selector, numerator=num, denominator=den)

@@ -98,7 +98,7 @@ def inverse_at_prime_power(
             for k in range(1, alpha + 1)
         )
         return _finish(total, exact)
-    if n > ftables.limit or ftables.k_max < n.bit_length() - 1:
+    if n > ftables.limit:
         raise ValueError(f"f_k tables do not cover n={n}")
     zz = Fraction(z) if exact else z
     total = 0
@@ -165,18 +165,14 @@ def binomial_identity_check(alpha: int, k: int, ell: int) -> bool:
 def fk_prime_power_expansion(
     p: int, alpha: int, n: int, k: int, ftables: FactorisationTables
 ) -> int:
-    """f_k(p^alpha n) via sum_{ell=max(1,k-alpha)}^{k} C(k,ell) C(alpha+ell-1,k-1) f_ell(n)."""
+    """f_k(p^alpha n) via sum_{ell=max(0,k-alpha)}^{k} C(k,ell) C(alpha+ell-1,k-1) f_ell(n);
+    f_0 is the unit, so at n = 1 this is f_k(p^alpha) = C(alpha-1, k-1)."""
     if n % p == 0:
         raise ValueError(f"p={p} divides n={n}")
     if alpha < 1 or k < 1:
         raise ValueError("alpha and k must be >= 1")
-    if n == 1:
-        # only the all-p tuple lengths contribute: f_k(p^alpha) = C(alpha-1, k-1)
-        return math.comb(alpha - 1, k - 1) if k <= alpha else 0
     total = 0
-    for ell in range(max(1, k - alpha), k + 1):
-        if ell >= len(ftables.fk):
-            break
+    for ell in range(max(0, k - alpha), min(k, ftables.k_max) + 1):
         total += math.comb(k, ell) * math.comb(alpha + ell - 1, k - 1) * ftables.fk[ell][n]
     return total
 

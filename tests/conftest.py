@@ -28,17 +28,17 @@ def sieve_big():
 
 @pytest.fixture(scope="session")
 def ftables_small():
-    # full per-k tables for oracle-scale checks
+    # oracle-scale checks against brute force and the divisor sweeps
     return build_factorisation_tables(3000)
 
 
 @pytest.fixture(scope="session")
 def ftables_parity():
-    # full per-k tables to 10^5 for the parity identity
+    # tables to 10^5 for the parity identity, built without a sieve argument
     return build_factorisation_tables(100_000)
 
 
 @pytest.fixture(scope="session")
-def ftables_big():
-    # f only; the per-k tables would be oversized at this scale
-    return build_factorisation_tables(1_000_000, k_max=0, budget=30_000_000)
+def ftables_big(sieve_big):
+    # every table to 10^6, from the shared sieve
+    return build_factorisation_tables(1_000_000, sieve_big)

@@ -66,6 +66,19 @@ def test_factorisatio_fk(capsys):
     assert row12 == [12, 1, 4, 3]
 
 
+def test_factorisatio_k_picks_fk_columns_only(capsys):
+    # mu(16) = 0, so f(16) = 8 splits evenly whatever --k is
+    for argv in (["--k", "2"], []):
+        code, out = run(capsys, "factorisatio", "--limit", "16", *argv, "--emit", "feven")
+        assert code == 0 and out.splitlines()[-1] == "16,4"
+    code, out = run(capsys, "factorisatio", "--limit", "16", "--k", "2", "--emit", "fodd")
+    assert out.splitlines()[-1] == "16,4"
+
+
+def test_factorisatio_k_below_one_is_a_user_error(capsys):
+    assert "--k must be >= 1" in user_error(capsys, "factorisatio", "--limit", "10", "--k", "0")
+
+
 def test_factorisatio_parity_requires_k(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["factorisatio", "--limit", "10", "--k", "0", "--emit", "feven"])
@@ -260,6 +273,12 @@ def test_sieve_limit_below_two_is_a_user_error(capsys):
 
 def test_sieve_over_budget_is_a_user_error(capsys):
     assert "budget" in user_error(capsys, "sieve", "--limit", "100000000")
+
+
+def test_header_only_csv_is_a_user_error(tmp_path, capsys):
+    path = tmp_path / "empty.csv"
+    path.write_text("n,re,im\n")
+    assert user_error(capsys, "invert", "--input", str(path)).endswith("has no rows")
 
 
 def test_missing_input_file_is_a_user_error(tmp_path, capsys):

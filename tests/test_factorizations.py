@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factorbench import (
+    CapacityError,
     PartitionMultiset,
     build_factorisation_tables,
     d_lambda,
@@ -15,6 +16,7 @@ from factorbench import (
     mu_via_parity,
 )
 from factorbench.factorizations import (
+    _key_weights,
     d_lambda_all,
     enumerate_ordered_factorizations,
 )
@@ -213,8 +215,101 @@ def test_growth_trend_reports_fitted_constant(ftables_big, sieve_big):
             assert math.log(fn) <= bound + 1e-9
 
 
-def test_build_rejects_oversize():
-    from factorbench import CapacityError
-
+def test_build_rejects_oversize(monkeypatch):
+    # a limit above the sieve cap raises CapacityError
+    monkeypatch.setenv("FACTORBENCH_MAX_SIEVE", "1000")
     with pytest.raises(CapacityError):
-        build_factorisation_tables(10**6, budget=1_000_000)
+        build_factorisation_tables(1001)
+
+
+def test_build_rejects_a_sieve_below_the_limit(sieve_small):
+    with pytest.raises(ValueError, match="below table limit"):
+        build_factorisation_tables(10_001, sieve_small)
+
+
+def _divisor_sweep(prev, limit):
+    """out[n] = sum over divisors m of n with m <= n/2 of prev[m]."""
+    out = [0] * (limit + 1)
+    for m in range(1, limit // 2 + 1):
+        pm = prev[m]
+        if pm:
+            for n in range(2 * m, limit + 1, m):
+                out[n] += pm
+    return out
+
+
+def sweep_reference(limit):
+    """f, [f_1 .. f_kmax], f_even and f_odd as per-n lists, by the divisor
+    recurrences f(n) = sum_{d|n, d<n} f(d) and f_k(n) = sum_{d|n, d<=n/2}
+    f_{k-1}(d) with f_1(n) = [n >= 2]; independent of prime signatures."""
+    k_max = limit.bit_length() - 1
+    f = [0] * (limit + 1)
+    f[1] = 1
+    for m in range(1, limit // 2 + 1):
+        for n in range(2 * m, limit + 1, m):
+            f[n] += f[m]
+    fk = [[0, 0] + [1] * (limit - 1)]
+    for _ in range(2, k_max + 1):
+        fk.append(_divisor_sweep(fk[-1], limit))
+    f_even = [0] * (limit + 1)
+    f_odd = [0] * (limit + 1)
+    f_even[1] = 1
+    for k, col in enumerate(fk, start=1):
+        target = f_even if k % 2 == 0 else f_odd
+        for n in range(2, limit + 1):
+            target[n] += col[n]
+    return f, fk, f_even, f_odd
+
+
+@pytest.mark.parametrize("fixture", ["ftables_small", "ftables_parity"])
+def test_signature_tables_equal_the_divisor_sweeps(fixture, request):
+    ft = request.getfixturevalue(fixture)
+    f, fk, f_even, f_odd = sweep_reference(ft.limit)
+    assert ft.k_max == len(fk)
+    assert ft.f == f
+    for n in range(1, ft.limit + 1):
+        assert (ft.f_even[n], ft.f_odd[n]) == (f_even[n], f_odd[n])
+        assert ft.fk[0][n] == (n == 1)
+        assert all(ft.fk[k][n] == fk[k - 1][n] for k in range(1, ft.k_max + 1))
+
+
+def test_f_entries_share_one_int_per_signature(ftables_small):
+    ft = ftables_small
+    firsts = {}
+    for n in range(1, ft.limit + 1):
+        assert ft.f[n] is firsts.setdefault(int(ft.ids[n]), ft.f[n])
+    assert len(firsts) == len(ft.signatures)
+
+
+def test_ids_decode_to_the_factorization(ftables_parity, sieve_big):
+    sigs, ids = ftables_parity.signatures, ftables_parity.ids
+    assert len(set(sigs)) == len(sigs)
+    assert set(sigs) == set(_signatures_up_to(100_000, [2, 3, 5, 7, 11, 13, 17]))
+    for n in range(1, 100_001):
+        exps = sorted((e for _, e in factorize(n, sieve_big).factors), reverse=True)
+        assert sigs[ids[n]] == tuple(exps)
+
+
+def _signatures_up_to(limit, primes, most=None, i=0, value=1):
+    """Every decreasing exponent tuple whose smallest representative
+    prod primes[i]^a_i is at most limit."""
+    yield ()
+    if i == len(primes):
+        return
+    a, pa = 1, primes[i]
+    while value * pa <= limit and (most is None or a <= most):
+        for rest in _signatures_up_to(limit, primes, a, i + 1, value * pa):
+            yield (a,) + rest
+        a, pa = a + 1, pa * primes[i]
+
+
+@pytest.mark.parametrize("limit", [2, 3, 64, 3000, 10**6, 5 * 10**7])
+def test_signature_key_is_injective_up_to_the_sieve_cap(limit):
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23]  # 2*3*...*23 > 5*10^7: at most 8 primes
+    weights, radices = _key_weights(limit, primes)
+    sigs = list(_signatures_up_to(limit, primes))
+    keys = {sum(weights[a - 1] for a in sig) for sig in sigs}
+    assert len(keys) == len(sigs)
+    assert max(keys) < 2**63
+    if limit == 5 * 10**7:
+        assert len(radices) == 25 and 1.1e10 < max(keys) < 1.2e10

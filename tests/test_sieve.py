@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from factorbench import (
@@ -153,6 +153,27 @@ def test_divisor_and_omega_helpers_match_sympy(n):
     sympy = pytest.importorskip("sympy")
     assert _divisors(n) == tuple(sympy.divisors(n))
     assert _big_omega(n) == sympy.primeomega(n)
+
+
+@pytest.fixture(scope="module")
+def sieve_1e5():
+    return build_sieve(10**5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(min_value=1, max_value=10**5))
+@example(n=1)
+@example(n=2**16)
+@example(n=99991)  # the largest prime below 10^5
+@example(n=10**5)
+def test_sieve_tables_match_sympy(sieve_1e5, n):
+    sympy = pytest.importorskip("sympy")
+    factors = sympy.factorint(n)
+    assert sieve_1e5.mu[n] == sympy.mobius(n)
+    assert sieve_1e5.big_omega[n] == sympy.primeomega(n)
+    assert sieve_1e5.small_omega[n] == sympy.primenu(n)
+    if n >= 2:
+        assert sieve_1e5.spf[n] == min(factors)
 
 
 def test_sieve_budget_is_read_from_the_environment_at_call_time(monkeypatch):
