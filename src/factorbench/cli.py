@@ -198,7 +198,7 @@ def cmd_zeta(args) -> int:
     obj = {"sigma": args.sigma, "value": z.value, "error_bound": z.error_bound,
            "method": z.method}
     if args.prime:
-        obj["derivative"] = z.derivative
+        obj.update(derivative=z.derivative, derivative_bound=z.derivative_bound)
     _emit_json(obj, args.out)
     return 0
 
@@ -273,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--emit", choices=["f", "fk", "feven", "fodd"], default="f")
-    p.add_argument("--format", choices=["csv"], default="csv")
 
     p = add("dlambda", cmd_dlambda, help="d_lambda(n) and its factorial bound")
     p.add_argument("--n", type=int, required=True)
@@ -306,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", type=_parse_z, required=True)
     p.add_argument("--limit", type=int, required=True)
     p.add_argument("--emit", choices=["fz", "fztilde", "gz"], default="fztilde")
-    p.add_argument("--format", choices=["csv"], default="csv")
 
     p = add("dz-eval", cmd_dz_eval, help="truncated reciprocal series at s")
     p.add_argument("--z", type=_parse_z, required=True)

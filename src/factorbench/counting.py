@@ -159,22 +159,19 @@ def prime_reciprocal_sum(x: float, tables: SieveTables) -> float:
     return total
 
 
-def fit_prime_sum_constant(xs, tables: SieveTables, margin: float = 1e-9) -> float:
-    """Minimal C2 with sum_{p^2<x} 1/(p log(x/p)) < (log_2 x + C2)/log x on xs."""
+def fit_prime_sum_constant(xs, tables: SieveTables) -> float:
+    """Minimal C2, plus 1e-9, with sum_{p^2<x} 1/(p log(x/p)) < (log_2 x + C2)/log x on xs."""
     needed = -math.inf
     for x in xs:
         s = prime_reciprocal_sum(x, tables)
         needed = max(needed, s * math.log(x) - iterated_log(x, 2))
-    return needed + margin
+    return needed + 1e-9
 
 
-def fit_counting_constants(
-    xs, kappas, tables: SieveTables, *, c2: float | None = None
-) -> tuple[float, float]:
+def fit_counting_constants(xs, kappas, tables: SieveTables) -> tuple[float, float]:
     """Fit (C1, C2) empirically: C2 from the prime-sum inequality, then the
     minimal C1 making the N_{kappa,ell} bound hold over the whole grid."""
-    if c2 is None:
-        c2 = fit_prime_sum_constant(xs, tables)
+    c2 = fit_prime_sum_constant(xs, tables)
     c1 = 0.0
     for x in xs:
         for kappa in kappas:

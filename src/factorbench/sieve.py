@@ -102,13 +102,8 @@ def build_sieve(limit: int) -> SieveTables:
         if spf[i] == 0:
             sl = spf[i * i :: i]
             sl[sl == 0] = i
-    # untouched entries >= 2 are prime
-    untouched = spf == 0
-    untouched[:2] = False
-    spf[untouched] = np.nonzero(untouched)[0]
-    is_prime = spf == np.arange(n, dtype=np.int64)
-    is_prime[:2] = False
-    primes = np.nonzero(is_prime)[0]
+    primes = np.nonzero(spf == 0)[0][2:]  # untouched entries >= 2 are prime
+    spf[primes] = primes
 
     big_omega = np.zeros(n, dtype=np.int16)
     small_omega = np.zeros(n, dtype=np.int16)

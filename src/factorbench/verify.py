@@ -125,17 +125,15 @@ def cm_inverse_residual(tables: SieveTables, limit: int, rng: random.Random) -> 
     """Worst |Ft - F mu| / max |Ft| over 20 random completely multiplicative F
     on 1..limit (|F(p)| <= 1); zero off the squarefree n follows from it."""
     worst = 0.0
+    primes = tables.primes[tables.primes <= limit].tolist()
+    mu = tables.mu[: limit + 1].tolist()
     for _ in range(20):
-        pv = {
-            int(p): cmath.rect(rng.uniform(0, 1), rng.uniform(0, 2 * math.pi))
-            for p in tables.primes
-            if p <= limit
-        }
+        pv = {p: cmath.rect(rng.uniform(0, 1), rng.uniform(0, 2 * math.pi)) for p in primes}
         F = ArithFn.completely_multiplicative(limit, tables, pv)
         inv = dirichlet_inverse(F)
         scale = max(abs(v) for v in inv.values[1:]) or 1.0
         for n in range(1, limit + 1):
-            expect = F.values[n] * int(tables.mu[n])
+            expect = F.values[n] * mu[n]
             worst = max(worst, abs(inv.values[n] - expect) / scale)
     return worst
 

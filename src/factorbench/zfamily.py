@@ -31,7 +31,7 @@ class ZFamilyContext:
     fz: ArithFn
     fz_tilde: ArithFn
     gz: ArithFn
-    beta_z: float  # -inf marker at z = 0
+    beta_z: float  # -inf marker at z = 0, nan where 1 + 1/|z| rounds to 1
 
 
 def _as_scalar(z):
@@ -54,9 +54,8 @@ def build_context(z, limit: int, tables: SieveTables) -> ZFamilyContext:
     mu = tables.mu[: limit + 1].tolist()
     restricted = restrict_support(fz_tilde, lambda n: mu[n] != 0)
     gz = dirichlet_inverse(restricted)
-    return ZFamilyContext(
-        z=z, limit=limit, fz=fz, fz_tilde=fz_tilde, gz=gz, beta_z=beta_for_z(z)
-    )
+    beta_z = beta_for_z(z) if z == 0 or 1.0 + 1.0 / abs(z) > 1.0 else math.nan
+    return ZFamilyContext(z=z, limit=limit, fz=fz, fz_tilde=fz_tilde, gz=gz, beta_z=beta_z)
 
 
 def beta_for_z(z) -> float:
@@ -65,6 +64,8 @@ def beta_for_z(z) -> float:
     if az == 0:
         return -math.inf
     target = 1.0 + 1.0 / az
+    if target == 1.0:
+        raise ValueError(f"|z|={az} too large: 1 + 1/|z| rounds to 1")
     lo = zeta_mod.SIGMA_FLOOR + 1e-9
     if zeta_mod.zeta_real(lo).value <= target:
         raise ValueError(f"|z|={az} too small: root lies below sigma={lo}")

@@ -180,6 +180,7 @@ def test_zeta(capsys):
     assert abs(data["value"] - math.pi**2 / 6) < 1e-12
     assert data["derivative"] < 0
     assert data["error_bound"] <= 1e-12
+    assert data["derivative_bound"] <= 1e-12
 
 
 def test_kalmar(capsys):
@@ -294,3 +295,22 @@ def test_bad_sieve_budget_variable_is_a_user_error(monkeypatch, capsys):
 def test_series_overflow_is_a_user_error(capsys):
     line = user_error(capsys, "dz-eval", "--z", "1e30", "--sigma", "40", "--limit", "5000")
     assert "does not fit a double" in line
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_non_finite_zeta_sigma_is_a_user_error(capsys, sigma):
+    assert "finite" in user_error(capsys, "zeta", "--sigma", sigma)
+
+
+@pytest.mark.parametrize("sigma", ["1e40", "1e300"])
+def test_zeta_at_huge_sigma(capsys, sigma):
+    code, out = run(capsys, "zeta", "--sigma", sigma, "--prime")
+    data = json.loads(out)
+    assert code == 0
+    assert data["value"] == 1.0
+    assert math.isfinite(data["error_bound"]) and data["error_bound"] <= 1e-12
+    assert math.isfinite(data["derivative_bound"]) and data["derivative_bound"] <= 1e-12
+
+
+def test_beta_z_of_huge_z_is_a_user_error(capsys):
+    assert "|z|=1e+300 too large" in user_error(capsys, "beta-z", "--z", "1e300")

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -172,6 +173,7 @@ def test_sieve_tables_match_sympy(sieve_1e5, n):
     assert sieve_1e5.mu[n] == sympy.mobius(n)
     assert sieve_1e5.big_omega[n] == sympy.primeomega(n)
     assert sieve_1e5.small_omega[n] == sympy.primenu(n)
+    assert bool(np.isin(n, sieve_1e5.primes)) == sympy.isprime(n)
     if n >= 2:
         assert sieve_1e5.spf[n] == min(factors)
 

@@ -3,7 +3,9 @@ import math
 import mpmath
 import pytest
 
+from factorbench import zeta
 from factorbench.zeta import (
+    SIGMA_FLOOR,
     kalmar_beta,
     kalmar_constant,
     kalmar_ratio,
@@ -21,9 +23,44 @@ def test_zeta_known_values():
 
 
 def test_zeta_rejects_sigma_at_or_below_one():
-    for sigma in (1.0, 0.5, -2.0, 1.0 + 1e-7):
+    for sigma in (1.0, 0.5, -2.0, 1.0 + 1e-7, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             zeta_real(sigma)
+
+
+def test_zeta_at_huge_sigma_is_one_with_finite_bounds():
+    # N^-s underflows to 0 and the running products stay 0 (no inf * 0)
+    for sigma in (1e40, 1e300, 1.7976931348623157e308):
+        z = zeta_real(sigma)
+        assert z.value == 1.0 and z.derivative == 0.0
+        assert 0 < z.error_bound <= 1e-12 and 0 < z.derivative_bound <= 1e-12
+
+
+def test_bernoulli_corrections_are_exact():
+    sympy = pytest.importorskip("sympy")
+    want = [sympy.bernoulli(2 * j) / sympy.factorial(2 * j) for j in range(1, zeta._K + 2)]
+    assert zeta._BERNOULLI == [float(w) for w in want]
+
+
+@pytest.mark.parametrize("sigma", [
+    SIGMA_FLOOR, 1 + 1e-5, 1.0001, 1.001, 1.01, 1.1, 1.5, "beta",
+    2.0, 3.7, 10.0, 40.0, 64.0, 1e20, 1e300,
+])
+def test_zeta_bounds_hold_against_mpmath(sigma):
+    # the stated bounds cover truncation and rounding: the float results sit
+    # within them of mpmath's values at the same double sigma, and each bound
+    # is at most 1e-12 relative
+    if sigma == "beta":
+        sigma = kalmar_beta()
+    z = zeta_real(sigma)
+    with mpmath.workdps(40):
+        ref = mpmath.zeta(sigma)
+        dref = mpmath.zeta(sigma, derivative=1)
+        assert abs(mpmath.mpf(z.value) - ref) <= z.error_bound
+        assert abs(mpmath.mpf(z.derivative) - dref) <= z.derivative_bound
+    assert math.isfinite(z.error_bound) and math.isfinite(z.derivative_bound)
+    assert z.error_bound <= 1e-12 * max(1.0, abs(z.value))
+    assert z.derivative_bound <= 1e-12 * max(1.0, abs(z.derivative))
 
 
 def test_zeta_against_mpmath_oracle():
@@ -36,13 +73,15 @@ def test_zeta_against_mpmath_oracle():
         assert abs(z.derivative - dref) <= 1e-10 * max(1.0, abs(dref))
 
 
-def test_zeta_tail_stability():
+def test_zeta_tail_stability(monkeypatch):
     # a 10x larger truncation moves the answer only at float-rounding level
     # (the analytic remainder bound is far below the rounding noise of the
     # longer sum, so compare at 1e-12 relative, the certified accuracy)
     for sigma in (1.01, 1.5, 2.5):
         coarse = zeta_real(sigma)
-        fine = zeta_real(sigma, terms=100_000)
+        with monkeypatch.context() as m:
+            m.setattr(zeta, "_N", 10 * zeta._N)
+            fine = zeta_real(sigma)
         assert abs(coarse.value - fine.value) <= 1e-12 * max(1.0, abs(coarse.value))
         assert coarse.error_bound <= 1e-12
 

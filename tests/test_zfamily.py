@@ -161,6 +161,20 @@ def test_beta_for_z_examples():
     assert beta_for_z(100) > 5
 
 
+def test_beta_for_z_rejects_z_where_the_target_rounds_to_one():
+    # 1 + 1/|z| == 1.0 for |z| >= 2^53, so no root can be found
+    for z in (2.0**53, 1e300, -1e300):
+        with pytest.raises(ValueError, match=r"\|z\|=.* too large"):
+            beta_for_z(z)
+
+
+def test_context_of_huge_z_marks_beta_z_unknown(sieve_small):
+    # the tables need no beta_z, so they are still built for such z
+    ctx = build_context(1e300, 8, sieve_small)
+    assert math.isnan(ctx.beta_z)
+    assert ctx.fz_tilde.values[2] == int(1e300)  # the inverse of F_z at a prime is z
+
+
 def test_witness_discrepancy(sieve_small):
     w = non_multiplicativity_witness(build_context(1, 10, sieve_small))
     assert (w.g2, w.g3, w.g6) == (-1, -1, -1)
