@@ -1,11 +1,11 @@
 """Command-line front end.
 
-Bulk tables go out as CSV, scalar results and reports as JSON; everything
-is written to stdout unless --out is given.  Exit codes: 0 on success, 1
-when verify finds a failing check, 2 on a user error.  User errors are bad
-arguments (argparse's usage message), bad values, files that cannot be read
-or written and limits over budget; the last three print one line,
-"factorbench: error: <message>", on stderr.
+Bulk tables go out as CSV, scalar results and reports as strict JSON (a
+non-finite float is null); everything is written to stdout unless --out is
+given.  Exit codes: 0 on success, 1 when verify finds a failing check, 2 on
+a user error.  User errors are bad arguments (argparse's usage message), bad
+values, files that cannot be read or written and limits over budget; the
+last three print one line, "factorbench: error: <message>", on stderr.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 from . import counting, verify, zeta
@@ -38,13 +39,18 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_json(obj, out: str | None) -> None:
-    _emit(json.dumps(obj, indent=2, default=_jsonable) + "\n", out)
+    _emit(json.dumps(_jsonable(obj), indent=2, allow_nan=False) + "\n", out)
 
 
 def _jsonable(v):
+    """v with each complex as {"re": .., "im": ..} and each non-finite float as None."""
+    if isinstance(v, dict):
+        return {k: _jsonable(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_jsonable(x) for x in v]
     if isinstance(v, complex):
-        return {"re": v.real, "im": v.imag}
-    raise TypeError(f"not JSON-serializable: {type(v)}")
+        return {"re": _jsonable(v.real), "im": _jsonable(v.imag)}
+    return None if isinstance(v, float) and not math.isfinite(v) else v
 
 
 def _rows_to_csv(header, rows) -> str:

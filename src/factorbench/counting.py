@@ -47,20 +47,17 @@ def count_bigomega(x: float, ell: int, tables: SieveTables) -> int:
 
 def N_kappa_ell(x: float, kappa: int, ell: int, tables: SieveTables) -> int:
     """|{n <= x : n kappa-free and Omega(n) = ell}|, exact."""
-    if kappa < 2:
-        raise ValueError(f"kappa must be >= 2, got {kappa}")
-    cutoff = _cutoff(x, tables)
-    mask = tables.kappa_free_mask(kappa)[1 : cutoff + 1]
-    return int(np.count_nonzero(tables.big_omega[1 : cutoff + 1][mask] == ell))
+    return profile_N_kappa(x, kappa, tables).per_ell.get(ell, 0)
 
 
 def profile_N_kappa(x: float, kappa: int, tables: SieveTables) -> CountingProfile:
     """All N_{kappa,ell}(x) in one sieve pass."""
-    if kappa < 2:
-        raise ValueError(f"kappa must be >= 2, got {kappa}")
+    mask = tables.kappa_free_mask(kappa)  # raises for kappa < 2
     cutoff = _cutoff(x, tables)
-    mask = tables.kappa_free_mask(kappa)[1 : cutoff + 1]
-    counts = np.bincount(tables.big_omega[1 : cutoff + 1][mask])
+    counts = np.zeros(32, dtype=np.int64)  # Omega(n) <= 30 below the sieve's 2^31 bound
+    for lo in range(1, cutoff + 1, 1 << 20):  # chunks, as bincount copies its input to intp
+        chunk = slice(lo, min(lo + (1 << 20), cutoff + 1))
+        counts += np.bincount(tables.big_omega[chunk][mask[chunk]], minlength=32)
     return CountingProfile(
         x=x, kappa=kappa, per_ell={ell: int(c) for ell, c in enumerate(counts) if c}
     )

@@ -2,7 +2,8 @@
 
 Everything downstream (factorization counts, Dirichlet inversion, kappa-free
 counting) consumes these tables in bulk, so mu, Omega and omega are filled in
-during sieve construction rather than recomputed per query.
+during sieve construction, from spf by a recurrence on n / spf(n), rather
+than recomputed per query.
 """
 
 from __future__ import annotations
@@ -35,22 +36,17 @@ class FactoredInt:
             out *= p**e
         return out
 
-    @property
-    def mobius(self) -> int:
-        if any(e > 1 for _, e in self.factors):
-            return 0
-        return -1 if self.small_omega % 2 else 1
-
 
 @dataclass
 class SieveTables:
-    """Bulk arrays over 1..limit: smallest prime factor, mu, Omega, omega.
+    """Bulk arrays over 0..limit: smallest prime factor, mu, Omega, omega.
 
-    Immutable after construction; safe for unrestricted concurrent reads.
+    The arrays are shared by every caller that reads the tables, so callers
+    must not write to them. Nothing enforces this: the arrays stay writeable.
     """
 
     limit: int
-    spf: np.ndarray        # spf[n] = smallest prime factor of n (n >= 2)
+    spf: np.ndarray        # spf[n] = smallest prime factor of n (n >= 2), int32
     mu: np.ndarray         # Mobius function, int8
     big_omega: np.ndarray  # Omega(n), prime factors with multiplicity
     small_omega: np.ndarray  # omega(n), distinct prime factors
@@ -81,13 +77,17 @@ class SieveTables:
 
 
 def build_sieve(limit: int) -> SieveTables:
-    """Single pass producing spf, mu, Omega and omega over 1..limit.
+    """spf by sieving with the primes <= sqrt(limit); then, with p = spf(n) and
+    m = n / p, Omega(n) = Omega(m) + 1 and, as p divides m or not,
+    omega(n) = omega(m) or omega(m) + 1 and mu(n) = 0 or -mu(m).
 
     The limit is capped by FACTORBENCH_MAX_SIEVE (default 50,000,000), read
-    at call time.
+    at call time, and must be below 2^31 so that spf fits int32.
     """
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
+    if limit >= 2**31:
+        raise CapacityError(f"sieve limit {limit} is not below 2^31, the bound of int32 spf")
     raw = os.environ.get("FACTORBENCH_MAX_SIEVE", "50000000")
     try:
         cap = int(raw)
@@ -97,31 +97,34 @@ def build_sieve(limit: int) -> SieveTables:
         raise CapacityError(f"sieve limit {limit} exceeds budget {cap}")
 
     n = limit + 1
-    spf = np.zeros(n, dtype=np.int64)
-    for i in range(2, math.isqrt(limit) + 1):
-        if spf[i] == 0:
-            sl = spf[i * i :: i]
-            sl[sl == 0] = i
-    primes = np.nonzero(spf == 0)[0][2:]  # untouched entries >= 2 are prime
+    root = math.isqrt(limit)
+    small = np.ones(root + 1, dtype=bool)
+    small[:2] = False
+    for i in range(2, math.isqrt(root) + 1):
+        if small[i]:
+            small[i * i :: i] = False
+    spf = np.zeros(n, dtype=np.int32)
+    for p in np.flatnonzero(small)[::-1].tolist():  # descending: the smallest prime writes last
+        spf[p * p :: p] = p
+    primes = np.flatnonzero(spf == 0)[2:]  # untouched entries >= 2 are prime
     spf[primes] = primes
 
+    # p repeats in n iff spf(m) = p; spf(1) = 0 matches no prime. Every m <= n / 2,
+    # so a block [lo, 2 lo) reads only finished entries; 2^20 caps its temporaries.
     big_omega = np.zeros(n, dtype=np.int16)
     small_omega = np.zeros(n, dtype=np.int16)
-    mu = np.ones(n, dtype=np.int8)
-    mu[0] = 0
-    for p in primes:
-        p = int(p)
-        small_omega[p::p] += 1
-        mu[p::p] *= -1
-        pk = p
-        while pk <= limit:
-            big_omega[pk::pk] += 1
-            pk *= p
-        sq = p * p
-        if sq <= limit:
-            mu[sq::sq] = 0
-    big_omega[1] = 0
-    small_omega[1] = 0
+    mu = np.zeros(n, dtype=np.int8)
+    mu[1] = 1
+    lo = 2
+    while lo < n:
+        hi = min(2 * lo, lo + (1 << 20), n)
+        p = spf[lo:hi]
+        m = np.arange(lo, hi) // p
+        rep = spf[m] == p
+        big_omega[lo:hi] = big_omega[m] + 1
+        small_omega[lo:hi] = small_omega[m] + ~rep
+        mu[lo:hi] = np.where(rep, 0, -mu[m])
+        lo = hi
 
     return SieveTables(
         limit=limit,
@@ -180,8 +183,6 @@ def is_kappa_free(n: int, kappa: int, tables: SieveTables) -> bool:
     """True iff no p**kappa divides n. 1 is kappa-free for every kappa."""
     if kappa < 2:
         raise ValueError(f"kappa must be >= 2, got {kappa}")
-    if not 1 <= n <= tables.limit:
-        raise ValueError(f"n={n} out of sieve range [1, {tables.limit}]")
     return all(e < kappa for _, e in factorize(n, tables).factors)
 
 

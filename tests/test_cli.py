@@ -314,3 +314,24 @@ def test_zeta_at_huge_sigma(capsys, sigma):
 
 def test_beta_z_of_huge_z_is_a_user_error(capsys):
     assert "|z|=1e+300 too large" in user_error(capsys, "beta-z", "--z", "1e300")
+
+
+def strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_beta_z_at_zero_is_strict_json_null(capsys):
+    code, out = run(capsys, "beta-z", "--z", "0")
+    assert code == 0
+    assert strict_json(out) == {"z": {"re": 0.0, "im": 0.0}, "beta_z": None}
+
+
+def test_dz_eval_of_huge_z_is_strict_json_null(capsys):
+    code, out = run(capsys, "dz-eval", "--z", str(2.0**53), "--sigma", "3", "--limit", "50")
+    data = strict_json(out)
+    assert code == 0
+    assert data["beta_z"] is None
+    assert math.isfinite(data["reciprocal_series"]["re"])

@@ -1,6 +1,7 @@
 import math
-from itertools import combinations
+from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from factorbench import counting
@@ -18,7 +19,7 @@ from factorbench.counting import (
     psi_tuple,
     tilde_p,
 )
-from factorbench.sieve import iterated_log
+from factorbench.sieve import build_sieve, iterated_log
 
 
 def test_count_examples(sieve_small):
@@ -64,6 +65,16 @@ def test_profile_totals_kappa_free_count(sieve_big, kappa):
     profile = profile_N_kappa(x, kappa, sieve_big)
     mask = sieve_big.kappa_free_mask(kappa)
     assert profile.total == int(mask[1 : x + 1].sum())
+
+
+def test_profile_across_bincount_chunks_equals_one_bincount():
+    tables = build_sieve(2**21 + 5)
+    for x, kappa in product([2**20, 2**20 + 1, 2**21 + 5], [2, 3]):
+        mask = tables.kappa_free_mask(kappa)[1 : x + 1]
+        counts = np.bincount(tables.big_omega[1 : x + 1][mask])
+        want = {ell: int(c) for ell, c in enumerate(counts) if c}
+        assert profile_N_kappa(x, kappa, tables).per_ell == want
+        assert N_kappa_ell(x, kappa, 2, tables) == want[2]
 
 
 def test_tilde_p_examples(sieve_small):

@@ -17,6 +17,59 @@ from factorbench import (
 from factorbench.sieve import _big_omega, _divisors
 
 
+def sieve_reference(limit):
+    """The per-prime loop build_sieve used before its recurrence; spf is int64 here."""
+    n = limit + 1
+    spf = np.zeros(n, dtype=np.int64)
+    for i in range(2, math.isqrt(limit) + 1):
+        if spf[i] == 0:
+            sl = spf[i * i :: i]
+            sl[sl == 0] = i
+    primes = np.nonzero(spf == 0)[0][2:]
+    spf[primes] = primes
+
+    big_omega = np.zeros(n, dtype=np.int16)
+    small_omega = np.zeros(n, dtype=np.int16)
+    mu = np.ones(n, dtype=np.int8)
+    mu[0] = 0
+    for p in primes:
+        p = int(p)
+        small_omega[p::p] += 1
+        mu[p::p] *= -1
+        pk = p
+        while pk <= limit:
+            big_omega[pk::pk] += 1
+            pk *= p
+        sq = p * p
+        if sq <= limit:
+            mu[sq::sq] = 0
+    big_omega[1] = 0
+    small_omega[1] = 0
+    return {"spf": spf, "mu": mu, "big_omega": big_omega, "small_omega": small_omega,
+            "primes": primes}
+
+
+def assert_sieve_equals_reference(limit):
+    tables = build_sieve(limit)
+    for name, want in sieve_reference(limit).items():
+        got = getattr(tables, name)
+        assert got.shape == want.shape, (limit, name)
+        assert np.array_equal(got, want), (limit, name, np.flatnonzero(got != want)[:5])
+        if name != "spf":
+            assert got.dtype == want.dtype, (limit, name)
+    assert tables.spf.dtype == np.int32
+
+
+def test_sieve_equals_reference_at_every_small_limit():
+    for limit in range(2, 401):
+        assert_sieve_equals_reference(limit)
+
+
+@pytest.mark.parametrize("limit", [2**20 - 1, 2**20, 2**20 + 1, 2**21 + 5, 10**6])
+def test_sieve_equals_reference_across_blocks(limit):
+    assert_sieve_equals_reference(limit)
+
+
 def trial_division_is_prime(n):
     if n < 2:
         return False
@@ -176,6 +229,16 @@ def test_sieve_tables_match_sympy(sieve_1e5, n):
     assert bool(np.isin(n, sieve_1e5.primes)) == sympy.isprime(n)
     if n >= 2:
         assert sieve_1e5.spf[n] == min(factors)
+    fi = factorize(n, sieve_1e5)
+    assert fi.factors == tuple(sorted(factors.items()))
+    assert fi.big_omega == sympy.primeomega(n)
+    assert fi.small_omega == sympy.primenu(n)
+
+
+def test_sieve_limit_must_fit_int32(monkeypatch):
+    monkeypatch.setenv("FACTORBENCH_MAX_SIEVE", str(2**40))
+    with pytest.raises(CapacityError, match="2\\^31"):
+        build_sieve(2**31)
 
 
 def test_sieve_budget_is_read_from_the_environment_at_call_time(monkeypatch):
