@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .factorizations import FactorisationTables
+from .factorizations import FactorisationTables, count_by_signature
 from .sieve import SieveTables, factorize, is_kappa_free, iterated_log
 
 
@@ -189,7 +190,8 @@ def coffeeshop_sum(
     ftables: FactorisationTables,
     tables: SieveTables,
 ):
-    """sum_{n<=x} c^Omega(n) f(n) over kappa-free n; exact when c is an int.
+    """sum_{n<=x} c^Omega(n) f(n) over kappa-free n, once per signature: exact
+    for an int c; for any other finite c, summed over Fraction(c) and rounded once.
 
     For kappa = 2 and any fixed c > 0 the sum is x^{1+o(1)}: on squarefree
     n with k prime factors f(n) is the Fubini number sum_{m>=0} m^k/2^{m+1},
@@ -201,14 +203,19 @@ def coffeeshop_sum(
     cutoff = int(math.floor(x))
     if cutoff > ftables.limit or cutoff > tables.limit:
         raise ValueError(f"x={x} beyond table limits")
-    mask = tables.kappa_free_mask(kappa)
-    omega = tables.big_omega
-    f = ftables.f
-    total = 0
-    for n in range(1, cutoff + 1):
-        if mask[n]:
-            total += c ** int(omega[n]) * f[n]
-    return total
+    exact = isinstance(c, int)
+    if not exact and not math.isfinite(c):
+        raise ValueError(f"c must be finite, got {c}")
+    base = c if exact else Fraction(c)
+    counts = count_by_signature(ftables, cutoff, tables.kappa_free_mask(kappa))
+    total = sum(k * base ** int(tables.big_omega[rep]) * ftables.f[rep]
+                for k, rep in zip(counts, ftables.reps) if k)
+    if exact:
+        return total
+    try:
+        return float(total)
+    except OverflowError:  # beyond the largest float, which rounds to +-inf
+        return math.inf if total > 0 else -math.inf
 
 
 def growth_exponents(

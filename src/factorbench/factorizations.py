@@ -4,9 +4,10 @@ f(n) counts tuples of integers >= 2 with product n (order matters), f_k(n)
 counts those of length exactly k, and f_even/f_odd split by length parity
 (the unit contributes to f_even at n=1).  All three depend only on n's prime
 signature, the multiset of its exponents, so the tables are computed once
-per signature by MacMahon's formula and read per n through a signature id.
-All counts are exact Python integers, so there is no overflow to guard
-against; the table limit is capped by the sieve budget.
+per signature by MacMahon's formula and read per n through a signature id,
+and sums over n <= x run once per signature, on count_by_signature.  All
+counts are exact Python integers, so there is no overflow to guard against;
+the table limit is capped by the sieve budget.
 
 Also houses integer partitions stored by part multiplicities, the tuple
 counter d_lambda grouped by the multiset of Omega-values, and its
@@ -144,13 +145,15 @@ class _BySignature:
 @dataclass
 class FactorisationTables:
     """f, f_k (k <= k_max = max Omega(n); f_0 is the unit), f_even and f_odd
-    over 1..limit.  signatures[ids[n]] is n's exponent multiset, decreasing;
-    f is a per-n list of shared ints, the others read through ids."""
+    over 1..limit.  signatures[ids[n]] is n's exponent multiset, decreasing,
+    and reps[ids[n]] the smallest n with it; f is a per-n list of shared
+    ints, the others read through ids."""
 
     limit: int
     k_max: int
     ids: np.ndarray
     signatures: list[tuple[int, ...]]
+    reps: list[int]
     f: list[int]
     fk: list[_BySignature]
     f_even: _BySignature
@@ -167,8 +170,9 @@ def _key_weights(limit: int, primes) -> tuple[list[int], list[int]]:
     return list(accumulate(radices[:-1], mul, initial=1)), radices
 
 
-def _signature_ids(limit: int, tables: SieveTables) -> tuple[np.ndarray, list[tuple[int, ...]]]:
-    """int32 ids over 0..limit (n = 0 shares n = 1's) and each id's exponent multiset.
+def _signature_ids(limit: int, tables: SieveTables) -> tuple[np.ndarray, list, list[int]]:
+    """int32 ids over 0..limit (n = 0 shares n = 1's), each id's exponent
+    multiset and its smallest n.
 
     n's key sums w_a over its p^a || n, so its mixed-radix digit e counts the
     primes with exponent e.  It is built as w_1 = 1 per distinct prime (omega)
@@ -185,7 +189,7 @@ def _signature_ids(limit: int, tables: SieveTables) -> tuple[np.ndarray, list[tu
     ids = np.empty(limit + 1, dtype=np.int32)
     for lo in range(0, limit + 1, 1 << 16):  # in chunks: searchsorted returns int64
         ids[lo : lo + (1 << 16)] = np.searchsorted(uniq, keys[lo : lo + (1 << 16)])
-    signatures = []
+    signatures, reps = [], []
     for key in uniq.tolist():
         sig = tuple(e for e in range(len(radices), 0, -1)
                     for _ in range(key // weights[e - 1] % radices[e - 1]))
@@ -193,7 +197,8 @@ def _signature_ids(limit: int, tables: SieveTables) -> tuple[np.ndarray, list[tu
         if sum(weights[a - 1] for a in sig) != key or smallest > limit:
             raise AssertionError(f"signature key {key} decodes to {sig}, which is not exact")
         signatures.append(sig)
-    return ids, signatures
+        reps.append(smallest)
+    return ids, signatures, reps
 
 
 def _fk_of_signature(sig: tuple[int, ...]) -> list[int]:
@@ -216,7 +221,7 @@ def build_factorisation_tables(
         tables = build_sieve(max(limit, 2))
     elif tables.limit < limit:
         raise ValueError(f"sieve limit {tables.limit} is below table limit {limit}")
-    ids, signatures = _signature_ids(limit, tables)
+    ids, signatures, reps = _signature_ids(limit, tables)
     rows = [_fk_of_signature(sig) for sig in signatures]
     k_max = limit.bit_length() - 1
     fk = [_BySignature([r[k] if k < len(r) else 0 for r in rows], ids) for k in range(k_max + 1)]
@@ -224,7 +229,20 @@ def build_factorisation_tables(
     f[0] = 0
     f_even = _BySignature([sum(r[0::2]) for r in rows], ids)
     f_odd = _BySignature([sum(r[1::2]) for r in rows], ids)
-    return FactorisationTables(limit, k_max, ids, signatures, f, fk, f_even, f_odd)
+    return FactorisationTables(limit, k_max, ids, signatures, reps, f, fk, f_even, f_odd)
+
+
+def count_by_signature(ftables: FactorisationTables, cutoff: int, mask=None, weights=None) -> list[int]:
+    """Per signature id, how many n in 1..cutoff have it and mask[n] (all n
+    when mask is None), or the sum of their weights[n], small integers such
+    as mu: bincount adds those in float64, exactly below 2^53 (cutoff < 2^31)."""
+    counts = np.zeros(len(ftables.reps), np.int64 if weights is None else np.float64)
+    for lo in range(1, cutoff + 1, 1 << 20):  # chunks, as bincount copies its input to intp
+        chunk = slice(lo, min(lo + (1 << 20), cutoff + 1))
+        keep = slice(None) if mask is None else mask[chunk]
+        w = None if weights is None else weights[chunk][keep]
+        counts += np.bincount(ftables.ids[chunk][keep], w, minlength=len(counts))
+    return [int(c) for c in counts]
 
 
 def mu_via_parity(n: int, ftables: FactorisationTables) -> int:

@@ -95,10 +95,10 @@ def reproduce_report(sieve_limit: int = 1_000_000, seed: int = 12345) -> dict:
 
     c1, c2 = counting.fit_counting_constants(checkpoints, KAPPAS, tables)
     holds = all(
-        counting.check_counting_bound(x, kappa, ell, c1, c2, tables).passes
+        lhs <= counting.hr_free_rhs(x, kappa, ell, c1, c2)
         for x in checkpoints
         for kappa in KAPPAS
-        for ell in counting.profile_N_kappa(x, kappa, tables).per_ell
+        for ell, lhs in counting.profile_N_kappa(x, kappa, tables).per_ell.items()
         if ell >= 1
     )
     report["fitted_constants"] = {

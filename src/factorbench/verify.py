@@ -13,6 +13,8 @@ import math
 import random
 from typing import Iterable
 
+import numpy as np
+
 from . import counting, factorizations, zfamily
 from .dirichlet import ArithFn, convolve, dirichlet_inverse, inverse_via_alternating
 from .sieve import SieveTables, build_sieve, factorize
@@ -56,12 +58,14 @@ def _f_bruteforce(tables: SieveTables, limit: int) -> Check:
 def mu_parity_failures(
     tables: SieveTables, ftables: factorizations.FactorisationTables, limit: int
 ) -> list[int]:
-    """The n <= limit where f_even(n) - f_odd(n) differs from the sieve's mu."""
-    return [
-        n
-        for n in range(1, limit + 1)
-        if factorizations.mu_via_parity(n, ftables) != int(tables.mu[n])
-    ]
+    """The n <= limit where f_even(n) - f_odd(n), taken once per signature,
+    differs from the sieve's mu."""
+    if limit > ftables.limit:
+        raise ValueError(f"n={limit} out of table range [1, {ftables.limit}]")
+    # mu is -1, 0 or 1, so clipping the difference to [-2, 2] keeps every mismatch
+    diff = np.array([max(-2, min(2, factorizations.mu_via_parity(rep, ftables)))
+                     for rep in ftables.reps], dtype=np.int8)
+    return (np.flatnonzero(diff[ftables.ids[1 : limit + 1]] != tables.mu[1 : limit + 1]) + 1).tolist()
 
 
 def _mu_parity(tables: SieveTables, limit: int) -> Check:

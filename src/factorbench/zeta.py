@@ -5,6 +5,9 @@ the first N = 10 terms, the tail integral and K = 10 Bernoulli corrections,
 summed with math.fsum. Each result carries a bound that counts truncation and
 floating-point rounding, and the evaluation raises unless both bounds are at
 most 1e-12 * max(1, |quantity|); they are, for every finite sigma >= 1 + 1e-6.
+zeta(sigma) - 1 is summed on its own, without the n = 1 term, so that it
+keeps its relative accuracy where zeta(sigma) - 1 is tiny: its bound is at
+most 1e-12 * (zeta(sigma) - 1) for sigma <= 800.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from functools import lru_cache
 
 from scipy.optimize import brentq
 
-from .factorizations import FactorisationTables
+from .factorizations import FactorisationTables, count_by_signature
 from .sieve import SieveTables
 
 SIGMA_FLOOR = 1.0 + 1e-6
@@ -42,10 +45,13 @@ class ZetaReal:
     method: str
     error_bound: float
     derivative_bound: float
+    minus_one: float
+    minus_one_bound: float
 
 
 def zeta_real(sigma: float) -> ZetaReal:
-    """zeta(s) and zeta'(s) for real s, each with a bound on its total error.
+    """zeta(s), zeta'(s) and zeta(s) - 1 for real s, each with a bound on its
+    total error.
 
     zeta(s) = sum_{n<N} n^-s + N^(1-s)/(s-1) + N^-s/2 + sum_{j<=K} T_j + R,
     T_j = B_2j/(2j)! s(s+1)...(s+2j-2) N^(1-s-2j). The even x-derivatives of
@@ -60,7 +66,8 @@ def zeta_real(sigma: float) -> ZetaReal:
     (2 _EPS), so a summand made in m steps is off by m _EPS times its size to
     first order (counts below; 1.01 covers the rest and the bound's own
     rounding). T_j (h - log N) is weighed by |T_j| (h + log N), as h - log N
-    may cancel. fsum adds half an ulp.
+    may cancel. The n = 1 term, 1^-s = 1, is exact, so zeta and zeta - 1 share
+    one rounding count; fsum adds half an ulp to each.
     """
     if not math.isfinite(sigma) or sigma < SIGMA_FLOOR:
         raise ValueError(f"sigma must be finite and >= {SIGMA_FLOOR}, got {sigma}")
@@ -68,8 +75,8 @@ def zeta_real(sigma: float) -> ZetaReal:
     u = _N**-sigma
     tail = u * _N / (sigma - 1)
     dtail = -tail * (log_n + 1 / (sigma - 1))
-    vals = [n**-sigma for n in range(1, _N)]
-    ders = [-math.log(n) * v for n, v in enumerate(vals, start=1)]
+    vals = [n**-sigma for n in range(2, _N)]  # zeta - 1: the n = 1 term is left out
+    ders = [-math.log(n) * v for n, v in enumerate(vals, start=2)]
     # first-order rounding in units of _EPS: n^-s 2, log n n^-s 5, tail 5, dtail 9
     vround = 2 * math.fsum(vals) + 5 * tail + 2 * (u / 2)
     dround = -5 * math.fsum(ders) - 9 * dtail + 5 * (log_n * u / 2)
@@ -87,15 +94,17 @@ def zeta_real(sigma: float) -> ZetaReal:
         ders.append(term * (h - log_n))
         vround += (6 * j + 7) * abs(term)
         dround += (8 * j + 11) * abs(term) * (h + log_n)
-    value, derivative = math.fsum(vals), math.fsum(ders)
+    minus_one, value, derivative = math.fsum(vals), math.fsum([1.0, *vals]), math.fsum(ders)
     t = abs(_BERNOULLI[_K] * q)
     dt = 2 * t * (max(h, log_n) + 1 / (sigma + 2 * _K + 1))
     bound = 1.01 * (t + _EPS * vround) + math.ulp(value) / 2 + _UNDERFLOW
+    bound1 = 1.01 * (t + _EPS * vround) + math.ulp(minus_one) / 2 + _UNDERFLOW
     dbound = 1.01 * (dt + _EPS * dround) + math.ulp(derivative) / 2 + _UNDERFLOW
     for name, b, x in (("zeta", bound, value), ("zeta'", dbound, derivative)):
         if b > 1e-12 * max(1.0, abs(x)):
             raise ArithmeticError(f"{name}({sigma}) error bound {b:g} above 1e-12 relative")
-    return ZetaReal(sigma, value, derivative, f"euler-maclaurin(N={_N}, K={_K})", bound, dbound)
+    return ZetaReal(sigma, value, derivative, f"euler-maclaurin(N={_N}, K={_K})", bound, dbound,
+                    minus_one, bound1)
 
 
 def zeta_prime_real(sigma: float) -> float:
@@ -123,9 +132,14 @@ def kalmar_ratio(x: float, ftables: FactorisationTables) -> float:
     cutoff = int(math.floor(x))
     if cutoff > ftables.limit:
         raise ValueError(f"x={x} beyond table limit {ftables.limit}")
-    total = sum(ftables.f[1 : cutoff + 1])
+    total = _sum_of_f(count_by_signature(ftables, cutoff), ftables)
     b = kalmar_beta()
     return total / (x**b * kalmar_constant())
+
+
+def _sum_of_f(counts: list[int], ftables: FactorisationTables) -> int:
+    """sum over signatures of counts[id] * f(smallest n of id), exactly."""
+    return sum(c * ftables.f[rep] for c, rep in zip(counts, ftables.reps) if c)
 
 
 @dataclass(frozen=True)
@@ -149,20 +163,14 @@ def sarnak_correlation(
     """Correlation of mu against xi: sum mu(n) xi(n) vs sum |xi(n)|, n <= x.
 
     selector "f" uses xi = f; "fmu2" uses xi = f mu^2 (reported without a
-    pass/fail verdict).
+    pass/fail verdict). Both sums run once per signature, mu(n) read per n.
     """
     if selector not in ("f", "fmu2"):
         raise ValueError(f"selector must be 'f' or 'fmu2', got {selector!r}")
     cutoff = int(math.floor(x))
     if cutoff > ftables.limit or cutoff > tables.limit:
         raise ValueError(f"x={x} beyond table limits")
-    num = 0
-    den = 0
-    mu = tables.mu
-    f = ftables.f
-    for n in range(1, cutoff + 1):
-        m = int(mu[n])
-        if m or selector == "f":
-            num += m * f[n]
-            den += f[n]
+    mu = tables.mu[: cutoff + 1]
+    num = _sum_of_f(count_by_signature(ftables, cutoff, weights=mu), ftables)
+    den = _sum_of_f(count_by_signature(ftables, cutoff, mu != 0 if selector == "fmu2" else None), ftables)
     return CorrelationReport(x=x, selector=selector, numerator=num, denominator=den)

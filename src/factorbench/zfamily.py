@@ -59,20 +59,24 @@ def build_context(z, limit: int, tables: SieveTables) -> ZFamilyContext:
 
 
 def beta_for_z(z) -> float:
-    """Root of zeta(beta) = 1 + 1/|z| on (1, inf); -inf marker at z = 0."""
+    """Root of zeta(beta) = 1 + 1/|z| on (1, inf); -inf marker at z = 0.
+
+    The root is found on zeta(beta) - 1 = 1/|z|, with zeta - 1 summed without
+    its n = 1 term, as zeta(beta) - (1 + 1/|z|) cancels for large |z|.
+    """
     az = abs(z)
     if az == 0:
         return -math.inf
-    target = 1.0 + 1.0 / az
-    if target == 1.0:
+    if 1.0 + 1.0 / az == 1.0:
         raise ValueError(f"|z|={az} too large: 1 + 1/|z| rounds to 1")
+    target = 1.0 / az
     lo = zeta_mod.SIGMA_FLOOR + 1e-9
-    if zeta_mod.zeta_real(lo).value <= target:
+    if zeta_mod.zeta_real(lo).minus_one <= target:
         raise ValueError(f"|z|={az} too small: root lies below sigma={lo}")
     hi = 2.0
-    while zeta_mod.zeta_real(hi).value > target:
+    while zeta_mod.zeta_real(hi).minus_one > target:
         hi *= 2
-    return float(brentq(lambda s: zeta_mod.zeta_real(s).value - target, lo, hi, xtol=1e-13))
+    return float(brentq(lambda s: zeta_mod.zeta_real(s).minus_one - target, lo, hi, xtol=1e-13))
 
 
 def inverse_at_prime_power(

@@ -335,3 +335,8 @@ def test_dz_eval_of_huge_z_is_strict_json_null(capsys):
     assert code == 0
     assert data["beta_z"] is None
     assert math.isfinite(data["reciprocal_series"]["re"])
+
+
+def test_coffeeshop_with_a_non_finite_c_is_a_user_error(capsys):
+    for c in ("inf", "nan"):
+        assert "c must be finite" in user_error(capsys, "coffeeshop", "--x", "10", "--c", c, "--kappa", "2")

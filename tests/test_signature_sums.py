@@ -1,0 +1,205 @@
+"""The report's sums per prime signature against the per-n loops they replaced.
+
+kalmar_ratio, sarnak_correlation, coffeeshop_sum and mu_parity_failures sum
+over signatures with count_by_signature; the loops below visit every n and
+are the reference. Equal means equal in value and in type.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from factorbench import counting, reproduce, zeta
+from factorbench.factorizations import (
+    build_factorisation_tables,
+    count_by_signature,
+    mu_via_parity,
+)
+from factorbench.sieve import build_sieve
+from factorbench.verify import mu_parity_failures
+
+
+def kalmar_ratio_reference(x, ftables):
+    cutoff = int(math.floor(x))
+    if cutoff > ftables.limit:
+        raise ValueError(f"x={x} beyond table limit {ftables.limit}")
+    total = sum(ftables.f[1 : cutoff + 1])
+    b = zeta.kalmar_beta()
+    return total / (x**b * zeta.kalmar_constant())
+
+
+def sarnak_reference(x, selector, ftables, tables):
+    if selector not in ("f", "fmu2"):
+        raise ValueError(f"selector must be 'f' or 'fmu2', got {selector!r}")
+    cutoff = int(math.floor(x))
+    if cutoff > ftables.limit or cutoff > tables.limit:
+        raise ValueError(f"x={x} beyond table limits")
+    num = 0
+    den = 0
+    mu = tables.mu
+    f = ftables.f
+    for n in range(1, cutoff + 1):
+        m = int(mu[n])
+        if m or selector == "f":
+            num += m * f[n]
+            den += f[n]
+    return zeta.CorrelationReport(x=x, selector=selector, numerator=num, denominator=den)
+
+
+def coffeeshop_reference(x, c, kappa, ftables, tables):
+    """The per-n loop; a c that is not an int is summed as Fraction(c) and
+    the total rounded once."""
+    cutoff = int(math.floor(x))
+    if cutoff > ftables.limit or cutoff > tables.limit:
+        raise ValueError(f"x={x} beyond table limits")
+    exact = isinstance(c, int)
+    base = c if exact else Fraction(c)
+    mask = tables.kappa_free_mask(kappa)
+    omega = tables.big_omega
+    f = ftables.f
+    total = 0
+    for n in range(1, cutoff + 1):
+        if mask[n]:
+            total += base ** int(omega[n]) * f[n]
+    return total if exact else float(total)
+
+
+def mu_parity_reference(tables, ftables, limit):
+    return [n for n in range(1, limit + 1) if mu_via_parity(n, ftables) != int(tables.mu[n])]
+
+
+def assert_same(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, zeta.CorrelationReport):
+        assert type(got.numerator) is type(want.numerator) is int
+        assert type(got.denominator) is type(want.denominator) is int
+    assert got == want
+
+
+def assert_sums_match(x, ftables, tables, kappas=(2, 3, 7), c=2):
+    assert_same(zeta.kalmar_ratio(x, ftables), kalmar_ratio_reference(x, ftables))
+    for sel in ("f", "fmu2"):
+        assert_same(zeta.sarnak_correlation(x, sel, ftables, tables),
+                    sarnak_reference(x, sel, ftables, tables))
+    for kappa in kappas:
+        assert_same(counting.coffeeshop_sum(x, c, kappa, ftables, tables),
+                    coffeeshop_reference(x, c, kappa, ftables, tables))
+
+
+@pytest.mark.parametrize("x", reproduce.CHECKPOINTS)
+def test_sums_equal_the_loops_at_the_report_checkpoints(x, ftables_big, sieve_big):
+    assert_sums_match(x, ftables_big, sieve_big)
+
+
+@pytest.fixture(scope="module")
+def chunk_tables():
+    tables = build_sieve(2**21 + 5)
+    return tables, build_factorisation_tables(2**21 + 5, tables)
+
+
+@pytest.mark.parametrize("x", [2**20 - 1, 2**20, 2**20 + 1, 2**21 + 5])
+def test_sums_across_bincount_chunks(x, chunk_tables):
+    tables, ft = chunk_tables
+    # the helper against one unchunked bincount, with and without mask and weights
+    ids, mu = ft.ids[1 : x + 1], tables.mu[1 : x + 1]
+    size = len(ft.signatures)
+    assert count_by_signature(ft, x) == np.bincount(ids, minlength=size).tolist()
+    assert count_by_signature(ft, x, tables.mu != 0) == np.bincount(ids[mu != 0], minlength=size).tolist()
+    masked = count_by_signature(ft, x, tables.mu != 0, tables.mu)
+    assert masked == [int(v) for v in np.bincount(ids[mu != 0], mu[mu != 0], minlength=size)]
+    assert_sums_match(x, ft, tables)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    x=st.one_of(st.integers(1, 10**5), st.floats(0.5, 10**5)),
+    selector=st.sampled_from(["f", "fmu2"]),
+    kappa=st.sampled_from([2, 3, 7]),
+    c=st.one_of(st.integers(-3, 5), st.floats(-3, 3)),
+)
+@example(x=1, selector="f", kappa=2, c=1)
+@example(x=10**5, selector="fmu2", kappa=3, c=1.5)
+def test_sums_equal_the_loops_below_1e5(x, selector, kappa, c, ftables_parity, sieve_big):
+    ft = ftables_parity
+    assert_same(zeta.kalmar_ratio(x, ft), kalmar_ratio_reference(x, ft))
+    assert_same(zeta.sarnak_correlation(x, selector, ft, sieve_big),
+                sarnak_reference(x, selector, ft, sieve_big))
+    assert_same(counting.coffeeshop_sum(x, c, kappa, ft, sieve_big),
+                coffeeshop_reference(x, c, kappa, ft, sieve_big))
+
+
+def test_coffeeshop_with_a_float_c_is_the_exact_sum_rounded_once(ftables_big, sieve_big):
+    x = 10**5
+    got = counting.coffeeshop_sum(x, 1.5, 2, ftables_big, sieve_big)
+    assert_same(got, coffeeshop_reference(x, 1.5, 2, ftables_big, sieve_big))
+    # a sum of floats in n order lands within rounding of it
+    mask, omega, f = sieve_big.kappa_free_mask(2), sieve_big.big_omega, ftables_big.f
+    floats = sum(1.5 ** int(omega[n]) * f[n] for n in range(1, x + 1) if mask[n])
+    assert got == pytest.approx(floats, rel=1e-12)
+
+
+def test_coffeeshop_rounds_a_sum_beyond_the_float_range_to_infinity(chunk_tables):
+    tables, ft = chunk_tables
+    c = 2.0**52 - 0.5  # the largest float below 2^52 that is not an integer
+    # n = 2^21 alone is past the range, and its c^21 outweighs every other term
+    assert ft.f[2**21] * Fraction(c) ** 21 > 2**1024
+    for sign in (1, -1):
+        assert counting.coffeeshop_sum(2**21 + 5, sign * c, 22, ft, tables) == sign * math.inf
+
+
+@pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan])
+def test_coffeeshop_rejects_a_non_finite_c(c, ftables_small, sieve_small):
+    with pytest.raises(ValueError, match="c must be finite"):
+        counting.coffeeshop_sum(10, c, 2, ftables_small, sieve_small)
+
+
+def test_mu_parity_failures_equal_the_loop(ftables_parity, sieve_big):
+    assert mu_parity_failures(sieve_big, ftables_parity, 10**5) == []
+    assert mu_parity_reference(sieve_big, ftables_parity, 10**5) == []
+    flipped = build_sieve(3000)
+    flipped.mu[30] = -flipped.mu[30]
+    ft = build_factorisation_tables(3000, flipped)
+    assert mu_parity_failures(flipped, ft, 3000) == mu_parity_reference(flipped, ft, 3000) == [30]
+    # a wrong difference far outside -1..1 on one signature fails every n with it
+    sig = int(ft.ids[12])
+    ft.f_even.values[sig] += 10**30
+    bad = mu_parity_failures(flipped, ft, 3000)
+    assert bad == mu_parity_reference(flipped, ft, 3000)
+    assert 12 in bad and 30 in bad and all(ft.ids[n] == sig for n in bad if n != 30)
+    with pytest.raises(ValueError, match="out of table range"):
+        mu_parity_failures(flipped, ft, 3001)
+
+
+def test_report_equals_the_report_with_the_loops(monkeypatch):
+    real = reproduce.reproduce_report(20_000)
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(zeta, "kalmar_ratio", counted(kalmar_ratio_reference))
+    monkeypatch.setattr(zeta, "sarnak_correlation", counted(sarnak_reference))
+    monkeypatch.setattr(counting, "coffeeshop_sum", counted(coffeeshop_reference))
+    monkeypatch.setattr(reproduce, "mu_parity_failures", counted(mu_parity_reference))
+    looped = reproduce.reproduce_report(20_000)
+    assert set(calls) == {"kalmar_ratio_reference", "sarnak_reference",
+                          "coffeeshop_reference", "mu_parity_reference"}
+    del real["elapsed_seconds"], looped["elapsed_seconds"]
+    assert real == looped
+    # fitted_constants reads the profiles it fits; check_counting_bound recounts each
+    tables = build_sieve(20_000)
+    fc = real["fitted_constants"]
+    assert fc["bound_holds_on_grid"] == all(
+        counting.check_counting_bound(x, kappa, ell, fc["C1"], fc["C2"], tables).passes
+        for x in real["config"]["checkpoints"] if x <= 20_000
+        for kappa in reproduce.KAPPAS
+        for ell in counting.profile_N_kappa(x, kappa, tables).per_ell
+        if ell >= 1
+    )

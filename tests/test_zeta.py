@@ -44,12 +44,13 @@ def test_bernoulli_corrections_are_exact():
 
 @pytest.mark.parametrize("sigma", [
     SIGMA_FLOOR, 1 + 1e-5, 1.0001, 1.001, 1.01, 1.1, 1.5, "beta",
-    2.0, 3.7, 10.0, 40.0, 64.0, 1e20, 1e300,
+    2.0, 3.7, 10.0, 40.0, 64.0, 800.0, 1e20, 1e300,
 ])
 def test_zeta_bounds_hold_against_mpmath(sigma):
     # the stated bounds cover truncation and rounding: the float results sit
     # within them of mpmath's values at the same double sigma, and each bound
-    # is at most 1e-12 relative
+    # is at most 1e-12 relative; that of zeta - 1 relative to zeta - 1 itself
+    # up to sigma = 800
     if sigma == "beta":
         sigma = kalmar_beta()
     z = zeta_real(sigma)
@@ -58,6 +59,10 @@ def test_zeta_bounds_hold_against_mpmath(sigma):
         dref = mpmath.zeta(sigma, derivative=1)
         assert abs(mpmath.mpf(z.value) - ref) <= z.error_bound
         assert abs(mpmath.mpf(z.derivative) - dref) <= z.derivative_bound
+        ref1 = mpmath.zeta(sigma, 2)  # Hurwitz zeta from n = 2: zeta - 1 without cancelling
+        assert abs(mpmath.mpf(z.minus_one) - ref1) <= z.minus_one_bound
+        if sigma <= 800:
+            assert z.minus_one_bound <= 1e-12 * ref1
     assert math.isfinite(z.error_bound) and math.isfinite(z.derivative_bound)
     assert z.error_bound <= 1e-12 * max(1.0, abs(z.value))
     assert z.derivative_bound <= 1e-12 * max(1.0, abs(z.derivative))

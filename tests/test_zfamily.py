@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 
+import mpmath
 import pytest
 
 from factorbench import build_factorisation_tables, kalmar_beta
@@ -159,6 +160,15 @@ def test_beta_for_z_examples():
     assert beta_for_z(2) > beta_for_z(1) > beta_for_z(0.5)
     assert beta_for_z(0) == -math.inf
     assert beta_for_z(100) > 5
+
+
+@pytest.mark.parametrize("az", [10**3, 10**9, 10**12, 2**50])
+def test_beta_for_z_against_mpmath_for_large_z(az):
+    # zeta(beta) - (1 + 1/|z|) cancels; zeta(beta) - 1 = 1/|z| does not
+    with mpmath.workdps(40):
+        ref = mpmath.findroot(lambda s: mpmath.zeta(s) - 1 - mpmath.mpf(1) / az, math.log2(az))
+        assert abs(beta_for_z(az) - ref) <= 1e-12
+        assert abs(beta_for_z(-az * 1j) - ref) <= 1e-12  # |z| only
 
 
 def test_beta_for_z_rejects_z_where_the_target_rounds_to_one():
