@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .factorizations import FactorisationTables, count_by_signature
-from .sieve import SieveTables, factorize, is_kappa_free, iterated_log
+from .sieve import SieveTables, factorize, iterated_log
 
 
 @dataclass(frozen=True)
@@ -96,11 +96,11 @@ def psi_tuple(n: int, kappa: int, tables: SieveTables) -> tuple[tuple[int, ...],
         raise ValueError(f"kappa must be >= 2, got {kappa}")
     if n == 1:
         return (), 0
-    if not is_kappa_free(n, kappa, tables):
-        raise ValueError(f"{n} is not {kappa}-free; no representation exists")
     k1 = kappa - 1
     indices: list[int] = []
     for p, e in factorize(n, tables).factors:
+        if e >= kappa:
+            raise ValueError(f"{n} is not {kappa}-free; no representation exists")
         r = tables.prime_index(p)  # block of p is {(r-1)k1 + 1, ..., r k1}
         start = (r - 1) * k1
         indices.extend(range(start + 1, start + e + 1))

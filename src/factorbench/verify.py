@@ -130,15 +130,15 @@ def cm_inverse_residual(tables: SieveTables, limit: int, rng: random.Random) -> 
     on 1..limit (|F(p)| <= 1); zero off the squarefree n follows from it."""
     worst = 0.0
     primes = tables.primes[tables.primes <= limit].tolist()
-    mu = tables.mu[: limit + 1].tolist()
+    mu = tables.mu[1 : limit + 1]
     for _ in range(20):
         pv = {p: cmath.rect(rng.uniform(0, 1), rng.uniform(0, 2 * math.pi)) for p in primes}
         F = ArithFn.completely_multiplicative(limit, tables, pv)
-        inv = dirichlet_inverse(F)
-        scale = max(abs(v) for v in inv.values[1:]) or 1.0
-        for n in range(1, limit + 1):
-            expect = F.values[n] * mu[n]
-            worst = max(worst, abs(inv.values[n] - expect) / scale)
+        inv = np.array(dirichlet_inverse(F).values[1:], dtype=complex)
+        d = inv - np.array(F.values[1:], dtype=complex) * mu
+        # np.hypot is the C hypot that abs(complex) calls, so this is abs to the bit
+        scale = np.hypot(inv.real, inv.imag).max() or 1.0
+        worst = max(worst, float(np.hypot(d.real, d.imag).max() / scale))
     return worst
 
 

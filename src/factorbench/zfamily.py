@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from scipy.optimize import brentq
-
 from . import zeta as zeta_mod
 from .dirichlet import ArithFn, dirichlet_inverse, restrict_support
 from .factorizations import FactorisationTables
@@ -69,14 +67,10 @@ def beta_for_z(z) -> float:
         return -math.inf
     if 1.0 + 1.0 / az == 1.0:
         raise ValueError(f"|z|={az} too large: 1 + 1/|z| rounds to 1")
-    target = 1.0 / az
-    lo = zeta_mod.SIGMA_FLOOR + 1e-9
-    if zeta_mod.zeta_real(lo).minus_one <= target:
-        raise ValueError(f"|z|={az} too small: root lies below sigma={lo}")
-    hi = 2.0
-    while zeta_mod.zeta_real(hi).minus_one > target:
-        hi *= 2
-    return float(brentq(lambda s: zeta_mod.zeta_real(s).minus_one - target, lo, hi, xtol=1e-13))
+    try:
+        return zeta_mod.zeta_minus_one_root(1.0 / az)
+    except ValueError:
+        raise ValueError(f"|z|={az} too small: root lies below sigma={zeta_mod.SIGMA_FLOOR}") from None
 
 
 def inverse_at_prime_power(
@@ -84,45 +78,36 @@ def inverse_at_prime_power(
 ):
     """Closed form for the inverse of F_z at p^alpha * n, p not dividing n:
 
-        (z+1)^(alpha-1) * sum_{ell>=1} z^ell (z + ell/alpha (z+1))
+        (z+1)^(alpha-1) * sum_{ell>=0} z^ell (z + ell/alpha (z+1))
                           * C(alpha+ell-1, ell) * f_ell(n)
 
-    For n = 1 the sum collapses, so the value comes from the power-series
-    route sum_k z^k f_k(p^alpha) with f_k(p^alpha) = C(alpha-1, k-1).
-    Exact (integer/rational arithmetic) when z is an exact integer.
+    f_0 is the unit, so at n = 1 this is z (z+1)^(alpha-1). With an int z the
+    sum is exact (ell/alpha is a Fraction) and the result is an int; with a
+    float or complex z, Fraction(ell, alpha) rounds as ell / alpha does.
     """
     if alpha < 1:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
     if n % p == 0:
         raise ValueError(f"p={p} divides n={n}")
-    z = _as_scalar(z)
-    exact = isinstance(z, int)
-    if n == 1:
-        total = sum(
-            (Fraction(z) if exact else z) ** k * math.comb(alpha - 1, k - 1)
-            for k in range(1, alpha + 1)
-        )
-        return _finish(total, exact)
     if n > ftables.limit:
         raise ValueError(f"f_k tables do not cover n={n}")
-    zz = Fraction(z) if exact else z
+    z = _as_scalar(z)
     total = 0
-    for ell in range(1, len(ftables.fk)):
+    for ell in range(len(ftables.fk)):
         fl = ftables.fk[ell][n]
         if fl == 0:
             continue
-        weight = zz + Fraction(ell, alpha) * (zz + 1) if exact else zz + (ell / alpha) * (zz + 1)
-        total += zz**ell * weight * math.comb(alpha + ell - 1, ell) * fl
-    total *= (zz + 1) ** (alpha - 1)
-    return _finish(total, exact)
+        weight = z + Fraction(ell, alpha) * (z + 1)
+        total += z**ell * weight * math.comb(alpha + ell - 1, ell) * fl
+    return _finish(total * (z + 1) ** (alpha - 1))
 
 
-def _finish(value, exact: bool):
-    if exact:
-        frac = Fraction(value)
-        if frac.denominator != 1:
-            raise AssertionError(f"closed form produced non-integer {frac}")
-        return int(frac)
+def _finish(value):
+    """A Fraction, which an int z gives, as the int it must be; else value."""
+    if isinstance(value, Fraction):
+        if value.denominator != 1:
+            raise AssertionError(f"closed form produced non-integer {value}")
+        return int(value)
     return value
 
 
@@ -141,15 +126,8 @@ def B_closed(z, alpha: int, ell: int):
     if alpha < 1 or ell < 1:
         raise ValueError("alpha and ell must be >= 1")
     z = _as_scalar(z)
-    if isinstance(z, int):
-        zz = Fraction(z)
-        val = math.comb(alpha + ell - 1, ell) * (
-            zz * (zz + 1) ** (alpha - 1) + Fraction(ell, alpha) * (zz + 1) ** alpha
-        )
-        return _finish(val, True)
-    return math.comb(alpha + ell - 1, ell) * (
-        z * (z + 1) ** (alpha - 1) + (ell / alpha) * (z + 1) ** alpha
-    )
+    value = z * (z + 1) ** (alpha - 1) + Fraction(ell, alpha) * (z + 1) ** alpha
+    return _finish(math.comb(alpha + ell - 1, ell) * value)
 
 
 def binomial_identity_check(alpha: int, k: int, ell: int) -> bool:

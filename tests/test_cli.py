@@ -2,9 +2,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import factorbench
 from factorbench.cli import main
 from factorbench.dirichlet import ArithFn
 
@@ -314,6 +319,27 @@ def test_zeta_at_huge_sigma(capsys, sigma):
 
 def test_beta_z_of_huge_z_is_a_user_error(capsys):
     assert "|z|=1e+300 too large" in user_error(capsys, "beta-z", "--z", "1e300")
+
+
+def test_beta_z_of_tiny_z_is_a_user_error(capsys):
+    assert "|z|=1e-07 too small" in user_error(capsys, "beta-z", "--z", "1e-7")
+
+
+def test_cli_runs_without_scipy():
+    # a None entry in sys.modules makes every import of scipy raise ImportError
+    script = (
+        "import io, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from factorbench.cli import main\n"
+        "sys.stdout = io.StringIO()\n"
+        "for argv in (['zeta', '--sigma', '2', '--prime'], ['beta-z', '--z', '2'],\n"
+        "             ['kalmar', '--x', '1000'], ['reproduce', '--limit', '4400']):\n"
+        "    assert main(argv) == 0, argv\n"
+    )
+    src = str(Path(factorbench.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def strict_json(text):

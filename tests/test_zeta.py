@@ -10,6 +10,7 @@ from factorbench.zeta import (
     kalmar_constant,
     kalmar_ratio,
     sarnak_correlation,
+    zeta_minus_one_root,
     zeta_prime_real,
     zeta_real,
 )
@@ -103,8 +104,30 @@ def test_kalmar_beta_six_digits():
 
 
 def test_kalmar_beta_matches_z_family_root():
-    # the z = -1 member has zeta(beta) = 1 + 1/|z| = 2
-    assert beta_for_z(-1) == pytest.approx(kalmar_beta(), abs=1e-9)
+    # the z = +-1 members have zeta(beta) = 1 + 1/|z| = 2, found by the same solver
+    assert kalmar_beta() == beta_for_z(1) == beta_for_z(-1)
+
+
+@pytest.mark.parametrize("t", [2.0**-52, 1e-12, 1e-3, 0.5, 1.0, 2.0, 1e3, 1e5, 999_999.0])
+def test_zeta_minus_one_root_is_a_root_in_few_steps(monkeypatch, t):
+    calls = []
+    monkeypatch.setattr(zeta, "zeta_real", lambda s: calls.append(s) or zeta_real(s))
+    s = zeta_minus_one_root(t)
+    assert calls == sorted(calls) and len(calls) <= 14  # moves right only, no bracket
+    z = zeta_real(s)  # s is within 4 ulps of the root, to first order
+    assert abs(z.minus_one - t) <= 4 * math.ulp(s) * -z.derivative + z.minus_one_bound
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf, 1e7])
+def test_zeta_minus_one_root_rejects_targets_without_a_root(t):
+    with pytest.raises(ValueError, match="no root above"):
+        zeta_minus_one_root(t)
+
+
+def test_zeta_minus_one_root_stops_at_its_step_cap(monkeypatch):
+    monkeypatch.setattr(zeta, "_NEWTON_STEPS", 3)
+    with pytest.raises(ArithmeticError, match="3 Newton steps"):
+        zeta_minus_one_root(1.0)
 
 
 def test_kalmar_constant_positive():

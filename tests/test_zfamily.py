@@ -162,13 +162,20 @@ def test_beta_for_z_examples():
     assert beta_for_z(100) > 5
 
 
-@pytest.mark.parametrize("az", [10**3, 10**9, 10**12, 2**50])
-def test_beta_for_z_against_mpmath_for_large_z(az):
+@pytest.mark.parametrize("az", [1e-5, 1e-3, 0.5, 1, 3, 1e3, 1e9, 1e12, 2.0**50, 2.0**52])
+def test_beta_for_z_against_mpmath(az):
     # zeta(beta) - (1 + 1/|z|) cancels; zeta(beta) - 1 = 1/|z| does not
     with mpmath.workdps(40):
-        ref = mpmath.findroot(lambda s: mpmath.zeta(s) - 1 - mpmath.mpf(1) / az, math.log2(az))
-        assert abs(beta_for_z(az) - ref) <= 1e-12
-        assert abs(beta_for_z(-az * 1j) - ref) <= 1e-12  # |z| only
+        start = 1 + az if az < 0.5 else max(2.0, math.log2(az))
+        ref = mpmath.findroot(lambda s: mpmath.log(mpmath.zeta(s) - 1) + mpmath.log(az), start)
+        assert abs(beta_for_z(az) - ref) <= 4 * math.ulp(float(ref))
+        assert beta_for_z(-az * 1j) == beta_for_z(az)  # |z| only
+
+
+def test_beta_for_z_rejects_z_below_the_sigma_floor():
+    # zeta(1 + 1e-6) - 1 is about 10^6, so 1/|z| = 10^7 has its root below the floor
+    with pytest.raises(ValueError, match=r"\|z\|=1e-07 too small"):
+        beta_for_z(1e-7)
 
 
 def test_beta_for_z_rejects_z_where_the_target_rounds_to_one():
