@@ -162,14 +162,23 @@ def test_beta_for_z_examples():
     assert beta_for_z(100) > 5
 
 
-@pytest.mark.parametrize("az", [1e-5, 1e-3, 0.5, 1, 3, 1e3, 1e9, 1e12, 2.0**50, 2.0**52])
-def test_beta_for_z_against_mpmath(az):
+def _assert_beta_for_z_matches_mpmath(az):
     # zeta(beta) - (1 + 1/|z|) cancels; zeta(beta) - 1 = 1/|z| does not
     with mpmath.workdps(40):
         start = 1 + az if az < 0.5 else max(2.0, math.log2(az))
         ref = mpmath.findroot(lambda s: mpmath.log(mpmath.zeta(s) - 1) + mpmath.log(az), start)
         assert abs(beta_for_z(az) - ref) <= 4 * math.ulp(float(ref))
         assert beta_for_z(-az * 1j) == beta_for_z(az)  # |z| only
+
+
+@pytest.mark.parametrize("az", [1e-5, 1e-3, 0.5, 1, 3])
+def test_beta_for_z_against_mpmath(az):
+    _assert_beta_for_z_matches_mpmath(az)
+
+
+@pytest.mark.parametrize("az", [10**3, 10**9, 10**12, 2**50, 2**52])
+def test_beta_for_z_against_mpmath_for_large_z(az):
+    _assert_beta_for_z_matches_mpmath(az)
 
 
 def test_beta_for_z_rejects_z_below_the_sigma_floor():
