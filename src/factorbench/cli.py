@@ -11,6 +11,7 @@ last three print one line, "factorbench: error: <message>", on stderr.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
@@ -62,12 +63,14 @@ def _rows_to_csv(header, rows) -> str:
 
 
 def _parse_z(text: str) -> complex:
-    parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise argparse.ArgumentTypeError(f"z must be RE or RE,IM, got {text!r}")
+    """z from RE or RE,IM; a malformed or non-finite z is a user error."""
+    try:
+        z = complex(*map(float, text.split(",")))
+    except (TypeError, ValueError):
+        raise ValueError(f"z must be RE or RE,IM, got {text!r}") from None
+    if not cmath.isfinite(z):
+        raise ValueError(f"z must be finite, got {text!r}")
+    return z
 
 
 def cmd_sieve(args) -> int:
@@ -169,7 +172,7 @@ def cmd_coffeeshop(args) -> int:
 
 def cmd_dz(args) -> int:
     tables = build_sieve(args.limit)
-    ctx = build_context(args.z, args.limit, tables)
+    ctx = build_context(_parse_z(args.z), args.limit, tables)
     fn = {"fz": ctx.fz, "fztilde": ctx.fz_tilde, "gz": ctx.gz}[args.emit]
     _emit(fn.csv_text(), args.out)
     return 0
@@ -177,7 +180,7 @@ def cmd_dz(args) -> int:
 
 def cmd_dz_eval(args) -> int:
     tables = build_sieve(args.limit)
-    ctx = build_context(args.z, args.limit, tables)
+    ctx = build_context(_parse_z(args.z), args.limit, tables)
     s = ComplexPoint(args.sigma, args.t)
     val = series_eval(ctx.fz_tilde, s)
     _emit_json(
@@ -195,7 +198,8 @@ def cmd_dz_eval(args) -> int:
 
 
 def cmd_beta_z(args) -> int:
-    _emit_json({"z": args.z, "beta_z": beta_for_z(args.z)}, args.out)
+    z = _parse_z(args.z)
+    _emit_json({"z": z, "beta_z": beta_for_z(z)}, args.out)
     return 0
 
 
@@ -308,18 +312,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", type=int, required=True)
 
     p = add("dz", cmd_dz, help="emit F_z / its inverse / G_z truncations")
-    p.add_argument("--z", type=_parse_z, required=True)
+    p.add_argument("--z", required=True, help="RE or RE,IM")
     p.add_argument("--limit", type=int, required=True)
     p.add_argument("--emit", choices=["fz", "fztilde", "gz"], default="fztilde")
 
     p = add("dz-eval", cmd_dz_eval, help="truncated reciprocal series at s")
-    p.add_argument("--z", type=_parse_z, required=True)
+    p.add_argument("--z", required=True, help="RE or RE,IM")
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--t", type=float, default=0.0)
     p.add_argument("--limit", type=int, default=5000)
 
     p = add("beta-z", cmd_beta_z, help="convergence abscissa for z")
-    p.add_argument("--z", type=_parse_z, required=True)
+    p.add_argument("--z", required=True, help="RE or RE,IM")
 
     p = add("zeta", cmd_zeta, help="real-axis zeta with certified error")
     p.add_argument("--sigma", type=float, required=True)

@@ -166,19 +166,24 @@ def fit_prime_sum_constant(xs, tables: SieveTables) -> float:
     return needed + 1e-9
 
 
-def fit_counting_constants(xs, kappas, tables: SieveTables) -> tuple[float, float]:
+def fit_counting_constants(
+    xs, kappas, tables: SieveTables, profiles: list[CountingProfile] | None = None
+) -> tuple[float, float]:
     """Fit (C1, C2) empirically: C2 from the prime-sum inequality, then the
-    minimal C1 making the N_{kappa,ell} bound hold over the whole grid."""
+    minimal C1 making the N_{kappa,ell} bound hold over the whole grid.
+
+    profiles, when given, are profile_N_kappa at every (x, kappa) of the grid.
+    """
     c2 = fit_prime_sum_constant(xs, tables)
+    if profiles is None:
+        profiles = [profile_N_kappa(x, kappa, tables) for x in xs for kappa in kappas]
     c1 = 0.0
-    for x in xs:
-        for kappa in kappas:
-            profile = profile_N_kappa(x, kappa, tables)
-            for ell, lhs in profile.per_ell.items():
-                if ell < 1:
-                    continue
-                rhs_unit = hr_free_rhs(x, kappa, ell, 1.0, c2)
-                c1 = max(c1, lhs / rhs_unit)
+    for profile in profiles:
+        for ell, lhs in profile.per_ell.items():
+            if ell < 1:
+                continue
+            rhs_unit = hr_free_rhs(profile.x, profile.kappa, ell, 1.0, c2)
+            c1 = max(c1, lhs / rhs_unit)
     # headroom so the binding grid point passes under float rounding
     return c1 * (1 + 1e-9), c2
 

@@ -1,8 +1,8 @@
 """Truncated arithmetic-function algebra: convolution, inversion, and series sums.
 
-Values are plain Python scalars (int or complex) in a list indexed 1..N, so
-integer-valued inputs stay exact through convolution and inversion; mixed or
-complex inputs fall back to complex doubles.  Instances are treated as
+Values are plain Python scalars (int, float or complex) in a list indexed
+1..N, so integer-valued inputs stay exact through convolution and inversion;
+mixed or complex inputs fall back to complex doubles.  Instances are treated as
 immutable: every operation returns a new ArithFn.
 
 convolve and dirichlet_inverse sweep strided slices of numpy arrays, and
@@ -15,21 +15,37 @@ every result equals the plain double loop's in value, type and signed zero:
 - A term whose F(a) or Ft(m) compares equal to 0 is skipped, as the loop
   skips it; adding it would turn an int 0 into 0j or flip a zero's sign.
 
-The arrays have dtype=object, so each element operation is the same Python
-+, -, * or / on the same operands; numpy's complex128 multiply may fuse a
-multiply-add and round differently.  Each step touches at most _CHUNK
-elements, because a step makes a new Python object per element: unchunked
-steps raised the peak RSS of five F_z inversions and convolutions at
-N = 2*10^5 from 146 to 163 MB.
+The arrays are int64 where that is provably exact, and dtype=object
+otherwise; the same sweep runs on either:
+
+- int64 needs every value to be a Python int (type int, not bool or a
+  numpy scalar), F(1) = +-1 for the inverse, and a bound below 2^62 on
+  every sum and term the sweep makes.  The inverse's bound is the same sweep
+  run in float64 on (1, -|F(2)|, -|F(3)|, ...): its inverse B has
+  B(n) = sum over d | n, d > 1, of |F(d)| B(n/d), so B(n) >= |Ft(n)|, and
+  each term |F(d) Ft(m)| and each partial sum of cell dm is at most B(dm).
+  The convolution's bound is max|F| max|G| 2 isqrt(N), as n has at most
+  2 isqrt(n) divisors.  2^62 is half of int64's range: the float64 sums of
+  non-negative terms round by far less than that factor of 2.  tolist()
+  turns int64 into Python ints, so the result is the object sweep's in
+  value and type.
+- dtype=object covers floats, complex values, ints past the bound and a
+  non-unit F(1).  Each element operation is the same Python +, -, * or /
+  on the same operands as in the loop.  Complex values stay there because
+  numpy's complex128 multiply may fuse a multiply-add and round
+  differently.  Each step touches at most _CHUNK elements, because an
+  object step makes a new Python object per element: unchunked steps raised
+  the peak RSS of five F_z inversions and convolutions at N = 2*10^5 from
+  146 to 163 MB.
 """
 
 from __future__ import annotations
 
-import cmath
 import csv
 import io
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable
 
 import numpy as np
@@ -37,6 +53,7 @@ import numpy as np
 from .sieve import SieveTables, _big_omega, _divisors
 
 _CHUNK = 4096
+_INT64_SAFE = 2**62  # a bound below this proves int64 holds every sum, with 2x to spare
 
 
 @dataclass(frozen=True)
@@ -145,6 +162,20 @@ class ArithFn:
         return cls(limit=limit, values=[0] + [rows[n] for n in range(1, limit + 1)])
 
 
+def _int64_or_none(values) -> np.ndarray | None:
+    """values as an int64 array if every one is a Python int that fits, else None."""
+    if set(map(type, values)) != {int}:
+        return None
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return None
+
+
+def _abs_max(a: np.ndarray) -> int:
+    return max(int(a.max()), -int(a.min()))
+
+
 def _chunks(lo: int, hi: int):
     """Slices that cover lo..hi-1 in increasing order, _CHUNK long at most."""
     for start in range(lo, hi, _CHUNK):
@@ -161,9 +192,18 @@ def convolve(F: ArithFn, G: ArithFn) -> ArithFn:
     if F.limit != G.limit:
         raise ValueError(f"limit mismatch: {F.limit} vs {G.limit}")
     N = F.limit
-    f = np.array(F.values, dtype=object)
-    g = np.array(G.values, dtype=object)
-    out = np.zeros(N + 1, dtype=object)
+    f = _int64_or_none(F.values)
+    g = None if f is None else _int64_or_none(G.values)
+    # n has at most 2 isqrt(n) divisors, so every sum is at most this bound
+    if g is None or _abs_max(f) * _abs_max(g) * 2 * math.isqrt(N) >= _INT64_SAFE:
+        f, g = np.array(F.values, dtype=object), np.array(G.values, dtype=object)
+    return ArithFn(limit=N, values=_convolve_sweep(f, g).tolist())
+
+
+def _convolve_sweep(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """convolve on arrays f and g of one dtype, in that dtype."""
+    N = len(f) - 1
+    out = np.zeros(N + 1, dtype=f.dtype)
     nonzero = ~(f == 0)
     r = math.isqrt(N)
     for a in range(1, r + 1):
@@ -175,8 +215,7 @@ def convolve(F: ArithFn, G: ArithFn) -> ArithFn:
     for b in range(N // (r + 1), 0, -1):
         for s in _chunks(0, np.searchsorted(big, N // b, side="right")):
             out[big[s] * b] += f[big[s]] * g[b : b + 1]
-    del f, g, big  # free the work arrays before the result list is built
-    return ArithFn(limit=N, values=out.tolist())
+    return out
 
 
 def dirichlet_inverse(F: ArithFn) -> ArithFn:
@@ -184,19 +223,37 @@ def dirichlet_inverse(F: ArithFn) -> ArithFn:
 
     O(N log N): once Ft(m) is final, its contributions F(d) Ft(m) are pushed
     to all dm <= N, skipping the m with Ft(m) = 0.  Exact when F is
-    integer-valued with F(1) = +-1.  Each m <= isqrt(N) is finalized and
-    pushed on its own.  Above that, a block (M, 2M] hears only from m <= M,
-    so it is finalized whole and pushed for each d, in descending order.
+    integer-valued with F(1) = +-1.
     """
-    N = F.limit
     f1 = F.values[1]
     if f1 == 0:
         raise ValueError("F(1) = 0: Dirichlet inverse does not exist")
+    f = _int64_or_none(F.values) if f1 == 1 or f1 == -1 else None
+    if f is not None:
+        # the inverse of (1, -|F(2)|, -|F(3)|, ...) bounds every sum the sweep makes
+        majorant = -np.abs(f.astype(np.float64))
+        majorant[1] = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not _inverse_sweep(majorant).max() < _INT64_SAFE:  # also when NaN
+                f = None
+    if f is None:
+        f = np.array(F.values, dtype=object)
+    return ArithFn(limit=F.limit, values=_inverse_sweep(f).tolist())
+
+
+def _inverse_sweep(f: np.ndarray) -> np.ndarray:
+    """dirichlet_inverse on an array f, in f's dtype.
+
+    Each m <= isqrt(N) is finalized and pushed on its own.  Above that, a
+    block (M, 2M] hears only from m <= M, so it is finalized whole and
+    pushed for each d, in descending order.
+    """
+    N = len(f) - 1
+    f1 = f[1]
     exact_unit = f1 == 1 or f1 == -1
     inv1 = f1 if exact_unit else 1 / f1
-    f = np.array(F.values, dtype=object)
-    acc = np.zeros(N + 1, dtype=object)
-    out = np.zeros(N + 1, dtype=object)
+    acc = np.zeros(N + 1, dtype=f.dtype)
+    out = np.zeros(N + 1, dtype=f.dtype)
     out[1] = inv1
     r = math.isqrt(N)
     for m in range(1, r + 1):
@@ -220,8 +277,7 @@ def dirichlet_inverse(F: ArithFn) -> ArithFn:
             for s in _chunks(0, np.searchsorted(ms, N // d, side="right")):
                 acc[ms[s] * d] += f[d : d + 1] * ft[s]
         M = top
-    del acc, f  # free the work arrays before the result list is built
-    return ArithFn(limit=N, values=out.tolist())
+    return out
 
 
 def _f_k_recursion(values) -> Callable:
@@ -295,21 +351,44 @@ def summatory(F: ArithFn, x: float):
 def series_eval(F: ArithFn, s) -> complex:
     """Truncated Dirichlet series sum F(n) n^{-s} with n^{-s} = exp(-s log n).
 
-    The sum is taken in doubles; an exact integer F(n) too large for a
-    double is a ValueError that names n.
+    The terms are doubles, and math.fsum sums the real and the imaginary
+    parts; an exact integer F(n) too large for a double is a ValueError that
+    names n.  Zero terms are left out, as 0 * inf is NaN where n^{-s}
+    overflows.  The terms are made _CHUNK at a time, which keeps the
+    temporaries small.
     """
     if isinstance(s, ComplexPoint):
         s = s.as_complex()
-    total = 0
-    for n in range(1, F.limit + 1):
-        v = F.values[n]
-        if v:
-            w = cmath.exp(-s * math.log(n))
+    terms = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in _chunks(1, F.limit + 1):
+            v = _doubles(F.values[c], c.start)
+            n = np.flatnonzero(v)
+            terms.append(v[n] * np.exp(-s * np.log(n + c.start)))
+        return complex(_fsum([t.real for t in terms]), _fsum([t.imag for t in terms]))
+
+
+def _doubles(values: list, first: int) -> np.ndarray:
+    """values as complex doubles; an int too large for one is a ValueError
+    that names its n, counting the first value as n = first."""
+    try:
+        return np.array(values, dtype=np.complex128)
+    except OverflowError:
+        for n, v in enumerate(values, first):
             try:
-                total += v * w
+                complex(v)
             except OverflowError:
                 raise ValueError(
                     f"F({n}) does not fit a double: it is an integer of "
                     f"{v.bit_length()} bits"
                 ) from None
-    return total
+        raise
+
+
+def _fsum(parts: list) -> float:
+    """math.fsum over arrays, or their plain sum where fsum refuses: inf - inf,
+    or an intermediate sum past the float range."""
+    try:
+        return math.fsum(chain.from_iterable(p.tolist() for p in parts))
+    except (OverflowError, ValueError):
+        return float(sum(p.sum() for p in parts))

@@ -93,12 +93,12 @@ def reproduce_report(sieve_limit: int = 1_000_000, seed: int = 12345) -> dict:
         ],
     }
 
-    c1, c2 = counting.fit_counting_constants(checkpoints, KAPPAS, tables)
+    profiles = [counting.profile_N_kappa(x, kappa, tables) for x in checkpoints for kappa in KAPPAS]
+    c1, c2 = counting.fit_counting_constants(checkpoints, KAPPAS, tables, profiles)
     holds = all(
-        lhs <= counting.hr_free_rhs(x, kappa, ell, c1, c2)
-        for x in checkpoints
-        for kappa in KAPPAS
-        for ell, lhs in counting.profile_N_kappa(x, kappa, tables).per_ell.items()
+        lhs <= counting.hr_free_rhs(p.x, p.kappa, ell, c1, c2)
+        for p in profiles
+        for ell, lhs in p.per_ell.items()
         if ell >= 1
     )
     report["fitted_constants"] = {

@@ -366,3 +366,25 @@ def test_dz_eval_of_huge_z_is_strict_json_null(capsys):
 def test_coffeeshop_with_a_non_finite_c_is_a_user_error(capsys):
     for c in ("inf", "nan"):
         assert "c must be finite" in user_error(capsys, "coffeeshop", "--x", "10", "--c", c, "--kappa", "2")
+
+
+@pytest.mark.parametrize("z", ["nan", "inf", "-inf", "1,nan", "nan,0", "0,-inf"])
+@pytest.mark.parametrize("command", [
+    ("beta-z",), ("dz", "--limit", "20"), ("dz-eval", "--sigma", "3", "--limit", "20"),
+])
+def test_non_finite_z_is_a_user_error(capsys, command, z):
+    line = user_error(capsys, *command, f"--z={z}")  # --z=, as argparse reads -inf as a flag
+    assert line == f"factorbench: error: z must be finite, got {z!r}"
+
+
+@pytest.mark.parametrize("z", ["", "abc", "1,2,3", "1,"])
+def test_malformed_z_is_a_user_error(capsys, z):
+    line = user_error(capsys, "beta-z", "--z", z)
+    assert line == f"factorbench: error: z must be RE or RE,IM, got {z!r}"
+
+
+def test_dz_eval_past_the_float_range_is_strict_json_null(capsys):
+    # n^800 overflows a double for n >= 3; the sum is inf, written as null
+    code, out = run(capsys, "dz-eval", "--z", "1", "--sigma=-800", "--limit", "20")
+    assert code == 0
+    assert strict_json(out)["reciprocal_series"]["re"] is None

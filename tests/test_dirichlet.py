@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from factorbench import (
     ArithFn,
     ComplexPoint,
     convolve,
+    dirichlet,
     dirichlet_inverse,
     f_k_F,
     inverse_via_alternating,
@@ -54,6 +56,18 @@ def loop_inverse(fv):
     return out
 
 
+def loop_series(fv, s):
+    """Reference: F(n) exp(-s log n) added one n at a time, and the sum of
+    the terms' moduli, which bounds the rounding of any order of summation."""
+    total, size = 0, 0.0
+    for n in range(1, len(fv)):
+        if fv[n]:
+            term = fv[n] * cmath.exp(-s * math.log(n))
+            total += term
+            size += abs(term)
+    return total, size
+
+
 def typed(values):
     return [(type(v), repr(v)) for v in values]
 
@@ -94,6 +108,78 @@ def test_kernels_match_loops_exactly(limit, kind, f1, seed):
     G = ArithFn.from_values(random_values(kind, limit, rng.choice([1, 0, -1]), rng))
     assert typed(dirichlet_inverse(F).values) == typed(loop_inverse(F.values))
     assert typed(convolve(F, G).values) == typed(loop_convolve(F.values, G.values))
+
+
+@pytest.fixture
+def sweep_dtypes(monkeypatch):
+    """The dtype of every array sweep the kernels run, in order."""
+    seen = []
+
+    def spy(name):
+        sweep = getattr(dirichlet, name)
+
+        def spied(*arrays):
+            seen.append(arrays[0].dtype)
+            return sweep(*arrays)
+
+        monkeypatch.setattr(dirichlet, name, spied)
+
+    spy("_inverse_sweep")
+    spy("_convolve_sweep")
+    return seen
+
+
+@pytest.mark.parametrize("z", [-1, 1, 2, 3])
+def test_integer_f_z_runs_in_int64_and_equals_the_loops(z, sweep_dtypes):
+    limit = 20_000
+    fz = ArithFn(limit, [0, 1] + [-z] * (limit - 1))
+    inv = dirichlet_inverse(fz)
+    assert typed(inv.values) == typed(loop_inverse(fz.values))
+    assert typed(convolve(fz, inv).values) == typed(loop_convolve(fz.values, inv.values))
+    # the float64 majorant, then the int64 sweeps
+    assert sweep_dtypes == [np.float64, np.int64, np.int64]
+
+
+def test_small_integers_run_in_int64_and_equal_the_loops(sweep_dtypes):
+    rng = random.Random(7)
+    limit = 5000
+    F = ArithFn.from_values([-1] + [rng.randint(-2, 2) for _ in range(limit - 1)])
+    G = ArithFn.from_values([rng.randint(-99, 99) for _ in range(limit)])
+    assert typed(dirichlet_inverse(F).values) == typed(loop_inverse(F.values))
+    assert typed(convolve(F, G).values) == typed(loop_convolve(F.values, G.values))
+    assert sweep_dtypes == [np.float64, np.int64, np.int64]
+
+
+def test_inverse_past_2_62_runs_on_objects(sweep_dtypes):
+    # F(n) = -2^31 for n >= 2: Ft(4) = 2^62 + 2^31 and Ft(6) = 2^63 + 2^31,
+    # just past int64, where a wrong bound would wrap
+    F = ArithFn.from_values([1] + [-(2**31)] * 6)
+    inv = dirichlet_inverse(F)
+    assert inv.values[4] == 2**62 + 2**31 and inv.values[6] == 2**63 + 2**31
+    assert typed(inv.values) == typed(loop_inverse(F.values))
+    assert sweep_dtypes == [np.float64, object]
+
+
+def test_convolution_past_2_62_runs_on_objects(sweep_dtypes):
+    # every n >= 2 has at least two divisors, so (F*F)(n) >= 2^63
+    F = ArithFn.from_values([2**31] * 64)
+    H = convolve(F, F)
+    assert H.values[2] == 2**63 and H.values[60] == 12 * 2**62
+    assert typed(H.values) == typed(loop_convolve(F.values, F.values))
+    assert sweep_dtypes == [object]
+
+
+@pytest.mark.parametrize("values", [
+    [1, 2, 0.5],  # a float
+    [1, True, 2],  # a bool is not an int here
+    [1, np.int64(3), 2],  # nor is a numpy scalar
+    [1, 2**64, 2],  # an int past int64
+    [2, 1, 3],  # F(1) is not a unit
+])
+def test_inverse_of_values_int64_cannot_hold_runs_on_objects(values, sweep_dtypes):
+    F = ArithFn.from_values(values)
+    assert typed(dirichlet_inverse(F).values) == typed(loop_inverse(F.values))
+    assert sweep_dtypes == [object]
 
 
 def test_inverse_of_ones_is_mu_at_a_million(sieve_big):
@@ -250,6 +336,21 @@ def test_summatory(sieve_small):
     assert summatory(ArithFn.mobius(10_000, sieve_small), 10_000) == -23
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3000),
+    st.sampled_from(["int", "float", "complex", "mixed"]),
+    st.complex_numbers(min_magnitude=0.5, max_magnitude=8, allow_nan=False, allow_infinity=False),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_series_eval_equals_the_loop_within_rounding(limit, kind, s, seed):
+    values = random_values(kind, limit, 1, random.Random(seed))
+    want, size = loop_series([0] + values, s)
+    # both sums round each of at most limit additions by at most 2^-53 of a
+    # partial sum, itself at most size, and the terms agree to a few ulps
+    assert abs(series_eval(ArithFn.from_values(values), s) - want) <= 4 * (limit + 4) * 2**-53 * size
+
+
 def test_series_eval_zeta2():
     F = ArithFn.ones(1_000_000)
     val = series_eval(F, ComplexPoint(2.0))
@@ -259,6 +360,25 @@ def test_series_eval_zeta2():
 def test_series_eval_rejects_integers_beyond_a_double():
     with pytest.raises(ValueError, match=r"F\(2\) does not fit a double"):
         series_eval(ArithFn.from_values([1, 10**400]), 2)
+    with pytest.raises(ValueError, match=r"F\(4\) does not fit a double: it is an integer of 1329 bits"):
+        series_eval(ArithFn.from_values([1, 0, 0, 10**400]), 2)
+
+
+def test_series_eval_skips_zero_terms():
+    # 2^800 overflows a double; the zero terms are left out, not 0 * inf = NaN
+    assert series_eval(ArithFn.from_values([1, 0, 0]), -800) == 1
+    assert series_eval(ArithFn.from_values([0, 0]), 2) == 0
+
+
+def test_series_eval_past_the_float_range_is_inf_or_nan():
+    # where math.fsum refuses, the plain sum gives what the terms' floats do
+    assert series_eval(ArithFn.from_values([1e308, 1e308]), 0) == math.inf
+    assert cmath.isnan(series_eval(ArithFn.from_values([math.inf, -math.inf]), 0))
+
+
+def test_series_eval_sums_the_terms_once_rounded():
+    # at s = 0 the terms are 1, 2^-53, 2^-53: adding one at a time rounds each 2^-53 away
+    assert series_eval(ArithFn.from_values([1, 2.0**-53, 2.0**-53]), 0) == 1 + 2.0**-52
 
 
 def test_series_eval_complex_point():

@@ -51,21 +51,23 @@ def sarnak_reference(x, selector, ftables, tables):
 
 
 def coffeeshop_reference(x, c, kappa, ftables, tables):
-    """The per-n loop; a c that is not an int is summed as Fraction(c) and
-    the total rounded once."""
+    """The per-n loop. With Fraction(c) = p/q and K the largest Omega(n),
+    c^Omega(n) f(n) = p^Omega q^(K - Omega) f(n) / q^K: the loop sums these
+    integers, and a c that is not an int is rounded once, from one Fraction."""
     cutoff = int(math.floor(x))
     if cutoff > ftables.limit or cutoff > tables.limit:
         raise ValueError(f"x={x} beyond table limits")
-    exact = isinstance(c, int)
-    base = c if exact else Fraction(c)
-    mask = tables.kappa_free_mask(kappa)
-    omega = tables.big_omega
+    mask = tables.kappa_free_mask(kappa)[: cutoff + 1].tolist()
+    omega = tables.big_omega[: cutoff + 1].tolist()
     f = ftables.f
+    p, q = Fraction(c).as_integer_ratio()
+    K = max(omega)
+    weight = [p**k * q ** (K - k) for k in range(K + 1)]
     total = 0
     for n in range(1, cutoff + 1):
         if mask[n]:
-            total += base ** int(omega[n]) * f[n]
-    return total if exact else float(total)
+            total += weight[omega[n]] * f[n]
+    return total if isinstance(c, int) else float(Fraction(total, q**K))
 
 
 def mu_parity_reference(tables, ftables, limit):
