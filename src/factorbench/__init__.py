@@ -10,7 +10,6 @@ from .dirichlet import (
     inverse_via_alternating,
     restrict_support,
     series_eval,
-    summatory,
 )
 from .factorizations import (
     FactorisationTables,
@@ -61,7 +60,6 @@ __all__ = [
     "mu_via_parity",
     "restrict_support",
     "series_eval",
-    "summatory",
     "unit_I",
     "zeta_prime_real",
     "zeta_real",

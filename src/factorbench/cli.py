@@ -73,6 +73,31 @@ def _parse_z(text: str) -> complex:
     return z
 
 
+def _z_context(args):
+    """The F_z context of --z and --limit; a non-finite Ft_z(n) is a user
+    error that names the first such n."""
+    ctx = build_context(_parse_z(args.z), args.limit, build_sieve(args.limit))
+    if not isinstance(ctx.z, int):  # an int z gives exact ints
+        for n, v in enumerate(ctx.fz_tilde.values):
+            if not cmath.isfinite(v):
+                raise ValueError(f"Ft_z({n}) = {v!r} is not finite: the powers "
+                                 f"of z = {ctx.z!r} overflow a double")
+    return ctx
+
+
+def _z_joined(argv: list[str]) -> list[str]:
+    """argv with each "--z VALUE" written "--z=VALUE", so that argparse takes
+    a value that starts with "-", such as -0.7,1.1 or -inf, for the value of
+    --z and not for an option."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--z":
+            out[-1] = f"--z={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def cmd_sieve(args) -> int:
     tables = build_sieve(args.limit)
     key = args.emit
@@ -171,16 +196,14 @@ def cmd_coffeeshop(args) -> int:
 
 
 def cmd_dz(args) -> int:
-    tables = build_sieve(args.limit)
-    ctx = build_context(_parse_z(args.z), args.limit, tables)
+    ctx = _z_context(args)
     fn = {"fz": ctx.fz, "fztilde": ctx.fz_tilde, "gz": ctx.gz}[args.emit]
     _emit(fn.csv_text(), args.out)
     return 0
 
 
 def cmd_dz_eval(args) -> int:
-    tables = build_sieve(args.limit)
-    ctx = build_context(_parse_z(args.z), args.limit, tables)
+    ctx = _z_context(args)
     s = ComplexPoint(args.sigma, args.t)
     val = series_eval(ctx.fz_tilde, s)
     _emit_json(
@@ -349,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_z_joined(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:  # CapacityError is a ValueError

@@ -15,8 +15,8 @@ every result equals the plain double loop's in value, type and signed zero:
 - A term whose F(a) or Ft(m) compares equal to 0 is skipped, as the loop
   skips it; adding it would turn an int 0 into 0j or flip a zero's sign.
 
-The arrays are int64 where that is provably exact, and dtype=object
-otherwise; the same sweep runs on either:
+The sweep runs on one of three representations, the first that holds the
+input exactly:
 
 - int64 needs every value to be a Python int (type int, not bool or a
   numpy scalar), F(1) = +-1 for the inverse, and a bound below 2^62 on
@@ -29,14 +29,30 @@ otherwise; the same sweep runs on either:
   non-negative terms round by far less than that factor of 2.  tolist()
   turns int64 into Python ints, so the result is the object sweep's in
   value and type.
-- dtype=object covers floats, complex values, ints past the bound and a
-  non-unit F(1).  Each element operation is the same Python +, -, * or /
-  on the same operands as in the loop.  Complex values stay there because
-  numpy's complex128 multiply may fuse a multiply-add and round
-  differently.  Each step touches at most _CHUNK elements, because an
-  object step makes a new Python object per element: unchunked steps raised
-  the peak RSS of five F_z inversions and convolutions at N = 2*10^5 from
-  146 to 163 MB.
+- Planes (_Planes) hold complex values as the float64 real and imaginary
+  planes of one complex128 array, with a bool array that marks which
+  values are Python complex numbers.  They are used where F(1) is the int
+  1 or -1 and every later value is a Python complex or the int 0, with at
+  least one complex: F_z, its squarefree restriction and F_z * Ft_z.  A
+  product is formed as CPython 3.11 multiplies complex numbers,
+  (a c - b d, a d + b c), with each multiply and each add its own float64
+  ufunc: numpy's complex128 multiply may fuse a multiply-add and round
+  differently.  An int enters a product or a sum as (float(v), +0.0), as
+  in int * complex and int + complex, and an int times an int is the
+  exact int product with a +0.0 zero.  The marks decide which results
+  come back as the ints 0 or +-1 and which as complex.  A table shorter
+  than N = 2^13 runs the object sweep, which is faster there, and so does
+  an interpreter that mixes an int into complex arithmetic in another way.
+- dtype=object covers the rest: floats, other ints, ints past the bound,
+  a complex or non-unit F(1).  Each element operation is the same Python
+  +, -, * or / on the same operands as in the loop.  Each step touches at
+  most _CHUNK elements, because an object step makes a new Python object
+  per element: unchunked steps raised the peak RSS of five F_z inversions
+  and convolutions at N = 2*10^5 from 146 to 163 MB.
+
+The plane and object sweeps run under np.errstate(all="ignore"): a value
+that overflows becomes inf or nan, as in Python, and numpy warns of
+nothing.
 """
 
 from __future__ import annotations
@@ -44,8 +60,10 @@ from __future__ import annotations
 import csv
 import io
 import math
+import mmap
+import operator
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice, repeat
 from typing import Callable, Iterable
 
 import numpy as np
@@ -54,6 +72,9 @@ from .sieve import SieveTables, _big_omega, _divisors
 
 _CHUNK = 4096
 _INT64_SAFE = 2**62  # a bound below this proves int64 holds every sum, with 2x to spare
+# whether this interpreter mixes an int into complex arithmetic as (float(v), +0.0),
+# which the planes copy
+_INT_ENTERS_AS_COMPLEX = repr(-1 * 0j) == "(-0+0j)" and repr(0 + complex(0.0, -0.0)) == "0j"
 
 
 @dataclass(frozen=True)
@@ -172,6 +193,138 @@ def _int64_or_none(values) -> np.ndarray | None:
         return None
 
 
+# Planes from this N up.  A plane step makes a dozen numpy calls where an
+# object step makes three, so below it the objects are faster: on a 2-vCPU
+# VM a complex inverse at N = 2000 took 3.9 ms on planes and 1.9 ms on
+# objects, the two cost about the same from 4096 to 8192, and at 2*10^5
+# planes are 3x faster.
+_PLANES_MIN_N = 2**13
+
+# the marks of a product with a complex value: all complex, broadcast to its length
+_ALL_COMPLEX = np.ones(1, dtype=bool)
+_ALL_COMPLEX.flags.writeable = False
+
+
+class _Planes:
+    """Python complex values and the ints 0, 1 and -1 as one complex128
+    array c, whose float64 real and imaginary planes the arithmetic reads,
+    and a bool array k that marks the complex ones.  An int v is held as
+    (float(v), +0.0), the complex number CPython makes of it in int + complex
+    and int * complex.
+
+    The operators are the ones the sweeps use, and each gives per element
+    what the same Python operation gives.  An int index reads or writes one
+    Python value.
+    """
+
+    __slots__ = ("c", "k")
+
+    def __init__(self, c: np.ndarray, k: np.ndarray):
+        self.c, self.k = c, k
+
+    @classmethod
+    def zeros(cls, n: int) -> "_Planes":
+        # c lives in anonymous pages, which go back to the OS when c is freed.
+        # glibc keeps a freed malloc block of this size on its heap, where
+        # the Python objects of the result list, made in arenas of their
+        # own, cannot reuse it: that raised the zfamily peak RSS by 3 to 5%.
+        c = np.frombuffer(mmap.mmap(-1, 16 * n), dtype=np.complex128)
+        return cls(c, np.zeros(n, dtype=bool))
+
+    def __len__(self) -> int:
+        return len(self.c)
+
+    def __getitem__(self, key):
+        if isinstance(key, int):
+            v = self.c[key].item()
+            return v if self.k[key] else int(v.real)
+        return _Planes(self.c[key], self.k[key])
+
+    def __setitem__(self, key, value) -> None:
+        if isinstance(value, _Planes):
+            self.c[key], self.k[key] = value.c, value.k
+        else:
+            self.c[key], self.k[key] = value, type(value) is complex
+
+    def __eq__(self, other) -> np.ndarray:
+        return self.c == other
+
+    def __neg__(self) -> "_Planes":
+        return _Planes(_exact_ints(-self.c, self.k), self.k.copy())
+
+    def __mul__(self, other: "_Planes") -> "_Planes":
+        # CPython's complex product (a c - b d, a d + b c), one float64 ufunc
+        # per multiply and add, so that none is fused into a multiply-add.
+        # The sweeps multiply a vector by one value.
+        vec, one = (self, other) if len(other) == 1 else (other, self)
+        a, b = vec.c.real, vec.c.imag
+        c, d = one.c.view(np.float64).tolist()
+        prod = np.empty(len(vec), dtype=np.complex128)
+        np.subtract(a * c, b * d, out=prod.real)
+        np.add(a * d, b * c, out=prod.imag)
+        if one.k[0]:
+            return _Planes(prod, _ALL_COMPLEX)
+        k = vec.k.copy()
+        return _Planes(_exact_ints(prod, k), k)
+
+    def __iadd__(self, other: "_Planes") -> "_Planes":
+        self.c += other.c  # adds the real planes and the imaginary planes
+        self.k |= other.k
+        return self
+
+    def tolist(self) -> list:
+        values = self.c.tolist()
+        for n in np.flatnonzero(~self.k).tolist():
+            values[n] = int(values[n].real)
+        return values
+
+
+def _exact_ints(c: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """c with each unmarked entry, the negation or product of ints in 0, 1
+    and -1, made the int's (float(v), +0.0): the formula may leave -0.0."""
+    if not k.all():
+        ints = ~k
+        c.real[ints] += 0.0
+        c.imag[ints] = 0.0
+    return c
+
+
+def _planes_or_none(values) -> _Planes | None:
+    """values as _Planes if N >= _PLANES_MIN_N, F(1) is the int 1 or -1,
+    every later value is a Python complex or the int 0, and one of them is
+    complex; else None.  They are read _CHUNK at a time, so that no
+    full-length temporary is made."""
+    if not _INT_ENTERS_AS_COMPLEX or len(values) <= _PLANES_MIN_N:
+        return None
+    f1 = values[1]
+    kinds = set(map(type, islice(values, 2, None)))
+    if type(f1) is not int or f1 not in (1, -1):
+        return None
+    if complex not in kinds or not kinds <= {int, complex}:
+        return None
+    planes = _Planes.zeros(len(values))
+    planes.c[1] = f1
+    planes.k[2:] = True
+    for s in _chunks(2, len(values)):
+        part = values[s]
+        try:
+            planes.c[s] = part
+        except OverflowError:  # an int too large for a double, so not 0
+            return None
+        if int in kinds:
+            k = planes.k[s]
+            k[:] = np.fromiter(map(operator.is_, map(type, part), repeat(complex)), bool, len(part))
+            if planes.c[s][~k].any():  # an int other than 0
+                return None
+    return planes
+
+
+def _zeros_like(a):
+    if isinstance(a, _Planes):
+        return _Planes.zeros(len(a))
+    return np.zeros(len(a), dtype=a.dtype)
+
+
 def _abs_max(a: np.ndarray) -> int:
     return max(int(a.max()), -int(a.min()))
 
@@ -196,14 +349,20 @@ def convolve(F: ArithFn, G: ArithFn) -> ArithFn:
     g = None if f is None else _int64_or_none(G.values)
     # n has at most 2 isqrt(n) divisors, so every sum is at most this bound
     if g is None or _abs_max(f) * _abs_max(g) * 2 * math.isqrt(N) >= _INT64_SAFE:
+        f = _planes_or_none(F.values)
+        g = None if f is None else _planes_or_none(G.values)
+    if g is None:
         f, g = np.array(F.values, dtype=object), np.array(G.values, dtype=object)
-    return ArithFn(limit=N, values=_convolve_sweep(f, g).tolist())
+    with np.errstate(all="ignore"):
+        out = _convolve_sweep(f, g)
+    del f, g  # free the inputs before the result list is built
+    return ArithFn(limit=N, values=out.tolist())
 
 
-def _convolve_sweep(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """convolve on arrays f and g of one dtype, in that dtype."""
+def _convolve_sweep(f, g):
+    """convolve on f and g of one representation, in that representation."""
     N = len(f) - 1
-    out = np.zeros(N + 1, dtype=f.dtype)
+    out = _zeros_like(f)
     nonzero = ~(f == 0)
     r = math.isqrt(N)
     for a in range(1, r + 1):
@@ -237,45 +396,50 @@ def dirichlet_inverse(F: ArithFn) -> ArithFn:
             if not _inverse_sweep(majorant).max() < _INT64_SAFE:  # also when NaN
                 f = None
     if f is None:
+        f = _planes_or_none(F.values)
+    if f is None:
         f = np.array(F.values, dtype=object)
-    return ArithFn(limit=F.limit, values=_inverse_sweep(f).tolist())
+    with np.errstate(all="ignore"):
+        out = _inverse_sweep(f)
+    del f  # free the input before the result list is built
+    return ArithFn(limit=F.limit, values=out.tolist())
 
 
-def _inverse_sweep(f: np.ndarray) -> np.ndarray:
-    """dirichlet_inverse on an array f, in f's dtype.
+def _inverse_sweep(f):
+    """dirichlet_inverse on f, in f's representation.
 
     Each m <= isqrt(N) is finalized and pushed on its own.  Above that, a
     block (M, 2M] hears only from m <= M, so it is finalized whole and
-    pushed for each d, in descending order.
+    pushed for each d, in descending order.  A cell holds the sum of its
+    terms until it is finalized and the inverse from then on: every push
+    goes to a cell above the one that makes it.
     """
     N = len(f) - 1
     f1 = f[1]
     exact_unit = f1 == 1 or f1 == -1
     inv1 = f1 if exact_unit else 1 / f1
-    acc = np.zeros(N + 1, dtype=f.dtype)
-    out = np.zeros(N + 1, dtype=f.dtype)
+    out = _zeros_like(f)
     out[1] = inv1
     r = math.isqrt(N)
     for m in range(1, r + 1):
         if m > 1:
-            out[m] = -inv1 * acc[m] if exact_unit else -acc[m] / f1
+            out[m] = -inv1 * out[m] if exact_unit else -out[m] / f1
         if out[m] == 0:
             continue
         for ds in _chunks(2, N // m + 1):
-            cells = acc[ds.start * m : ds.stop * m : m]
+            cells = out[ds.start * m : ds.stop * m : m]
             cells += f[ds] * out[m : m + 1]
     neg_inv1 = -f[1:2]
     M = r
     while M < N:
         top = min(2 * M, N)
         for s in _chunks(M + 1, top + 1):
-            out[s] = neg_inv1 * acc[s] if exact_unit else -acc[s] / f[1:2]
-            acc[s] = 0  # final cells take no more terms; free their sums
+            out[s] = neg_inv1 * out[s] if exact_unit else -out[s] / f[1:2]
         ms = M + 1 + np.flatnonzero(~(out[M + 1 : top + 1] == 0))
         ft = out[ms]
         for d in range(N // (M + 1), 1, -1):
             for s in _chunks(0, np.searchsorted(ms, N // d, side="right")):
-                acc[ms[s] * d] += f[d : d + 1] * ft[s]
+                out[ms[s] * d] += f[d : d + 1] * ft[s]
         M = top
     return out
 
@@ -299,9 +463,12 @@ def _f_k_recursion(values) -> Callable:
 
 
 def f_k_F(F: ArithFn, n: int, k: int) -> complex:
-    """Sum of F(n_1)...F(n_k) over ordered k-tuples of integers >= 2 with
-    product n.  Zero for k > Omega(n).  Exponential-size object computed by
-    memoized recursion over (first factor, rest); oracle scale only.
+    """f_k(F; n): the sum of F(n_1)...F(n_k) over ordered k-tuples of
+    integers >= 2 with product n, the paper's f_k weighted by F.  Zero for
+    k > Omega(n).  Exponential-size object computed by memoized recursion
+    over (first factor, rest); oracle scale only.  Nothing in the package
+    calls it; the test_f_k_F_* tests in tests/test_dirichlet.py pin it to
+    the f_k tables, to Omega and to the completely multiplicative case.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -338,14 +505,6 @@ def restrict_support(F: ArithFn, predicate: Callable[[int], bool]) -> ArithFn:
         F.limit,
         [0] + [F.values[n] if predicate(n) else 0 for n in range(1, F.limit + 1)],
     )
-
-
-def summatory(F: ArithFn, x: float):
-    """Partial sum of F(n) over n <= x."""
-    cutoff = min(int(math.floor(x)), F.limit)
-    if math.floor(x) > F.limit:
-        raise ValueError(f"x={x} beyond truncation limit {F.limit}")
-    return sum(F.values[1 : cutoff + 1])
 
 
 def series_eval(F: ArithFn, s) -> complex:

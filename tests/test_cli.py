@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -373,8 +374,32 @@ def test_coffeeshop_with_a_non_finite_c_is_a_user_error(capsys):
     ("beta-z",), ("dz", "--limit", "20"), ("dz-eval", "--sigma", "3", "--limit", "20"),
 ])
 def test_non_finite_z_is_a_user_error(capsys, command, z):
-    line = user_error(capsys, *command, f"--z={z}")  # --z=, as argparse reads -inf as a flag
+    line = user_error(capsys, *command, f"--z={z}")
     assert line == f"factorbench: error: z must be finite, got {z!r}"
+
+
+@pytest.mark.parametrize("command", [
+    ("beta-z",), ("dz", "--limit", "30"), ("dz-eval", "--sigma", "3", "--limit", "30"),
+])
+def test_negative_z_reads_as_a_value(capsys, command):
+    # argparse alone reads -0.7,1.1 after --z as an unknown option
+    assert run(capsys, *command, "--z", "-0.7,1.1") == run(capsys, *command, "--z=-0.7,1.1")
+    assert run(capsys, *command, "--z", "-0.7,1.1")[0] == 0
+
+
+def test_negative_infinite_z_reads_as_a_value(capsys):
+    line = user_error(capsys, "beta-z", "--z", "-inf")
+    assert line == "factorbench: error: z must be finite, got '-inf'"
+
+
+@pytest.mark.parametrize("command", ["dz", "dz-eval"])
+def test_overflowing_inverse_is_a_user_error(capsys, command):
+    # Ft_z(8) = z (z + 1)^2 is about 1e450 for z = 1e150 + i
+    extra = ("--sigma", "3") if command == "dz-eval" else ()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        line = user_error(capsys, command, "--z=1e150,1", "--limit", "50", *extra)
+    assert line.startswith("factorbench: error: Ft_z(8) = (inf+nanj) is not finite")
 
 
 @pytest.mark.parametrize("z", ["", "abc", "1,2,3", "1,"])

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from factorbench import (
     factorize,
     restrict_support,
     series_eval,
-    summatory,
 )
 from factorbench.factorizations import enumerate_ordered_factorizations
 
@@ -68,6 +68,14 @@ def loop_series(fv, s):
     return total, size
 
 
+def summatory(F, x):
+    """The partial sum of F(n) over n <= x."""
+    cutoff = min(int(math.floor(x)), F.limit)
+    if math.floor(x) > F.limit:
+        raise ValueError(f"x={x} beyond truncation limit {F.limit}")
+    return sum(F.values[1 : cutoff + 1])
+
+
 def typed(values):
     return [(type(v), repr(v)) for v in values]
 
@@ -110,16 +118,58 @@ def test_kernels_match_loops_exactly(limit, kind, f1, seed):
     assert typed(convolve(F, G).values) == typed(loop_convolve(F.values, G.values))
 
 
+# the values a plane sweep takes after F(1): int zeros, signed complex zeros,
+# and complex numbers whose parts are +-1, inf, nan or anything in [-1, 1]
+PLANE_PARTS = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan]
+
+
+def random_plane_values(limit, f1, rng):
+    def one():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return 0
+        if kind == 1:
+            return rng.choice([0j, complex(-0.0, 0.0), complex(0.0, -0.0)])
+        if kind == 2:
+            return complex(rng.choice(PLANE_PARTS), rng.choice(PLANE_PARTS))
+        return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+    values = [f1] + [one() for _ in range(limit - 1)]
+    if limit > 1 and not any(type(v) is complex for v in values):
+        values[-1] = 1j
+    return values
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    KERNEL_SIZES,
+    st.sampled_from([1, -1]),
+    st.sampled_from([1, -1]),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_plane_kernels_match_loops_exactly(limit, f1, g1, seed):
+    rng = random.Random(seed)
+    F = ArithFn.from_values(random_plane_values(limit, f1, rng))
+    G = ArithFn.from_values(random_plane_values(limit, g1, rng))
+    with mock.patch.object(dirichlet, "_PLANES_MIN_N", 0):  # planes at every size
+        if limit > 1:
+            assert dirichlet._planes_or_none(F.values) is not None
+        assert typed(dirichlet_inverse(F).values) == typed(loop_inverse(F.values))
+        assert typed(convolve(F, G).values) == typed(loop_convolve(F.values, G.values))
+
+
 @pytest.fixture
 def sweep_dtypes(monkeypatch):
-    """The dtype of every array sweep the kernels run, in order."""
+    """The dtype of every array sweep the kernels run, in order, or the
+    type of the complex planes a sweep runs on."""
     seen = []
 
     def spy(name):
         sweep = getattr(dirichlet, name)
 
         def spied(*arrays):
-            seen.append(arrays[0].dtype)
+            a = arrays[0]
+            seen.append(a.dtype if isinstance(a, np.ndarray) else type(a))
             return sweep(*arrays)
 
         monkeypatch.setattr(dirichlet, name, spied)
@@ -179,6 +229,55 @@ def test_convolution_past_2_62_runs_on_objects(sweep_dtypes):
 def test_inverse_of_values_int64_cannot_hold_runs_on_objects(values, sweep_dtypes):
     F = ArithFn.from_values(values)
     assert typed(dirichlet_inverse(F).values) == typed(loop_inverse(F.values))
+    assert sweep_dtypes == [object]
+
+
+def test_complex_f_z_runs_on_planes_and_equals_the_loops(sweep_dtypes, sieve_big):
+    limit = 20_000
+    fz = ArithFn(limit, [0, 1] + [complex(0.7, -1.1)] * (limit - 1))  # z = -0.7 + 1.1i
+    inv = dirichlet_inverse(fz)
+    mu = sieve_big.mu
+    restricted = restrict_support(inv, lambda n: mu[n] != 0)
+    assert typed(inv.values) == typed(loop_inverse(fz.values))
+    assert typed(dirichlet_inverse(restricted).values) == typed(loop_inverse(restricted.values))
+    assert typed(convolve(fz, inv).values) == typed(loop_convolve(fz.values, inv.values))
+    assert sweep_dtypes == [dirichlet._Planes] * 3
+
+
+@pytest.mark.parametrize("limit, sweep", [(2**13 - 1, object), (2**13, dirichlet._Planes)])
+def test_complex_tables_below_2_13_run_on_objects(limit, sweep, sweep_dtypes):
+    fz = ArithFn(limit, [0, 1] + [complex(0.7, -1.1)] * (limit - 1))
+    inv = dirichlet_inverse(fz)
+    assert typed(inv.values) == typed(loop_inverse(fz.values))
+    assert typed(convolve(fz, inv).values) == typed(loop_convolve(fz.values, inv.values))
+    assert sweep_dtypes == [sweep] * 2
+
+
+@pytest.mark.parametrize("values", [
+    [1, -2, 0.5j],  # an int other than 0 after F(1)
+    [1, 0.5, 1j],  # a float
+    [1, True, 1j],  # a bool
+    [1j, 1j, 0],  # a complex F(1)
+    [complex(1, 0), 1j, 0],  # even one equal to 1
+    [2, 1j, 0],  # an int F(1) other than +-1
+    [1, 0, 2**70, 1j],  # a large int
+])
+def test_complex_values_planes_cannot_hold_run_on_objects(values, sweep_dtypes, monkeypatch):
+    monkeypatch.setattr(dirichlet, "_PLANES_MIN_N", 0)
+    F = ArithFn.from_values(values)
+    G = ArithFn.from_values([1] + [1j] * (len(values) - 1))
+    assert typed(dirichlet_inverse(F).values) == typed(loop_inverse(F.values))
+    assert typed(convolve(F, G).values) == typed(loop_convolve(F.values, G.values))
+    assert typed(convolve(G, F).values) == typed(loop_convolve(G.values, F.values))
+    assert sweep_dtypes == [object] * 3
+
+
+def test_an_int_past_a_double_beside_complex_values_runs_on_objects(sweep_dtypes, monkeypatch):
+    monkeypatch.setattr(dirichlet, "_PLANES_MIN_N", 0)
+    # 10^400 * 1j overflows, but (F * G) makes only int products with it
+    F = ArithFn.from_values([1, 10**400, 1j])
+    G = ArithFn.from_values([1, 2, 3])
+    assert typed(convolve(F, G).values) == typed(loop_convolve(F.values, G.values))
     assert sweep_dtypes == [object]
 
 
