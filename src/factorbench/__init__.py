@@ -3,7 +3,6 @@ Euler products, kappa-free counting bounds, and the F_z family of series."""
 
 from .dirichlet import (
     ArithFn,
-    ComplexPoint,
     convolve,
     dirichlet_inverse,
     f_k_F,
@@ -28,15 +27,12 @@ from .sieve import (
     factorize,
     is_kappa_free,
     iterated_log,
-    mobius,
-    unit_I,
 )
-from .zeta import kalmar_beta, kalmar_constant, kalmar_ratio, zeta_prime_real, zeta_real
+from .zeta import kalmar_beta, kalmar_constant, kalmar_ratio, zeta_real
 
 __all__ = [
     "ArithFn",
     "CapacityError",
-    "ComplexPoint",
     "FactoredInt",
     "FactorisationTables",
     "PartitionMultiset",
@@ -56,11 +52,8 @@ __all__ = [
     "kalmar_beta",
     "kalmar_constant",
     "kalmar_ratio",
-    "mobius",
     "mu_via_parity",
     "restrict_support",
     "series_eval",
-    "unit_I",
-    "zeta_prime_real",
     "zeta_real",
 ]

@@ -19,7 +19,7 @@ import math
 import sys
 
 from . import counting, verify, zeta
-from .dirichlet import ArithFn, ComplexPoint, convolve, dirichlet_inverse, series_eval
+from .dirichlet import ArithFn, convolve, dirichlet_inverse, series_eval
 from .factorizations import (
     PartitionMultiset,
     build_factorisation_tables,
@@ -204,8 +204,7 @@ def cmd_dz(args) -> int:
 
 def cmd_dz_eval(args) -> int:
     ctx = _z_context(args)
-    s = ComplexPoint(args.sigma, args.t)
-    val = series_eval(ctx.fz_tilde, s)
+    val = series_eval(ctx.fz_tilde, complex(args.sigma, args.t))
     _emit_json(
         {
             "z": ctx.z,

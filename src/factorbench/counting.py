@@ -35,19 +35,22 @@ class CountingProfile:
 
 
 def count_omega(x: float, ell: int, tables: SieveTables) -> int:
-    """|{n <= x : omega(n) = ell}|, exact."""
+    """|{n <= x : omega(n) = ell}|, exact.
+    A test reference only: pinned by test_counts_match_bruteforce."""
     cutoff = _cutoff(x, tables)
     return int(np.count_nonzero(tables.small_omega[1 : cutoff + 1] == ell))
 
 
 def count_bigomega(x: float, ell: int, tables: SieveTables) -> int:
-    """|{n <= x : Omega(n) = ell}|, exact."""
+    """|{n <= x : Omega(n) = ell}|, exact.
+    A test reference only: test_N_kappa_ell_* check N_kappa_ell against it."""
     cutoff = _cutoff(x, tables)
     return int(np.count_nonzero(tables.big_omega[1 : cutoff + 1] == ell))
 
 
 def N_kappa_ell(x: float, kappa: int, ell: int, tables: SieveTables) -> int:
-    """|{n <= x : n kappa-free and Omega(n) = ell}|, exact."""
+    """|{n <= x : n kappa-free and Omega(n) = ell}|, exact.
+    Pinned by ACCEPT-11 and test_signature_sums through check_counting_bound."""
     return profile_N_kappa(x, kappa, tables).per_ell.get(ell, 0)
 
 
@@ -139,6 +142,8 @@ def hr_free_rhs(x: float, kappa: int, ell: int, c1: float, c2: float) -> float:
 def check_counting_bound(
     x: float, kappa: int, ell: int, c1: float, c2: float, tables: SieveTables
 ) -> CountingBoundReport:
+    """The paper's counting bound N_{kappa,ell}(x) <= hr_free_rhs at one point.
+    Pinned by ACCEPT-11 and test_signature_sums; the package never calls it."""
     lhs = N_kappa_ell(x, kappa, ell, tables)
     rhs = hr_free_rhs(x, kappa, ell, c1, c2)
     return CountingBoundReport(x=x, kappa=kappa, ell=ell, c1=c1, c2=c2, lhs=lhs, rhs=rhs)

@@ -77,17 +77,6 @@ _INT64_SAFE = 2**62  # a bound below this proves int64 holds every sum, with 2x 
 _INT_ENTERS_AS_COMPLEX = repr(-1 * 0j) == "(-0+0j)" and repr(0 + complex(0.0, -0.0)) == "0j"
 
 
-@dataclass(frozen=True)
-class ComplexPoint:
-    """A point s = sigma + i t of the complex plane."""
-
-    sigma: float
-    t: float = 0.0
-
-    def as_complex(self) -> complex:
-        return complex(self.sigma, self.t)
-
-
 @dataclass
 class ArithFn:
     """A truncated arithmetic function: values[n] for 1 <= n <= limit.
@@ -103,9 +92,6 @@ class ArithFn:
             raise ValueError(
                 f"need {self.limit + 1} slots, got {len(self.values)}"
             )
-
-    def __getitem__(self, n: int):
-        return self.values[n]
 
     @classmethod
     def from_values(cls, values_1_to_n: Iterable) -> "ArithFn":
@@ -158,10 +144,6 @@ class ArithFn:
                 w.writerow([n, repr(v.real), repr(v.imag)])
         return buf.getvalue()
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(self.csv_text())
-
     @classmethod
     def from_csv(cls, path) -> "ArithFn":
         """Read csv_text's layout; a real column such as 3.0 also reads as an int."""
@@ -183,9 +165,15 @@ class ArithFn:
         return cls(limit=limit, values=[0] + [rows[n] for n in range(1, limit + 1)])
 
 
-def _int64_or_none(values) -> np.ndarray | None:
-    """values as an int64 array if every one is a Python int that fits, else None."""
-    if set(map(type, values)) != {int}:
+def _later_types(values) -> set:
+    """The types of F(2), ..., F(N), read once for both representation checks."""
+    return set(map(type, islice(values, 2, None)))
+
+
+def _int64_or_none(values, later: set) -> np.ndarray | None:
+    """values as an int64 array if every one is a Python int that fits, else
+    None; later is _later_types(values)."""
+    if later | set(map(type, values[:2])) != {int}:
         return None
     try:
         return np.array(values, dtype=np.int64)
@@ -289,18 +277,15 @@ def _exact_ints(c: np.ndarray, k: np.ndarray) -> np.ndarray:
     return c
 
 
-def _planes_or_none(values) -> _Planes | None:
+def _planes_or_none(values, later: set) -> _Planes | None:
     """values as _Planes if N >= _PLANES_MIN_N, F(1) is the int 1 or -1,
     every later value is a Python complex or the int 0, and one of them is
-    complex; else None.  They are read _CHUNK at a time, so that no
-    full-length temporary is made."""
+    complex; else None.  later is _later_types(values).  The values are
+    read _CHUNK at a time, so that no full-length temporary is made."""
     if not _INT_ENTERS_AS_COMPLEX or len(values) <= _PLANES_MIN_N:
         return None
     f1 = values[1]
-    kinds = set(map(type, islice(values, 2, None)))
-    if type(f1) is not int or f1 not in (1, -1):
-        return None
-    if complex not in kinds or not kinds <= {int, complex}:
+    if type(f1) is not int or f1 not in (1, -1) or not {complex} <= later <= {int, complex}:
         return None
     planes = _Planes.zeros(len(values))
     planes.c[1] = f1
@@ -311,7 +296,7 @@ def _planes_or_none(values) -> _Planes | None:
             planes.c[s] = part
         except OverflowError:  # an int too large for a double, so not 0
             return None
-        if int in kinds:
+        if int in later:
             k = planes.k[s]
             k[:] = np.fromiter(map(operator.is_, map(type, part), repeat(complex)), bool, len(part))
             if planes.c[s][~k].any():  # an int other than 0
@@ -345,12 +330,13 @@ def convolve(F: ArithFn, G: ArithFn) -> ArithFn:
     if F.limit != G.limit:
         raise ValueError(f"limit mismatch: {F.limit} vs {G.limit}")
     N = F.limit
-    f = _int64_or_none(F.values)
-    g = None if f is None else _int64_or_none(G.values)
+    f_later, g_later = _later_types(F.values), _later_types(G.values)
+    f = _int64_or_none(F.values, f_later)
+    g = None if f is None else _int64_or_none(G.values, g_later)
     # n has at most 2 isqrt(n) divisors, so every sum is at most this bound
     if g is None or _abs_max(f) * _abs_max(g) * 2 * math.isqrt(N) >= _INT64_SAFE:
-        f = _planes_or_none(F.values)
-        g = None if f is None else _planes_or_none(G.values)
+        f = _planes_or_none(F.values, f_later)
+        g = None if f is None else _planes_or_none(G.values, g_later)
     if g is None:
         f, g = np.array(F.values, dtype=object), np.array(G.values, dtype=object)
     with np.errstate(all="ignore"):
@@ -387,7 +373,8 @@ def dirichlet_inverse(F: ArithFn) -> ArithFn:
     f1 = F.values[1]
     if f1 == 0:
         raise ValueError("F(1) = 0: Dirichlet inverse does not exist")
-    f = _int64_or_none(F.values) if f1 == 1 or f1 == -1 else None
+    later = _later_types(F.values)
+    f = _int64_or_none(F.values, later) if f1 == 1 or f1 == -1 else None
     if f is not None:
         # the inverse of (1, -|F(2)|, -|F(3)|, ...) bounds every sum the sweep makes
         majorant = -np.abs(f.astype(np.float64))
@@ -396,7 +383,7 @@ def dirichlet_inverse(F: ArithFn) -> ArithFn:
             if not _inverse_sweep(majorant).max() < _INT64_SAFE:  # also when NaN
                 f = None
     if f is None:
-        f = _planes_or_none(F.values)
+        f = _planes_or_none(F.values, later)
     if f is None:
         f = np.array(F.values, dtype=object)
     with np.errstate(all="ignore"):
@@ -499,16 +486,21 @@ def inverse_via_alternating(F: ArithFn) -> ArithFn:
     return ArithFn(limit=N, values=out)
 
 
-def restrict_support(F: ArithFn, predicate: Callable[[int], bool]) -> ArithFn:
-    """Pointwise product with the indicator of the predicate."""
-    return ArithFn(
-        F.limit,
-        [0] + [F.values[n] if predicate(n) else 0 for n in range(1, F.limit + 1)],
-    )
+def restrict_support(F: ArithFn, support: np.ndarray) -> ArithFn:
+    """F times the indicator of support, a boolean mask over 0..limit or
+    longer such as tables.mu != 0: each value off the support becomes the
+    int 0, values[0] stays 0, and each kept value is the same object."""
+    if len(support) <= F.limit:
+        raise ValueError(f"support covers 0..{len(support) - 1}, not 0..{F.limit}")
+    values = F.values.copy()
+    for n in np.flatnonzero(np.logical_not(support[: F.limit + 1])).tolist():
+        values[n] = 0
+    return ArithFn(F.limit, values)
 
 
 def series_eval(F: ArithFn, s) -> complex:
-    """Truncated Dirichlet series sum F(n) n^{-s} with n^{-s} = exp(-s log n).
+    """Truncated Dirichlet series sum F(n) n^{-s} at a number s, real or
+    complex, with n^{-s} = exp(-s log n).
 
     The terms are doubles, and math.fsum sums the real and the imaginary
     parts; an exact integer F(n) too large for a double is a ValueError that
@@ -516,8 +508,6 @@ def series_eval(F: ArithFn, s) -> complex:
     overflows.  The terms are made _CHUNK at a time, which keeps the
     temporaries small.
     """
-    if isinstance(s, ComplexPoint):
-        s = s.as_complex()
     terms = []
     with np.errstate(over="ignore", invalid="ignore"):
         for c in _chunks(1, F.limit + 1):

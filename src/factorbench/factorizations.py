@@ -127,7 +127,8 @@ def d_lambda(n: FactoredInt, lam: PartitionMultiset) -> int:
 
 
 def d_lambda_all(n: int) -> dict[tuple[int, ...], int]:
-    """All nonzero d_lambda values of n at once, keyed by sorted part tuple."""
+    """All nonzero d_lambda values of n at once, keyed by sorted part tuple.
+    Pinned by ACCEPT-08; the package never calls it."""
     return {k: v for k, v in _omega_profile_counts(n).items() if k}
 
 

@@ -30,12 +30,6 @@ class FactoredInt:
     big_omega: int
     small_omega: int
 
-    def reconstruct(self) -> int:
-        out = 1
-        for p, e in self.factors:
-            out *= p**e
-        return out
-
 
 @dataclass
 class SieveTables:
@@ -180,23 +174,12 @@ def _big_omega(n: int) -> int:
 
 
 def is_kappa_free(n: int, kappa: int, tables: SieveTables) -> bool:
-    """True iff no p**kappa divides n. 1 is kappa-free for every kappa."""
+    """True iff no p**kappa divides n. 1 is kappa-free for every kappa.
+    A test reference only: test_kappa_free_mask_matches_pointwise checks
+    kappa_free_mask against it."""
     if kappa < 2:
         raise ValueError(f"kappa must be >= 2, got {kappa}")
     return all(e < kappa for _, e in factorize(n, tables).factors)
-
-
-def mobius(n: int, tables: SieveTables) -> int:
-    if not 1 <= n <= tables.limit:
-        raise ValueError(f"n={n} out of sieve range [1, {tables.limit}]")
-    return int(tables.mu[n])
-
-
-def unit_I(n: int) -> int:
-    """Identity for Dirichlet convolution: 1 at n=1, else 0."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return 1 if n == 1 else 0
 
 
 def iterated_log(x: float, k: int) -> float:

@@ -108,10 +108,6 @@ def zeta_real(sigma: float) -> ZetaReal:
                     minus_one, bound1)
 
 
-def zeta_prime_real(sigma: float) -> float:
-    return zeta_real(sigma).derivative
-
-
 def zeta_minus_one_root(t: float) -> float:
     """The s > 1 with zeta(s) - 1 = t, for 0 < t < zeta(SIGMA_FLOOR) - 1, by
     Newton's method on h(s) = log(zeta(s) - 1) - log t from SIGMA_FLOOR. As
@@ -145,7 +141,7 @@ def kalmar_beta() -> float:
 def kalmar_constant() -> float:
     """Leading constant -1/(beta zeta'(beta)) of the ordered-factorization sum."""
     b = kalmar_beta()
-    return -1.0 / (b * zeta_prime_real(b))
+    return -1.0 / (b * zeta_real(b).derivative)
 
 
 def kalmar_ratio(x: float, ftables: FactorisationTables) -> float:

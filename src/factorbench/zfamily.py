@@ -49,9 +49,7 @@ def build_context(z, limit: int, tables: SieveTables) -> ZFamilyContext:
     z = _as_scalar(z)
     fz = ArithFn(limit, [0, 1] + [-z] * (limit - 1))
     fz_tilde = dirichlet_inverse(fz)
-    mu = tables.mu[: limit + 1].tolist()
-    restricted = restrict_support(fz_tilde, lambda n: mu[n] != 0)
-    gz = dirichlet_inverse(restricted)
+    gz = dirichlet_inverse(restrict_support(fz_tilde, tables.mu[: limit + 1] != 0))
     beta_z = beta_for_z(z) if z == 0 or 1.0 + 1.0 / abs(z) > 1.0 else math.nan
     return ZFamilyContext(z=z, limit=limit, fz=fz, fz_tilde=fz_tilde, gz=gz, beta_z=beta_z)
 
@@ -112,7 +110,8 @@ def _finish(value):
 
 
 def B_sum(z, alpha: int, ell: int):
-    """Defining k-sum: sum_{k=0}^{alpha} z^k C(k+ell, ell) C(alpha+ell-1, k+ell-1)."""
+    """Defining k-sum: sum_{k=0}^{alpha} z^k C(k+ell, ell) C(alpha+ell-1, k+ell-1).
+    Pinned by test_B_sum_equals_closed_*; the package never calls it."""
     if alpha < 1 or ell < 1:
         raise ValueError("alpha and ell must be >= 1")
     return sum(
@@ -122,7 +121,8 @@ def B_sum(z, alpha: int, ell: int):
 
 
 def B_closed(z, alpha: int, ell: int):
-    """C(alpha+ell-1, ell) * (z (z+1)^(alpha-1) + ell/alpha (z+1)^alpha)."""
+    """C(alpha+ell-1, ell) * (z (z+1)^(alpha-1) + ell/alpha (z+1)^alpha).
+    Pinned by test_B_sum_equals_closed_*; the package never calls it."""
     if alpha < 1 or ell < 1:
         raise ValueError("alpha and ell must be >= 1")
     z = _as_scalar(z)
@@ -149,7 +149,8 @@ def fk_prime_power_expansion(
     p: int, alpha: int, n: int, k: int, ftables: FactorisationTables
 ) -> int:
     """f_k(p^alpha n) via sum_{ell=max(0,k-alpha)}^{k} C(k,ell) C(alpha+ell-1,k-1) f_ell(n);
-    f_0 is the unit, so at n = 1 this is f_k(p^alpha) = C(alpha-1, k-1)."""
+    f_0 is the unit, so at n = 1 this is f_k(p^alpha) = C(alpha-1, k-1).
+    Pinned by test_fk_prime_power_expansion; the package never calls it."""
     if n % p == 0:
         raise ValueError(f"p={p} divides n={n}")
     if alpha < 1 or k < 1:
@@ -174,6 +175,8 @@ class MultiplicativityWitness:
 
 
 def non_multiplicativity_witness(ctx: ZFamilyContext) -> MultiplicativityWitness:
+    """G_z at 2, 3 and 6, where G_z fails multiplicativity unless z is 0 or -1.
+    Pinned by test_witness_discrepancy; the package never calls it."""
     if ctx.limit < 6:
         raise ValueError(f"context limit {ctx.limit} < 6")
     g = ctx.gz.values

@@ -1,0 +1,67 @@
+"""A guard against dead public API in src/factorbench.
+
+Every public top-level function or class must be referenced somewhere in the
+package outside its own definition and __init__.py, or be a paper object
+listed in PAPER_OBJECTS with the test that pins it.  A reference is any name
+or attribute spelled like the object, so a method of the same name counts.
+"""
+
+import ast
+import fnmatch
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "factorbench"
+
+# paper objects and test references that nothing in the package calls,
+# each with the test that pins it
+PAPER_OBJECTS = {
+    "f_k_F": "tests/test_dirichlet.py::test_f_k_F_*",
+    "check_counting_bound": "tests/test_acceptance.py::test_accept_11_counting_inequality",
+    "d_lambda_all": "tests/test_acceptance.py::test_accept_08_d_lambda_bound",
+    "B_sum": "tests/test_zfamily.py::test_B_sum_equals_closed_*",
+    "B_closed": "tests/test_zfamily.py::test_B_sum_equals_closed_*",
+    "fk_prime_power_expansion": "tests/test_zfamily.py::test_fk_prime_power_expansion",
+    "non_multiplicativity_witness": "tests/test_zfamily.py::test_witness_discrepancy",
+    "is_kappa_free": "tests/test_sieve.py::test_kappa_free_mask_matches_pointwise",
+    "count_omega": "tests/test_counting.py::test_counts_match_bruteforce",
+    "count_bigomega": "tests/test_counting.py::test_N_kappa_ell_*",
+}
+
+
+def unreferenced_public_objects() -> set[str]:
+    """The public top-level functions and classes of the package's modules
+    that no name or attribute outside their own definition refers to."""
+    defs, refs = {}, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defs[node.name] = (path, node.lineno, node.end_lineno)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.append((node.id, path, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                refs.append((node.attr, path, node.lineno))
+    used = {
+        name for name, path, line in refs
+        if name in defs and not (path == defs[name][0] and defs[name][1] <= line <= defs[name][2])
+    }
+    return set(defs) - used
+
+
+def test_every_public_object_is_used_or_a_pinned_paper_object():
+    dead = unreferenced_public_objects()
+    unlisted, stale = sorted(dead - set(PAPER_OBJECTS)), sorted(set(PAPER_OBJECTS) - dead)
+    assert not unlisted, f"public but never referenced in the package: {unlisted}"
+    assert not stale, f"in PAPER_OBJECTS but gone or now referenced: {stale}"
+
+
+def test_each_paper_object_names_a_test_that_exists():
+    for name, pin in PAPER_OBJECTS.items():
+        path, pattern = pin.split("::")
+        tree = ast.parse((ROOT / path).read_text())
+        tests = [n.name for n in tree.body if isinstance(n, ast.FunctionDef)]
+        assert fnmatch.filter(tests, pattern), f"{name}: no test matches {pin}"

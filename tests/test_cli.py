@@ -115,7 +115,7 @@ def test_invert_requires_input(capsys):
 
 def test_invert_and_convolve_csv_roundtrip(tmp_path, capsys, sieve_small):
     ones = tmp_path / "ones.csv"
-    ArithFn.ones(50).to_csv(ones)
+    ones.write_text(ArithFn.ones(50).csv_text())
     inv = tmp_path / "inv.csv"
     code = main(["invert", "--input", str(ones), "--limit", "50",
                  "--out", str(inv)])

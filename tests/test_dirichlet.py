@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from factorbench import (
     ArithFn,
-    ComplexPoint,
     convolve,
     dirichlet,
     dirichlet_inverse,
@@ -153,7 +152,7 @@ def test_plane_kernels_match_loops_exactly(limit, f1, g1, seed):
     G = ArithFn.from_values(random_plane_values(limit, g1, rng))
     with mock.patch.object(dirichlet, "_PLANES_MIN_N", 0):  # planes at every size
         if limit > 1:
-            assert dirichlet._planes_or_none(F.values) is not None
+            assert dirichlet._planes_or_none(F.values, dirichlet._later_types(F.values)) is not None
         assert typed(dirichlet_inverse(F).values) == typed(loop_inverse(F.values))
         assert typed(convolve(F, G).values) == typed(loop_convolve(F.values, G.values))
 
@@ -237,7 +236,7 @@ def test_complex_f_z_runs_on_planes_and_equals_the_loops(sweep_dtypes, sieve_big
     fz = ArithFn(limit, [0, 1] + [complex(0.7, -1.1)] * (limit - 1))  # z = -0.7 + 1.1i
     inv = dirichlet_inverse(fz)
     mu = sieve_big.mu
-    restricted = restrict_support(inv, lambda n: mu[n] != 0)
+    restricted = ArithFn(limit, [v if mu[n] != 0 else 0 for n, v in enumerate(inv.values)])
     assert typed(inv.values) == typed(loop_inverse(fz.values))
     assert typed(dirichlet_inverse(restricted).values) == typed(loop_inverse(restricted.values))
     assert typed(convolve(fz, inv).values) == typed(loop_convolve(fz.values, inv.values))
@@ -422,12 +421,27 @@ def test_alternating_inverse_normalizes_internally():
 
 
 def test_restrict_support(sieve_small):
-    F = ArithFn.ones(100)
-    assert restrict_support(F, lambda n: True).values == F.values
-    kfree = restrict_support(F, lambda n: bool(sieve_small.kappa_free_mask(2)[n]))
-    assert kfree.values[4] == 0 and kfree.values[6] == 1
-    musq = restrict_support(F, lambda n: sieve_small.mu[n] != 0)
-    assert musq.values == kfree.values
+    kinds = [
+        [n * (-1) ** n for n in range(1, 31)],
+        [-0.0 if n % 3 == 0 else n / 7 for n in range(1, 31)],  # -0.0 on and off the support
+        [complex(-0.0, 0.0) if n % 2 == 0 else complex(n, -0.0) for n in range(1, 31)],
+    ]
+    for values in kinds:
+        F = ArithFn.from_values(values)
+        # the sieve's masks cover 0..10^4, longer than the 0..30 they restrict; the last fits exactly
+        for support in (sieve_small.mu != 0, sieve_small.kappa_free_mask(3), np.ones(31, dtype=bool)):
+            R = restrict_support(F, support)
+            assert R.limit == 30 and type(R.values[0]) is int and R.values[0] == 0
+            for n in range(1, 31):
+                if support[n]:
+                    assert R.values[n] is F.values[n]
+                else:
+                    assert type(R.values[n]) is int and R.values[n] == 0
+            with pytest.raises(ValueError, match="support covers 0..29, not 0..30"):
+                restrict_support(F, support[:30])
+        assert all(v is w for v, w in zip(F.values[1:], values))  # F is left as it was
+        squarefree = restrict_support(F, sieve_small.mu != 0).values
+        assert squarefree == restrict_support(F, sieve_small.kappa_free_mask(2)).values
 
 
 def test_summatory(sieve_small):
@@ -452,7 +466,7 @@ def test_series_eval_equals_the_loop_within_rounding(limit, kind, s, seed):
 
 def test_series_eval_zeta2():
     F = ArithFn.ones(1_000_000)
-    val = series_eval(F, ComplexPoint(2.0))
+    val = series_eval(F, 2.0)
     assert abs(val - math.pi**2 / 6) < 1e-6
 
 
@@ -482,8 +496,8 @@ def test_series_eval_sums_the_terms_once_rounded():
 
 def test_series_eval_complex_point():
     F = ArithFn.ones(500)
-    s = ComplexPoint(2.0, 1.0)
-    direct = sum(n ** (-s.as_complex()) for n in range(1, 501))
+    s = complex(2.0, 1.0)
+    direct = sum(n ** -s for n in range(1, 501))
     assert cmath.isclose(series_eval(F, s), direct, rel_tol=1e-12)
 
 
@@ -507,7 +521,7 @@ def test_growth_of_restricted_inverse_partial_sums(sieve_big):
 def test_csv_roundtrip(tmp_path, sieve_small):
     F = ArithFn.mobius(50, sieve_small)
     path = tmp_path / "mu.csv"
-    F.to_csv(path)
+    path.write_text(F.csv_text())
     G = ArithFn.from_csv(path)
     assert G.limit == 50
     assert [complex(v) for v in G.values[1:]] == [complex(v) for v in F.values[1:]]
@@ -516,7 +530,7 @@ def test_csv_roundtrip(tmp_path, sieve_small):
 def test_csv_keeps_big_integers_exact(tmp_path):
     F = ArithFn.from_values([1, 2**60 + 1, -(3**50), 0.5, 2j])
     path = tmp_path / "big.csv"
-    F.to_csv(path)
+    path.write_text(F.csv_text())
     G = ArithFn.from_csv(path)
     assert G.values == F.values
     assert all(type(g) is type(f) for f, g in zip(F.values, G.values))

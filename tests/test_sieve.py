@@ -11,8 +11,6 @@ from factorbench import (
     factorize,
     is_kappa_free,
     iterated_log,
-    mobius,
-    unit_I,
 )
 from factorbench.sieve import _big_omega, _divisors
 
@@ -87,8 +85,8 @@ def test_spf_by_inspection(sieve_small):
 def test_mu_small_values(sieve_small):
     assert sieve_small.mu[6] == 1
     assert sieve_small.mu[4] == 0
-    assert mobius(30, sieve_small) == -1
-    assert mobius(12, sieve_small) == 0
+    assert sieve_small.mu[30] == -1
+    assert sieve_small.mu[12] == 0
 
 
 def test_mu_at_large_prime(sieve_big):
@@ -127,7 +125,7 @@ def test_factorize_out_of_range(sieve_small):
 def test_factorize_roundtrip(n):
     tables = _cached_small()
     fi = factorize(n, tables)
-    assert fi.reconstruct() == n
+    assert math.prod(p**e for p, e in fi.factors) == n
     assert all(b < a for a, b in zip([p for p, _ in fi.factors][1:], [p for p, _ in fi.factors]))
     assert fi.big_omega >= fi.small_omega
 
@@ -149,12 +147,6 @@ def test_kappa_free_examples(sieve_small):
     assert is_kappa_free(1, 2, sieve_small)
     with pytest.raises(ValueError):
         is_kappa_free(8, 1, sieve_small)
-
-
-def test_unit_function():
-    assert unit_I(1) == 1
-    assert unit_I(2) == 0
-    assert unit_I(100) == 0
 
 
 def test_mobius_sum_identity_exhaustive(sieve_small):

@@ -11,7 +11,6 @@ from factorbench.zeta import (
     kalmar_ratio,
     sarnak_correlation,
     zeta_minus_one_root,
-    zeta_prime_real,
     zeta_real,
 )
 from factorbench.zfamily import beta_for_z
@@ -94,7 +93,7 @@ def test_zeta_tail_stability(monkeypatch):
 
 def test_zeta_derivative_negative():
     for sigma in (1.5, 2.0, 3.0):
-        assert zeta_prime_real(sigma) < 0
+        assert zeta_real(sigma).derivative < 0
 
 
 def test_kalmar_beta_six_digits():

@@ -245,12 +245,12 @@ def test_fz_tilde_growth_scan(ftables_parity):
 
 def test_reciprocal_series_identity_right_of_abscissa(sieve_small, ftables_small):
     # sum F~_z(n) n^-s ~ 1/(1 - z(zeta(s) - 1)) for sigma > B + beta + 1
-    from factorbench import ArithFn, ComplexPoint, series_eval
+    from factorbench import ArithFn, series_eval
 
     z = 2
     ctx = build_context(z, 3000, sieve_small)
     sigma = 6.0
-    lhs = series_eval(ctx.fz_tilde, ComplexPoint(sigma))
-    zeta_trunc = series_eval(ArithFn.ones(3000), ComplexPoint(sigma))
+    lhs = series_eval(ctx.fz_tilde, sigma)
+    zeta_trunc = series_eval(ArithFn.ones(3000), sigma)
     rhs = 1 / (1 - z * (zeta_trunc - 1))
     assert abs(lhs - rhs) <= 1e-5
