@@ -73,6 +73,13 @@ def _parse_z(text: str) -> complex:
     return z
 
 
+def _x(args) -> int:
+    """int(--x); a non-finite x is a user error."""
+    if not math.isfinite(args.x):
+        raise ValueError(f"x must be finite, got {args.x}")
+    return int(args.x)
+
+
 def _z_context(args):
     """The F_z context of --z and --limit; a non-finite Ft_z(n) is a user
     error that names the first such n."""
@@ -149,6 +156,8 @@ def cmd_invert(args) -> int:
     if args.identity:
         if args.limit is None:
             raise ValueError("--identity needs --limit")
+        if args.limit < 1:
+            raise ValueError(f"--limit must be >= 1, got {args.limit}")
         F = ArithFn.unit(args.limit)
     elif args.input:
         F = ArithFn.from_csv(args.input)
@@ -168,7 +177,7 @@ def cmd_convolve(args) -> int:
 
 
 def cmd_hr_count(args) -> int:
-    tables = build_sieve(int(args.x))
+    tables = build_sieve(_x(args))
     profile = counting.profile_N_kappa(args.x, args.kappa, tables)
     rows = sorted(profile.per_ell.items())
     if args.format == "csv":
@@ -186,7 +195,7 @@ def cmd_psi(args) -> int:
 
 
 def cmd_coffeeshop(args) -> int:
-    x = int(args.x)
+    x = _x(args)
     tables = build_sieve(x)
     ftables = build_factorisation_tables(x, tables)
     c = int(args.c) if float(args.c).is_integer() else float(args.c)
@@ -236,7 +245,7 @@ def cmd_zeta(args) -> int:
 
 
 def cmd_kalmar(args) -> int:
-    x = int(args.x)
+    x = _x(args)
     ftables = build_factorisation_tables(x)
     beta = zeta.kalmar_beta()
     _emit_json(
@@ -252,7 +261,7 @@ def cmd_kalmar(args) -> int:
 
 
 def cmd_sarnak(args) -> int:
-    x = int(args.x)
+    x = _x(args)
     tables = build_sieve(x)
     ftables = build_factorisation_tables(x, tables)
     rep = zeta.sarnak_correlation(x, args.xi, ftables, tables)

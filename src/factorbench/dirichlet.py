@@ -149,14 +149,21 @@ class ArithFn:
         """Read csv_text's layout; a real column such as 3.0 also reads as an int."""
         rows = {}
         with open(path, newline="") as fh:
-            for rec in csv.DictReader(fh):
+            reader = csv.DictReader(fh)
+            for col in ("n", "re", "im"):
+                if col not in (reader.fieldnames or ()):
+                    raise ValueError(f"CSV {path} has no {col!r} column")
+            for rec in reader:
                 im = float(rec["im"])
                 try:
                     re = int(rec["re"])
                 except ValueError:
                     re = float(rec["re"])
                     re = int(re) if re.is_integer() else re
-                rows[int(rec["n"])] = complex(re, im) if im else re
+                n = int(rec["n"])
+                if n in rows:
+                    raise ValueError(f"CSV {path} repeats n = {n}")
+                rows[n] = complex(re, im) if im else re
         if not rows:
             raise ValueError(f"CSV {path} has no rows")
         limit = max(rows)

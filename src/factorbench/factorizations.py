@@ -5,9 +5,9 @@ counts those of length exactly k, and f_even/f_odd split by length parity
 (the unit contributes to f_even at n=1).  All three depend only on n's prime
 signature, the multiset of its exponents, so the tables are computed once
 per signature by MacMahon's formula and read per n through a signature id,
-and sums over n <= x run once per signature, on count_by_signature.  All
-counts are exact Python integers, so there is no overflow to guard against;
-the table limit is capped by the sieve budget.
+which n takes from n / spf(n) along the sieve's walk.  Sums over n <= x run
+once per signature, on count_by_signature.  All counts are exact Python
+integers, so there is no overflow; the sieve budget caps the table limit.
 
 Also houses integer partitions stored by part multiplicities, the tuple
 counter d_lambda grouped by the multiset of Omega-values, and its
@@ -19,12 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, takewhile
-from operator import mul
 
 import numpy as np
 
-from .sieve import FactoredInt, SieveTables, _big_omega, _divisors, build_sieve
+from .sieve import FactoredInt, SieveTables, _big_omega, _divisors, _halving_blocks, build_sieve
 
 MAX_PARTITION_ELL = 90
 
@@ -161,44 +159,39 @@ class FactorisationTables:
     f_odd: _BySignature
 
 
-def _key_weights(limit: int, primes) -> tuple[list[int], list[int]]:
-    """Weights w_e and radices c_e + 1 of the signature key, at index e - 1
-    for e = 1 .. floor(log2 limit).  c_e, the largest m with
-    (p_1 ... p_m)^e <= limit, bounds how many primes an n <= limit has to
-    exponent exactly e, and w_e = prod_{e' < e} (c_e' + 1)."""
-    primorials = list(takewhile(lambda q: q <= limit, accumulate(map(int, primes), mul)))
-    radices = [1 + sum(q**e <= limit for q in primorials) for e in range(1, limit.bit_length())]
-    return list(accumulate(radices[:-1], mul, initial=1)), radices
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)  # product > 2^31 > any sieve limit
 
 
 def _signature_ids(limit: int, tables: SieveTables) -> tuple[np.ndarray, list, list[int]]:
-    """int32 ids over 0..limit (n = 0 shares n = 1's), each id's exponent
+    """int16 ids over 0..limit (n = 0 shares n = 1's), each id's exponent
     multiset and its smallest n.
 
-    n's key sums w_a over its p^a || n, so its mixed-radix digit e counts the
-    primes with exponent e.  It is built as w_1 = 1 per distinct prime (omega)
-    plus w_e - w_{e-1} on every multiple of p^e, e >= 2.  Decodes are checked.
+    The signatures are the decreasing (a_1, a_2, ...) with 2^a_1 3^a_2 ... <=
+    limit, () first.  raised[i, e] is the id of signatures[i] with its first
+    e - 1 raised to e (e = 1 appends a 1), or -1.  On the sieve's walk, with
+    p = spf(n) and m = n / p, p's exponent in n is one more than in m if p
+    divides m and 1 if not, and ids[n] = raised[ids[m], that exponent].
     """
-    weights, radices = _key_weights(limit, tables.primes)
-    keys = tables.small_omega[: limit + 1].astype(np.int64)
-    for p in tables.primes[: np.searchsorted(tables.primes, math.isqrt(limit), "right")].tolist():
-        pe, e = p * p, 2
-        while pe <= limit:
-            keys[pe::pe] += weights[e - 1] - weights[e - 2]
-            pe, e = pe * p, e + 1
-    uniq = np.unique(keys)
-    ids = np.empty(limit + 1, dtype=np.int32)
-    for lo in range(0, limit + 1, 1 << 16):  # in chunks: searchsorted returns int64
-        ids[lo : lo + (1 << 16)] = np.searchsorted(uniq, keys[lo : lo + (1 << 16)])
-    signatures, reps = [], []
-    for key in uniq.tolist():
-        sig = tuple(e for e in range(len(radices), 0, -1)
-                    for _ in range(key // weights[e - 1] % radices[e - 1]))
-        smallest = math.prod(int(p) ** a for p, a in zip(tables.primes, sig))
-        if sum(weights[a - 1] for a in sig) != key or smallest > limit:
-            raise AssertionError(f"signature key {key} decodes to {sig}, which is not exact")
-        signatures.append(sig)
-        reps.append(smallest)
+    signatures, reps = [()], [1]
+    for sig, rep in zip(signatures, reps):  # both grow as read, one prime longer
+        p, a = _PRIMES[len(sig)], 1
+        while a <= (sig[-1] if sig else a) and rep * p**a <= limit:
+            signatures.append(sig + (a,))
+            reps.append(rep * p**a)
+            a += 1
+    index = {sig: i for i, sig in enumerate(signatures)}
+    raised = np.full((len(signatures), limit.bit_length() + 1), -1, dtype=np.int16)
+    for i, sig in enumerate(signatures):
+        for e in {1, *(a + 1 for a in sig)}:
+            j = (sig + (0,)).index(e - 1)  # e = 1 raises a 0 past the end
+            raised[i, e] = index.get(sig[:j] + (e,) + sig[j + 1 :], -1)
+    ids = np.zeros(limit + 1, dtype=np.int16)
+    exps = np.zeros(limit + 1, dtype=np.int8)  # exponent of spf(n) in n
+    for block, m, rep in _halving_blocks(tables.spf, limit + 1):
+        exps[block] = np.where(rep, exps[m] + 1, 1)
+        ids[block] = raised[ids[m], exps[block]]
+    if ids.min() < 0:
+        raise AssertionError(f"n = {int(ids.argmin())} raised to no signature <= {limit}")
     return ids, signatures, reps
 
 

@@ -103,22 +103,14 @@ def build_sieve(limit: int) -> SieveTables:
     primes = np.flatnonzero(spf == 0)[2:]  # untouched entries >= 2 are prime
     spf[primes] = primes
 
-    # p repeats in n iff spf(m) = p; spf(1) = 0 matches no prime. Every m <= n / 2,
-    # so a block [lo, 2 lo) reads only finished entries; 2^20 caps its temporaries.
     big_omega = np.zeros(n, dtype=np.int16)
     small_omega = np.zeros(n, dtype=np.int16)
     mu = np.zeros(n, dtype=np.int8)
     mu[1] = 1
-    lo = 2
-    while lo < n:
-        hi = min(2 * lo, lo + (1 << 20), n)
-        p = spf[lo:hi]
-        m = np.arange(lo, hi) // p
-        rep = spf[m] == p
-        big_omega[lo:hi] = big_omega[m] + 1
-        small_omega[lo:hi] = small_omega[m] + ~rep
-        mu[lo:hi] = np.where(rep, 0, -mu[m])
-        lo = hi
+    for block, m, rep in _halving_blocks(spf, n):
+        big_omega[block] = big_omega[m] + 1
+        small_omega[block] = small_omega[m] + ~rep
+        mu[block] = np.where(rep, 0, -mu[m])
 
     return SieveTables(
         limit=limit,
@@ -128,6 +120,19 @@ def build_sieve(limit: int) -> SieveTables:
         small_omega=small_omega,
         primes=primes,
     )
+
+
+def _halving_blocks(spf: np.ndarray, n: int):
+    """2..n - 1 in blocks [lo, 2 lo) of at most 2^20 (to cap temporaries): the
+    slice, m = k / spf(k), and whether spf(k) repeats in k, i.e. spf(m) = spf(k)
+    (spf(1) = 0 matches no prime).  m < lo: a recurrence reads finished entries."""
+    lo = 2
+    while lo < n:
+        hi = min(2 * lo, lo + (1 << 20), n)
+        p = spf[lo:hi]
+        m = np.arange(lo, hi) // p
+        yield slice(lo, hi), m, spf[m] == p
+        lo = hi
 
 
 def factorize(n: int, tables: SieveTables) -> FactoredInt:

@@ -42,3 +42,10 @@ def ftables_parity():
 def ftables_big(sieve_big):
     # every table to 10^6, from the shared sieve
     return build_factorisation_tables(1_000_000, sieve_big)
+
+
+@pytest.fixture(scope="session")
+def chunk_tables():
+    # past 2^21: across the sieve walk's 2^20 block cap and count_by_signature's chunks
+    tables = build_sieve(2**21 + 5)
+    return tables, build_factorisation_tables(2**21 + 5, tables)

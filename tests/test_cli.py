@@ -278,6 +278,32 @@ def test_sieve_limit_below_two_is_a_user_error(capsys):
     assert "sieve limit" in user_error(capsys, "hr-count", "--x", "0.5", "--kappa", "2")
 
 
+@pytest.mark.parametrize("command", [
+    ("kalmar",), ("sarnak",), ("coffeeshop", "--c", "1", "--kappa", "2"), ("hr-count", "--kappa", "2"),
+])
+def test_infinite_x_is_a_user_error(capsys, command):
+    line = user_error(capsys, *command, "--x", "inf")
+    assert line == "factorbench: error: x must be finite, got inf"
+
+
+def test_identity_with_a_limit_below_one_is_a_user_error(capsys):
+    line = user_error(capsys, "invert", "--identity", "--limit", "0")
+    assert line == "factorbench: error: --limit must be >= 1, got 0"
+
+
+@pytest.mark.parametrize("header, missing", [("n,re", "im"), ("n,im", "re"), ("re,im", "n")])
+def test_csv_without_a_column_is_a_user_error(tmp_path, capsys, header, missing):
+    path = tmp_path / "F.csv"
+    path.write_text(f"{header}\n1,1\n")
+    assert user_error(capsys, "invert", "--input", str(path)).endswith(f"has no '{missing}' column")
+
+
+def test_csv_with_a_repeated_n_is_a_user_error(tmp_path, capsys):
+    path = tmp_path / "F.csv"
+    path.write_text("n,re,im\n1,1,0\n1,5,0\n")
+    assert user_error(capsys, "invert", "--input", str(path)).endswith("repeats n = 1")
+
+
 def test_sieve_over_budget_is_a_user_error(capsys):
     assert "budget" in user_error(capsys, "sieve", "--limit", "100000000")
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,6 @@ from factorbench import (
     mu_via_parity,
 )
 from factorbench.factorizations import (
-    _key_weights,
     d_lambda_all,
     enumerate_ordered_factorizations,
 )
@@ -283,6 +283,7 @@ def test_f_entries_share_one_int_per_signature(ftables_small):
 
 def test_ids_decode_to_the_factorization(ftables_parity, sieve_big):
     sigs, ids = ftables_parity.signatures, ftables_parity.ids
+    assert ids.dtype == np.int16
     assert len(set(sigs)) == len(sigs)
     assert set(sigs) == set(_signatures_up_to(100_000, [2, 3, 5, 7, 11, 13, 17]))
     for n in range(1, 100_001):
@@ -303,13 +304,18 @@ def _signatures_up_to(limit, primes, most=None, i=0, value=1):
         a, pa = a + 1, pa * primes[i]
 
 
-@pytest.mark.parametrize("limit", [2, 3, 64, 3000, 10**6, 5 * 10**7])
-def test_signature_key_is_injective_up_to_the_sieve_cap(limit):
-    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23]  # 2*3*...*23 > 5*10^7: at most 8 primes
-    weights, radices = _key_weights(limit, primes)
-    sigs = list(_signatures_up_to(limit, primes))
-    keys = {sum(weights[a - 1] for a in sig) for sig in sigs}
-    assert len(keys) == len(sigs)
-    assert max(keys) < 2**63
-    if limit == 5 * 10**7:
-        assert len(radices) == 25 and 1.1e10 < max(keys) < 1.2e10
+def test_signatures_below_2_31_fit_int16_ids():
+    # 2^31 bounds every sieve limit; the product of the first ten primes is above it
+    sigs = list(_signatures_up_to(2**31 - 1, [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]))
+    assert len(sigs) == 1476 < 2**15
+    assert max(map(len, sigs)) == 9
+
+
+def test_ids_decode_to_the_factorization_across_the_walk_blocks(chunk_tables):
+    tables, ft = chunk_tables
+    assert ft.ids.dtype == np.int16
+    sample = np.random.default_rng(2024).integers(1, 2**21 + 6, 2000).tolist()
+    for n in [*range(2**20 - 50, 2**20 + 50), *range(2**21 - 50, 2**21 + 6), *sample]:
+        exps = sorted((e for _, e in factorize(n, tables).factors), reverse=True)
+        assert ft.signatures[ft.ids[n]] == tuple(exps)
+        assert ft.reps[ft.ids[n]] == math.prod(p**e for p, e in zip([2, 3, 5, 7, 11, 13, 17], exps))

@@ -12,7 +12,7 @@ from factorbench import (
     is_kappa_free,
     iterated_log,
 )
-from factorbench.sieve import _big_omega, _divisors
+from factorbench.sieve import _big_omega, _divisors, _halving_blocks
 
 
 def sieve_reference(limit):
@@ -237,3 +237,16 @@ def test_sieve_budget_is_read_from_the_environment_at_call_time(monkeypatch):
     monkeypatch.setenv("FACTORBENCH_MAX_SIEVE", "100")
     with pytest.raises(CapacityError):
         build_sieve(1000)
+
+
+@pytest.mark.parametrize("n", [3, 2**20 + 1, 2**21 + 5])
+def test_halving_blocks_visit_each_k_once_after_its_m(n):
+    spf = build_sieve(n).spf
+    visits = np.zeros(n, dtype=np.int64)
+    for block, m, rep in _halving_blocks(spf, n):
+        k = np.arange(block.start, block.stop)
+        assert len(k) <= 2**20 and (m < block.start).all()
+        assert (m * spf[block] == k).all()
+        assert np.array_equal(rep, m % spf[block] == 0)
+        visits[block] += 1
+    assert visits[:2].tolist() == [0, 0] and (visits[2:] == 1).all()

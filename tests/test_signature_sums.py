@@ -97,12 +97,6 @@ def test_sums_equal_the_loops_at_the_report_checkpoints(x, ftables_big, sieve_bi
     assert_sums_match(x, ftables_big, sieve_big)
 
 
-@pytest.fixture(scope="module")
-def chunk_tables():
-    tables = build_sieve(2**21 + 5)
-    return tables, build_factorisation_tables(2**21 + 5, tables)
-
-
 @pytest.mark.parametrize("x", [2**20 - 1, 2**20, 2**20 + 1, 2**21 + 5])
 def test_sums_across_bincount_chunks(x, chunk_tables):
     tables, ft = chunk_tables
