@@ -27,7 +27,7 @@ from .factorizations import (
     d_lambda_bound,
 )
 from .reproduce import reproduce_report
-from .sieve import build_sieve, factorize
+from .sieve import SieveTables, build_sieve, factorize
 from .zfamily import beta_for_z, build_context
 
 
@@ -73,11 +73,15 @@ def _parse_z(text: str) -> complex:
     return z
 
 
-def _x(args) -> int:
-    """int(--x); a non-finite x is a user error."""
+def _x_sieve(args) -> tuple[int, SieveTables]:
+    """The cutoff int(--x) and a sieve to max(x, 2); a non-finite x or one
+    below 1 is a user error."""
     if not math.isfinite(args.x):
         raise ValueError(f"x must be finite, got {args.x}")
-    return int(args.x)
+    x = int(args.x)
+    if x < 1:
+        raise ValueError(f"x = {args.x} gives sieve limit {x}, below 1")
+    return x, build_sieve(max(x, 2))
 
 
 def _z_context(args):
@@ -92,14 +96,19 @@ def _z_context(args):
     return ctx
 
 
-def _z_joined(argv: list[str]) -> list[str]:
-    """argv with each "--z VALUE" written "--z=VALUE", so that argparse takes
-    a value that starts with "-", such as -0.7,1.1 or -inf, for the value of
-    --z and not for an option."""
+def _values_joined(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """argv with each "--opt VALUE" written "--opt=VALUE" where the command's
+    --opt takes a value, so that argparse reads a VALUE that starts with "-",
+    such as -inf, -1e-3 or -0.7,1.1, as the value and not as an option."""
+    commands = next(a.choices for a in parser._actions if isinstance(a.choices, dict))
+    command = next((commands[token] for token in argv if token in commands), None)
+    if command is None:
+        return argv
+    takes_value = {s for a in command._actions if a.nargs != 0 for s in a.option_strings}
     out: list[str] = []
     for token in argv:
-        if out and out[-1] == "--z":
-            out[-1] = f"--z={token}"
+        if out and out[-1] in takes_value:
+            out[-1] = f"{out[-1]}={token}"
         else:
             out.append(token)
     return out
@@ -177,7 +186,7 @@ def cmd_convolve(args) -> int:
 
 
 def cmd_hr_count(args) -> int:
-    tables = build_sieve(_x(args))
+    _, tables = _x_sieve(args)
     profile = counting.profile_N_kappa(args.x, args.kappa, tables)
     rows = sorted(profile.per_ell.items())
     if args.format == "csv":
@@ -195,8 +204,7 @@ def cmd_psi(args) -> int:
 
 
 def cmd_coffeeshop(args) -> int:
-    x = _x(args)
-    tables = build_sieve(x)
+    x, tables = _x_sieve(args)
     ftables = build_factorisation_tables(x, tables)
     c = int(args.c) if float(args.c).is_integer() else float(args.c)
     total = counting.coffeeshop_sum(x, c, args.kappa, ftables, tables)
@@ -245,8 +253,8 @@ def cmd_zeta(args) -> int:
 
 
 def cmd_kalmar(args) -> int:
-    x = _x(args)
-    ftables = build_factorisation_tables(x)
+    x, tables = _x_sieve(args)
+    ftables = build_factorisation_tables(x, tables)
     beta = zeta.kalmar_beta()
     _emit_json(
         {
@@ -261,8 +269,7 @@ def cmd_kalmar(args) -> int:
 
 
 def cmd_sarnak(args) -> int:
-    x = _x(args)
-    tables = build_sieve(x)
+    x, tables = _x_sieve(args)
     ftables = build_factorisation_tables(x, tables)
     rep = zeta.sarnak_correlation(x, args.xi, ftables, tables)
     _emit_json(
@@ -380,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(_z_joined(sys.argv[1:] if argv is None else argv))
+    parser = build_parser()
+    args = parser.parse_args(_values_joined(parser, sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:  # CapacityError is a ValueError

@@ -34,13 +34,6 @@ class CountingProfile:
         return sum(self.per_ell.values())
 
 
-def count_omega(x: float, ell: int, tables: SieveTables) -> int:
-    """|{n <= x : omega(n) = ell}|, exact.
-    A test reference only: pinned by test_counts_match_bruteforce."""
-    cutoff = _cutoff(x, tables)
-    return int(np.count_nonzero(tables.small_omega[1 : cutoff + 1] == ell))
-
-
 def count_bigomega(x: float, ell: int, tables: SieveTables) -> int:
     """|{n <= x : Omega(n) = ell}|, exact.
     A test reference only: test_N_kappa_ell_* check N_kappa_ell against it."""

@@ -107,12 +107,6 @@ class ArithFn:
         return cls(limit=limit, values=[0, 1] + [0] * (limit - 1))
 
     @classmethod
-    def mobius(cls, limit: int, tables: SieveTables) -> "ArithFn":
-        if limit > tables.limit:
-            raise ValueError(f"limit {limit} beyond sieve limit {tables.limit}")
-        return cls(limit=limit, values=[0] + tables.mu[1 : limit + 1].tolist())
-
-    @classmethod
     def completely_multiplicative(
         cls, limit: int, tables: SieveTables, prime_values: dict
     ) -> "ArithFn":

@@ -1,9 +1,9 @@
 """Smallest-prime-factor sieve and the elementary arithmetic functions built on it.
 
 Everything downstream (factorization counts, Dirichlet inversion, kappa-free
-counting) consumes these tables in bulk, so mu, Omega and omega are filled in
-during sieve construction, from spf by a recurrence on n / spf(n), rather
-than recomputed per query.
+counting) consumes these tables in bulk, so mu and Omega are filled in during
+sieve construction, from spf by a recurrence on n / spf(n), rather than
+recomputed per query.  omega, which no table needs, comes from factorize.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -31,36 +31,34 @@ class FactoredInt:
     small_omega: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class SieveTables:
-    """Bulk arrays over 0..limit: smallest prime factor, mu, Omega, omega.
+    """Bulk arrays over 0..limit: smallest prime factor, mu, Omega, and the primes.
 
     The arrays are shared by every caller that reads the tables, so callers
-    must not write to them. Nothing enforces this: the arrays stay writeable.
+    must not write to them. Nothing enforces this: the fields are frozen,
+    but the arrays stay writeable.
     """
 
     limit: int
     spf: np.ndarray        # spf[n] = smallest prime factor of n (n >= 2), int32
     mu: np.ndarray         # Mobius function, int8
-    big_omega: np.ndarray  # Omega(n), prime factors with multiplicity
-    small_omega: np.ndarray  # omega(n), distinct prime factors
+    big_omega: np.ndarray  # Omega(n), prime factors with multiplicity, int16
     primes: np.ndarray
-    _kappa_free_cache: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
 
     def kappa_free_mask(self, kappa: int) -> np.ndarray:
-        """Boolean mask over 0..limit; mask[n] iff n is kappa-free (n >= 1)."""
+        """Boolean mask over 0..limit; mask[n] iff n is kappa-free (n >= 1).
+        Built on each call: a few ms at 10^7, a fresh array each caller owns."""
         if kappa < 2:
             raise ValueError(f"kappa must be >= 2, got {kappa}")
-        if kappa not in self._kappa_free_cache:
-            mask = np.ones(self.limit + 1, dtype=bool)
-            mask[0] = False
-            for p in self.primes:
-                pk = int(p) ** kappa
-                if pk > self.limit:
-                    break
-                mask[pk::pk] = False
-            self._kappa_free_cache[kappa] = mask
-        return self._kappa_free_cache[kappa]
+        mask = np.ones(self.limit + 1, dtype=bool)
+        mask[0] = False
+        for p in self.primes:
+            pk = int(p) ** kappa
+            if pk > self.limit:
+                break
+            mask[pk::pk] = False
+        return mask
 
     def prime_index(self, p: int) -> int:
         """1-based index of p in the prime sequence; raises if p is not prime."""
@@ -73,7 +71,7 @@ class SieveTables:
 def build_sieve(limit: int) -> SieveTables:
     """spf by sieving with the primes <= sqrt(limit); then, with p = spf(n) and
     m = n / p, Omega(n) = Omega(m) + 1 and, as p divides m or not,
-    omega(n) = omega(m) or omega(m) + 1 and mu(n) = 0 or -mu(m).
+    mu(n) = 0 or -mu(m).
 
     The limit is capped by FACTORBENCH_MAX_SIEVE (default 50,000,000), read
     at call time, and must be below 2^31 so that spf fits int32.
@@ -104,22 +102,13 @@ def build_sieve(limit: int) -> SieveTables:
     spf[primes] = primes
 
     big_omega = np.zeros(n, dtype=np.int16)
-    small_omega = np.zeros(n, dtype=np.int16)
     mu = np.zeros(n, dtype=np.int8)
     mu[1] = 1
     for block, m, rep in _halving_blocks(spf, n):
         big_omega[block] = big_omega[m] + 1
-        small_omega[block] = small_omega[m] + ~rep
         mu[block] = np.where(rep, 0, -mu[m])
 
-    return SieveTables(
-        limit=limit,
-        spf=spf,
-        mu=mu,
-        big_omega=big_omega,
-        small_omega=small_omega,
-        primes=primes,
-    )
+    return SieveTables(limit=limit, spf=spf, mu=mu, big_omega=big_omega, primes=primes)
 
 
 def _halving_blocks(spf: np.ndarray, n: int):

@@ -35,12 +35,13 @@ def _mobius_sum_identity(tables: SieveTables, limit: int) -> Check:
 
 
 def _omega_inequality(tables: SieveTables, limit: int) -> Check:
+    """The sieve's Omega(n) <= kappa omega(n) on kappa-free n, omega from factorize."""
+    kappas = (2, 3, 5)
+    masks = [tables.kappa_free_mask(kappa) for kappa in kappas]
     bad = []
-    for kappa in (2, 3, 5):
-        mask = tables.kappa_free_mask(kappa)
-        for n in range(2, limit + 1):
-            if mask[n] and tables.big_omega[n] > kappa * tables.small_omega[n]:
-                bad.append((kappa, n))
+    for n in range(2, limit + 1):
+        big, small = int(tables.big_omega[n]), factorize(n, tables).small_omega
+        bad += [(kappa, n) for kappa, mask in zip(kappas, masks) if mask[n] and big > kappa * small]
     return ("omega-le-kappa-omega", not bad, f"kappa in 2,3,5 up to {limit}")
 
 

@@ -1,9 +1,10 @@
 """A guard against dead public API in src/factorbench.
 
-Every public top-level function or class must be referenced somewhere in the
-package outside its own definition and __init__.py, or be a paper object
-listed in PAPER_OBJECTS with the test that pins it.  A reference is any name
-or attribute spelled like the object, so a method of the same name counts.
+Every public top-level function or class, and every public method of a public
+class, must be referenced somewhere in the package outside its own definition
+and __init__.py, or be a paper object listed in PAPER_OBJECTS with the test
+that pins it.  A reference is any name or attribute spelled like the object,
+so a method or function of the same name counts.
 """
 
 import ast
@@ -14,7 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "factorbench"
 
 # paper objects and test references that nothing in the package calls,
-# each with the test that pins it
+# each with the test that pins it; a method is listed as Class.method
 PAPER_OBJECTS = {
     "f_k_F": "tests/test_dirichlet.py::test_f_k_F_*",
     "check_counting_bound": "tests/test_acceptance.py::test_accept_11_counting_inequality",
@@ -24,32 +25,38 @@ PAPER_OBJECTS = {
     "fk_prime_power_expansion": "tests/test_zfamily.py::test_fk_prime_power_expansion",
     "non_multiplicativity_witness": "tests/test_zfamily.py::test_witness_discrepancy",
     "is_kappa_free": "tests/test_sieve.py::test_kappa_free_mask_matches_pointwise",
-    "count_omega": "tests/test_counting.py::test_counts_match_bruteforce",
     "count_bigomega": "tests/test_counting.py::test_N_kappa_ell_*",
+    "ArithFn.from_values": "tests/test_dirichlet.py::test_from_values_fills_1_to_n",
+    "CountingBoundReport.passes": "tests/test_counting.py::test_counting_bound_ell1_is_prime_count",
+    "MultiplicativityWitness.discrepancy": "tests/test_zfamily.py::test_witness_discrepancy",
 }
 
 
-def unreferenced_public_objects() -> set[str]:
-    """The public top-level functions and classes of the package's modules
-    that no name or attribute outside their own definition refers to."""
-    defs, refs = {}, []
-    for path in sorted(PACKAGE.glob("*.py")):
+def unreferenced_public_objects(package: Path = PACKAGE) -> set[str]:
+    """The public top-level functions and classes of the package's modules,
+    and the public methods of those classes as Class.method, that no name or
+    attribute outside their own definition refers to."""
+    defs, refs = {}, {}
+    for path in sorted(package.glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                defs[node.name] = (path, node.lineno, node.end_lineno)
+                defs[node.name] = (node, path)
+                if isinstance(node, ast.ClassDef):
+                    for item in node.body:
+                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                            defs[f"{node.name}.{item.name}"] = (item, path)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                refs.append((node.id, path, node.lineno))
+                refs.setdefault(node.id, []).append((path, node.lineno))
             elif isinstance(node, ast.Attribute):
-                refs.append((node.attr, path, node.lineno))
-    used = {
-        name for name, path, line in refs
-        if name in defs and not (path == defs[name][0] and defs[name][1] <= line <= defs[name][2])
+                refs.setdefault(node.attr, []).append((path, node.lineno))
+    return {
+        key for key, (node, path) in defs.items()
+        if all(p == path and node.lineno <= line <= node.end_lineno for p, line in refs.get(node.name, ()))
     }
-    return set(defs) - used
 
 
 def test_every_public_object_is_used_or_a_pinned_paper_object():
@@ -65,3 +72,25 @@ def test_each_paper_object_names_a_test_that_exists():
         tree = ast.parse((ROOT / path).read_text())
         tests = [n.name for n in tree.body if isinstance(n, ast.FunctionDef)]
         assert fnmatch.filter(tests, pattern), f"{name}: no test matches {pin}"
+
+
+def test_a_dead_method_is_found(tmp_path):
+    (tmp_path / "module.py").write_text(
+        "class Table:\n"
+        "    def live(self):\n"
+        "        return 1\n"
+        "\n"
+        "    def dead(self):\n"
+        "        return self.dead  # its own body does not count\n"
+        "\n"
+        "    def _private(self):\n"
+        "        return 0\n"
+        "\n"
+        "\n"
+        "def read(table):\n"
+        "    return table.live()\n"
+        "\n"
+        "\n"
+        "VALUE = read(Table())\n"
+    )
+    assert unreferenced_public_objects(tmp_path) == {"Table.dead"}

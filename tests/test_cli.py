@@ -281,6 +281,14 @@ def test_sieve_limit_below_two_is_a_user_error(capsys):
 @pytest.mark.parametrize("command", [
     ("kalmar",), ("sarnak",), ("coffeeshop", "--c", "1", "--kappa", "2"), ("hr-count", "--kappa", "2"),
 ])
+def test_x_below_one_is_a_user_error(capsys, command):
+    line = user_error(capsys, *command, "--x", "0.5")
+    assert line == "factorbench: error: x = 0.5 gives sieve limit 0, below 1"
+
+
+@pytest.mark.parametrize("command", [
+    ("kalmar",), ("sarnak",), ("coffeeshop", "--c", "1", "--kappa", "2"), ("hr-count", "--kappa", "2"),
+])
 def test_infinite_x_is_a_user_error(capsys, command):
     line = user_error(capsys, *command, "--x", "inf")
     assert line == "factorbench: error: x must be finite, got inf"
@@ -416,6 +424,35 @@ def test_negative_z_reads_as_a_value(capsys, command):
 def test_negative_infinite_z_reads_as_a_value(capsys):
     line = user_error(capsys, "beta-z", "--z", "-inf")
     assert line == "factorbench: error: z must be finite, got '-inf'"
+
+
+def test_option_values_that_start_with_a_dash_read_as_values(capsys):
+    # argparse alone reads each of these values as an unknown option
+    line = user_error(capsys, "hr-count", "--x", "-inf", "--kappa", "2")
+    assert line == "factorbench: error: x must be finite, got -inf"
+    code, out = run(capsys, "dz-eval", "--z", "2", "--sigma", "6", "--t", "-1e-3")
+    assert code == 0 and json.loads(out)["t"] == -1e-3
+    assert "sigma" in user_error(capsys, "zeta", "--sigma", "-1e3")
+    code, out = run(capsys, "coffeeshop", "--x", "10", "--c", "-1e-1", "--kappa", "2")
+    # squarefree n <= 10: 1, four primes at c^1 f = -0.1, and 6, 10 at c^2 f = 0.03
+    assert code == 0 and json.loads(out) == {"x": 10, "C": -0.1, "kappa": 2, "sum": 0.66}
+
+
+def test_a_flag_before_an_option_stays_a_flag(capsys):
+    code, out = run(capsys, "zeta", "--prime", "--sigma", "2")
+    assert code == 0 and "derivative" in json.loads(out)
+
+
+@pytest.mark.parametrize("x", ["1", "1.5"])
+def test_x_below_two_answers(capsys, x):
+    code, out = run(capsys, "sarnak", "--x", x)
+    assert code == 0 and (json.loads(out)["numerator"], json.loads(out)["denominator"]) == (1, 1)
+    code, out = run(capsys, "coffeeshop", "--x", x, "--c", "2", "--kappa", "2")
+    assert code == 0 and json.loads(out)["sum"] == 1
+    code, out = run(capsys, "hr-count", "--x", x, "--kappa", "2", "--format", "json")
+    assert code == 0 and json.loads(out)["per_ell"] == {"0": 1}
+    code, out = run(capsys, "kalmar", "--x", x)
+    assert code == 0 and json.loads(out)["x"] == 1
 
 
 @pytest.mark.parametrize("command", ["dz", "dz-eval"])

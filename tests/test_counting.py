@@ -10,7 +10,6 @@ from factorbench.counting import (
     check_counting_bound,
     coffeeshop_sum,
     count_bigomega,
-    count_omega,
     fit_counting_constants,
     fit_prime_sum_constant,
     growth_exponents,
@@ -24,20 +23,15 @@ from factorbench.sieve import build_sieve, iterated_log
 
 def test_count_examples(sieve_small):
     assert count_bigomega(10, 2, sieve_small) == 4  # 4, 6, 9, 10
-    assert count_omega(10, 1, sieve_small) == 7  # 2,3,4,5,7,8,9
     assert count_bigomega(10, 0, sieve_small) == 1  # just 1
 
 
 def test_counts_match_bruteforce(sieve_small):
     big = sieve_small.big_omega
-    small = sieve_small.small_omega
     for x in (50, 500):
         for ell in range(0, 8):
             assert count_bigomega(x, ell, sieve_small) == sum(
                 1 for n in range(1, x + 1) if big[n] == ell
-            )
-            assert count_omega(x, ell, sieve_small) == sum(
-                1 for n in range(1, x + 1) if small[n] == ell
             )
 
 

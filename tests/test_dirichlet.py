@@ -286,7 +286,7 @@ def test_inverse_of_ones_is_mu_at_a_million(sieve_big):
 
 def test_mu_convolved_with_ones_is_unit(sieve_small):
     limit = 2000
-    H = convolve(ArithFn.mobius(limit, sieve_small), ArithFn.ones(limit))
+    H = convolve(ArithFn.from_values(sieve_small.mu[1 : limit + 1].tolist()), ArithFn.ones(limit))
     assert H.values[1] == 1
     assert all(H.values[n] == 0 for n in range(2, limit + 1))
 
@@ -296,6 +296,11 @@ def test_ones_convolved_with_ones_is_divisor_count():
     assert H.values[12] == 6
     assert H.values[1] == 1
     assert H.values[97] == 2
+
+
+def test_from_values_fills_1_to_n():
+    F = ArithFn.from_values(iter([5, -6, 7j]))
+    assert F.limit == 3 and F.values == [0, 5, -6, 7j]
 
 
 def test_unit_is_identity_element():
@@ -446,7 +451,7 @@ def test_restrict_support(sieve_small):
 
 def test_summatory(sieve_small):
     assert summatory(ArithFn.ones(200), 100) == 100
-    assert summatory(ArithFn.mobius(10_000, sieve_small), 10_000) == -23
+    assert summatory(ArithFn.from_values(sieve_small.mu[1:10_001].tolist()), 10_000) == -23
 
 
 @settings(max_examples=30, deadline=None)
@@ -519,7 +524,7 @@ def test_growth_of_restricted_inverse_partial_sums(sieve_big):
 
 
 def test_csv_roundtrip(tmp_path, sieve_small):
-    F = ArithFn.mobius(50, sieve_small)
+    F = ArithFn.from_values(sieve_small.mu[1:51].tolist())
     path = tmp_path / "mu.csv"
     path.write_text(F.csv_text())
     G = ArithFn.from_csv(path)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from factorbench import (
     iterated_log,
 )
 from factorbench.sieve import _big_omega, _divisors, _halving_blocks
+from factorbench.verify import _omega_inequality
 
 
 def sieve_reference(limit):
@@ -27,12 +29,10 @@ def sieve_reference(limit):
     spf[primes] = primes
 
     big_omega = np.zeros(n, dtype=np.int16)
-    small_omega = np.zeros(n, dtype=np.int16)
     mu = np.ones(n, dtype=np.int8)
     mu[0] = 0
     for p in primes:
         p = int(p)
-        small_omega[p::p] += 1
         mu[p::p] *= -1
         pk = p
         while pk <= limit:
@@ -42,9 +42,7 @@ def sieve_reference(limit):
         if sq <= limit:
             mu[sq::sq] = 0
     big_omega[1] = 0
-    small_omega[1] = 0
-    return {"spf": spf, "mu": mu, "big_omega": big_omega, "small_omega": small_omega,
-            "primes": primes}
+    return {"spf": spf, "mu": mu, "big_omega": big_omega, "primes": primes}
 
 
 def assert_sieve_equals_reference(limit):
@@ -165,10 +163,27 @@ def test_mobius_sum_identity_exhaustive(sieve_small):
 @pytest.mark.parametrize("kappa", [2, 3, 5])
 def test_omega_inequality_on_kappa_free(sieve_big, kappa):
     mask = sieve_big.kappa_free_mask(kappa)
-    big, small = sieve_big.big_omega, sieve_big.small_omega
+    big = sieve_big.big_omega
     for n in range(2, 100_001):
         if mask[n]:
-            assert big[n] <= kappa * small[n]
+            assert big[n] <= kappa * factorize(n, sieve_big).small_omega
+
+
+def test_sieve_tables_are_frozen_and_keep_no_cache(sieve_small):
+    names = [f.name for f in dataclasses.fields(sieve_small)]
+    assert names == ["limit", "spf", "mu", "big_omega", "primes"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sieve_small.mu = sieve_small.big_omega
+    assert sieve_small.kappa_free_mask(2) is not sieve_small.kappa_free_mask(2)
+    assert vars(sieve_small).keys() == set(names)
+
+
+def test_verify_omega_check_catches_a_wrong_big_omega():
+    tables = build_sieve(100)
+    assert _omega_inequality(tables, 100) == ("omega-le-kappa-omega", True, "kappa in 2,3,5 up to 100")
+    tables.big_omega[6] = 5  # 6 = 2 * 3 is squarefree with omega 2, and 5 > 2 * 2
+    name, passed, _ = _omega_inequality(tables, 100)
+    assert name == "omega-le-kappa-omega" and not passed
 
 
 def test_kappa_free_mask_matches_pointwise(sieve_small):
@@ -217,7 +232,6 @@ def test_sieve_tables_match_sympy(sieve_1e5, n):
     factors = sympy.factorint(n)
     assert sieve_1e5.mu[n] == sympy.mobius(n)
     assert sieve_1e5.big_omega[n] == sympy.primeomega(n)
-    assert sieve_1e5.small_omega[n] == sympy.primenu(n)
     assert bool(np.isin(n, sieve_1e5.primes)) == sympy.isprime(n)
     if n >= 2:
         assert sieve_1e5.spf[n] == min(factors)
