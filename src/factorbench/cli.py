@@ -85,9 +85,9 @@ def _x_sieve(args) -> tuple[int, SieveTables]:
 
 
 def _z_context(args):
-    """The F_z context of --z and --limit; a non-finite Ft_z(n) is a user
-    error that names the first such n."""
-    ctx = build_context(_parse_z(args.z), args.limit, build_sieve(args.limit))
+    """The F_z context of --z and --limit, on a sieve to max(limit, 2); a
+    non-finite Ft_z(n) is a user error that names the first such n."""
+    ctx = build_context(_parse_z(args.z), args.limit, build_sieve(max(args.limit, 2)))
     if not isinstance(ctx.z, int):  # an int z gives exact ints
         for n, v in enumerate(ctx.fz_tilde.values):
             if not cmath.isfinite(v):

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .factorizations import FactorisationTables, count_by_signature
+from .factorizations import FactorisationTables, count_by_signature, sum_by_signature
 from .sieve import SieveTables, factorize, iterated_log
 
 
@@ -49,8 +49,8 @@ def N_kappa_ell(x: float, kappa: int, ell: int, tables: SieveTables) -> int:
 
 def profile_N_kappa(x: float, kappa: int, tables: SieveTables) -> CountingProfile:
     """All N_{kappa,ell}(x) in one sieve pass."""
-    mask = tables.kappa_free_mask(kappa)  # raises for kappa < 2
     cutoff = _cutoff(x, tables)
+    mask = tables.kappa_free_mask(kappa, cutoff)  # raises for kappa < 2
     counts = np.zeros(32, dtype=np.int64)  # Omega(n) <= 30 below the sieve's 2^31 bound
     for lo in range(1, cutoff + 1, 1 << 20):  # chunks, as bincount copies its input to intp
         chunk = slice(lo, min(lo + (1 << 20), cutoff + 1))
@@ -209,10 +209,12 @@ def coffeeshop_sum(
     exact = isinstance(c, int)
     if not exact and not math.isfinite(c):
         raise ValueError(f"c must be finite, got {c}")
+    if kappa < 2:
+        raise ValueError(f"kappa must be >= 2, got {kappa}")
     base = c if exact else Fraction(c)
-    counts = count_by_signature(ftables, cutoff, tables.kappa_free_mask(kappa))
-    total = sum(k * base ** int(tables.big_omega[rep]) * ftables.f[rep]
-                for k, rep in zip(counts, ftables.reps) if k)
+    total = sum_by_signature(ftables, [
+        k * base ** int(tables.big_omega[rep]) if k and (not sig or sig[0] < kappa) else 0
+        for k, rep, sig in zip(count_by_signature(ftables, cutoff), ftables.reps, ftables.signatures)])
     if exact:
         return total
     try:

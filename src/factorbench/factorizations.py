@@ -6,8 +6,8 @@ counts those of length exactly k, and f_even/f_odd split by length parity
 signature, the multiset of its exponents, so the tables are computed once
 per signature by MacMahon's formula and read per n through a signature id,
 which n takes from n / spf(n) along the sieve's walk.  Sums over n <= x run
-once per signature, on count_by_signature.  All counts are exact Python
-integers, so there is no overflow; the sieve budget caps the table limit.
+once per signature, on count_by_signature and sum_by_signature.  All counts
+are exact Python integers; the sieve budget caps the table limit.
 
 Also houses integer partitions stored by part multiplicities, the tuple
 counter d_lambda grouped by the multiset of Omega-values, and its
@@ -226,17 +226,18 @@ def build_factorisation_tables(
     return FactorisationTables(limit, k_max, ids, signatures, reps, f, fk, f_even, f_odd)
 
 
-def count_by_signature(ftables: FactorisationTables, cutoff: int, mask=None, weights=None) -> list[int]:
-    """Per signature id, how many n in 1..cutoff have it and mask[n] (all n
-    when mask is None), or the sum of their weights[n], small integers such
-    as mu: bincount adds those in float64, exactly below 2^53 (cutoff < 2^31)."""
-    counts = np.zeros(len(ftables.reps), np.int64 if weights is None else np.float64)
+def count_by_signature(ftables: FactorisationTables, cutoff: int) -> list[int]:
+    """Per signature id, how many n in 1..cutoff have it."""
+    counts = np.zeros(len(ftables.reps), np.int64)
     for lo in range(1, cutoff + 1, 1 << 20):  # chunks, as bincount copies its input to intp
-        chunk = slice(lo, min(lo + (1 << 20), cutoff + 1))
-        keep = slice(None) if mask is None else mask[chunk]
-        w = None if weights is None else weights[chunk][keep]
-        counts += np.bincount(ftables.ids[chunk][keep], w, minlength=len(counts))
+        counts += np.bincount(ftables.ids[lo : min(lo + (1 << 20), cutoff + 1)], minlength=len(counts))
     return [int(c) for c in counts]
+
+
+def sum_by_signature(ftables: FactorisationTables, weights) -> int:
+    """sum over signature ids of weights[id] * f(reps[id]), exactly; weights
+    counts[id] g(reps[id]) give the sum of g f over the counted n."""
+    return sum(w * ftables.f[rep] for w, rep in zip(weights, ftables.reps) if w)
 
 
 def mu_via_parity(n: int, ftables: FactorisationTables) -> int:

@@ -46,16 +46,18 @@ class SieveTables:
     big_omega: np.ndarray  # Omega(n), prime factors with multiplicity, int16
     primes: np.ndarray
 
-    def kappa_free_mask(self, kappa: int) -> np.ndarray:
-        """Boolean mask over 0..limit; mask[n] iff n is kappa-free (n >= 1).
+    def kappa_free_mask(self, kappa: int, cutoff: int) -> np.ndarray:
+        """Boolean mask over 0..cutoff; mask[n] iff n is kappa-free (n >= 1).
         Built on each call: a few ms at 10^7, a fresh array each caller owns."""
         if kappa < 2:
             raise ValueError(f"kappa must be >= 2, got {kappa}")
-        mask = np.ones(self.limit + 1, dtype=bool)
+        if not 0 <= cutoff <= self.limit:
+            raise ValueError(f"cutoff {cutoff} outside the sieve range [0, {self.limit}]")
+        mask = np.ones(cutoff + 1, dtype=bool)
         mask[0] = False
         for p in self.primes:
             pk = int(p) ** kappa
-            if pk > self.limit:
+            if pk > cutoff:
                 break
             mask[pk::pk] = False
         return mask

@@ -37,7 +37,7 @@ def _mobius_sum_identity(tables: SieveTables, limit: int) -> Check:
 def _omega_inequality(tables: SieveTables, limit: int) -> Check:
     """The sieve's Omega(n) <= kappa omega(n) on kappa-free n, omega from factorize."""
     kappas = (2, 3, 5)
-    masks = [tables.kappa_free_mask(kappa) for kappa in kappas]
+    masks = [tables.kappa_free_mask(kappa, limit) for kappa in kappas]
     bad = []
     for n in range(2, limit + 1):
         big, small = int(tables.big_omega[n]), factorize(n, tables).small_omega
@@ -198,10 +198,7 @@ def _psi_minimality(tables: SieveTables, limit: int) -> Check:
     lim = min(limit, 500)
     bad = []
     for kappa in (2, 3, 5):
-        mask = tables.kappa_free_mask(kappa)
-        for n in range(2, lim + 1):
-            if not mask[n]:
-                continue
+        for n in np.flatnonzero(tables.kappa_free_mask(kappa, lim))[1:].tolist():  # kappa-free n >= 2
             tup, j = counting.psi_tuple(n, kappa, tables)
             prod = 1
             for i in tup:

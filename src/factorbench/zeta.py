@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .factorizations import FactorisationTables, count_by_signature
+from .factorizations import FactorisationTables, count_by_signature, sum_by_signature
 from .sieve import SieveTables
 
 SIGMA_FLOOR = 1.0 + 1e-6
@@ -149,14 +149,8 @@ def kalmar_ratio(x: float, ftables: FactorisationTables) -> float:
     cutoff = int(math.floor(x))
     if cutoff > ftables.limit:
         raise ValueError(f"x={x} beyond table limit {ftables.limit}")
-    total = _sum_of_f(count_by_signature(ftables, cutoff), ftables)
-    b = kalmar_beta()
-    return total / (x**b * kalmar_constant())
-
-
-def _sum_of_f(counts: list[int], ftables: FactorisationTables) -> int:
-    """sum over signatures of counts[id] * f(smallest n of id), exactly."""
-    return sum(c * ftables.f[rep] for c, rep in zip(counts, ftables.reps) if c)
+    total = sum_by_signature(ftables, count_by_signature(ftables, cutoff))
+    return total / (x ** kalmar_beta() * kalmar_constant())
 
 
 @dataclass(frozen=True)
@@ -180,14 +174,16 @@ def sarnak_correlation(
     """Correlation of mu against xi: sum mu(n) xi(n) vs sum |xi(n)|, n <= x.
 
     selector "f" uses xi = f; "fmu2" uses xi = f mu^2 (reported without a
-    pass/fail verdict). Both sums run once per signature, mu(n) read per n.
+    pass/fail verdict). Both sums run once per signature, with the signature's
+    mu read from the sieve at its smallest n.
     """
     if selector not in ("f", "fmu2"):
         raise ValueError(f"selector must be 'f' or 'fmu2', got {selector!r}")
     cutoff = int(math.floor(x))
     if cutoff > ftables.limit or cutoff > tables.limit:
         raise ValueError(f"x={x} beyond table limits")
-    mu = tables.mu[: cutoff + 1]
-    num = _sum_of_f(count_by_signature(ftables, cutoff, weights=mu), ftables)
-    den = _sum_of_f(count_by_signature(ftables, cutoff, mu != 0 if selector == "fmu2" else None), ftables)
+    counts = count_by_signature(ftables, cutoff)
+    mu_counts = [k and k * int(tables.mu[rep]) for k, rep in zip(counts, ftables.reps)]
+    num = sum_by_signature(ftables, mu_counts)
+    den = sum_by_signature(ftables, counts if selector == "f" else [abs(w) for w in mu_counts])
     return CorrelationReport(x=x, selector=selector, numerator=num, denominator=den)

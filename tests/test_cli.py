@@ -456,6 +456,24 @@ def test_x_below_two_answers(capsys, x):
 
 
 @pytest.mark.parametrize("command", ["dz", "dz-eval"])
+def test_z_commands_answer_at_limit_one(capsys, command):
+    extra = ("--sigma", "3") if command == "dz-eval" else ("--emit", "gz")
+    code, out = run(capsys, command, "--z", "2", "--limit", "1", *extra)
+    assert code == 0
+    if command == "dz":
+        assert parse_csv(out) == (["n", "re", "im"], [["1", "1", "0"]])
+    else:
+        assert strict_json(out)["reciprocal_series"] == {"re": 1.0, "im": 0.0}
+    line = user_error(capsys, command, "--z", "2", "--limit", "0", *extra)
+    assert line == "factorbench: error: limit must be >= 1, got 0"
+
+
+def test_coffeeshop_kappa_below_two_is_a_user_error(capsys):
+    line = user_error(capsys, "coffeeshop", "--x", "10", "--c", "1", "--kappa", "1")
+    assert line == "factorbench: error: kappa must be >= 2, got 1"
+
+
+@pytest.mark.parametrize("command", ["dz", "dz-eval"])
 def test_overflowing_inverse_is_a_user_error(capsys, command):
     # Ft_z(8) = z (z + 1)^2 is about 1e450 for z = 1e150 + i
     extra = ("--sigma", "3") if command == "dz-eval" else ()

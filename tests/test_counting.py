@@ -57,14 +57,23 @@ def test_N_kappa_ell_equals_bigomega_when_ell_below_kappa(sieve_small):
 def test_profile_totals_kappa_free_count(sieve_big, kappa):
     x = 100_000
     profile = profile_N_kappa(x, kappa, sieve_big)
-    mask = sieve_big.kappa_free_mask(kappa)
-    assert profile.total == int(mask[1 : x + 1].sum())
+    mask = sieve_big.kappa_free_mask(kappa, x)
+    assert profile.total == int(mask[1:].sum())
+
+
+@pytest.mark.parametrize("kappa", [2, 3, 5])
+def test_profile_reads_the_sieve_only_to_its_cutoff(sieve_big, kappa):
+    x = 10**5
+    assert profile_N_kappa(x, kappa, sieve_big) == profile_N_kappa(x, kappa, build_sieve(x))
+    assert len(sieve_big.kappa_free_mask(kappa, x)) == x + 1
+    with pytest.raises(ValueError, match="outside the sieve range"):
+        sieve_big.kappa_free_mask(kappa, sieve_big.limit + 1)
 
 
 def test_profile_across_bincount_chunks_equals_one_bincount():
     tables = build_sieve(2**21 + 5)
     for x, kappa in product([2**20, 2**20 + 1, 2**21 + 5], [2, 3]):
-        mask = tables.kappa_free_mask(kappa)[1 : x + 1]
+        mask = tables.kappa_free_mask(kappa, x)[1:]
         counts = np.bincount(tables.big_omega[1 : x + 1][mask])
         want = {ell: int(c) for ell, c in enumerate(counts) if c}
         assert profile_N_kappa(x, kappa, tables).per_ell == want
@@ -118,7 +127,7 @@ def exhaustive_min_sum_tuple(n, kappa, tables):
 
 @pytest.mark.parametrize("kappa", [2, 3, 5])
 def test_psi_minimal_and_reconstructs(sieve_small, kappa):
-    mask = sieve_small.kappa_free_mask(kappa)
+    mask = sieve_small.kappa_free_mask(kappa, 2000)
     for n in range(2, 2001):
         if not mask[n]:
             continue

@@ -434,7 +434,7 @@ def test_restrict_support(sieve_small):
     for values in kinds:
         F = ArithFn.from_values(values)
         # the sieve's masks cover 0..10^4, longer than the 0..30 they restrict; the last fits exactly
-        for support in (sieve_small.mu != 0, sieve_small.kappa_free_mask(3), np.ones(31, dtype=bool)):
+        for support in (sieve_small.mu != 0, sieve_small.kappa_free_mask(3, sieve_small.limit), np.ones(31, dtype=bool)):
             R = restrict_support(F, support)
             assert R.limit == 30 and type(R.values[0]) is int and R.values[0] == 0
             for n in range(1, 31):
@@ -446,7 +446,7 @@ def test_restrict_support(sieve_small):
                 restrict_support(F, support[:30])
         assert all(v is w for v, w in zip(F.values[1:], values))  # F is left as it was
         squarefree = restrict_support(F, sieve_small.mu != 0).values
-        assert squarefree == restrict_support(F, sieve_small.kappa_free_mask(2)).values
+        assert squarefree == restrict_support(F, sieve_small.kappa_free_mask(2, 30)).values
 
 
 def test_summatory(sieve_small):

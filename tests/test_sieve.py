@@ -162,7 +162,7 @@ def test_mobius_sum_identity_exhaustive(sieve_small):
 
 @pytest.mark.parametrize("kappa", [2, 3, 5])
 def test_omega_inequality_on_kappa_free(sieve_big, kappa):
-    mask = sieve_big.kappa_free_mask(kappa)
+    mask = sieve_big.kappa_free_mask(kappa, 100_000)
     big = sieve_big.big_omega
     for n in range(2, 100_001):
         if mask[n]:
@@ -174,7 +174,7 @@ def test_sieve_tables_are_frozen_and_keep_no_cache(sieve_small):
     assert names == ["limit", "spf", "mu", "big_omega", "primes"]
     with pytest.raises(dataclasses.FrozenInstanceError):
         sieve_small.mu = sieve_small.big_omega
-    assert sieve_small.kappa_free_mask(2) is not sieve_small.kappa_free_mask(2)
+    assert sieve_small.kappa_free_mask(2, 100) is not sieve_small.kappa_free_mask(2, 100)
     assert vars(sieve_small).keys() == set(names)
 
 
@@ -187,7 +187,7 @@ def test_verify_omega_check_catches_a_wrong_big_omega():
 
 
 def test_kappa_free_mask_matches_pointwise(sieve_small):
-    mask = sieve_small.kappa_free_mask(3)
+    mask = sieve_small.kappa_free_mask(3, 2000)
     for n in range(1, 2001):
         assert bool(mask[n]) == is_kappa_free(n, 3, sieve_small)
 

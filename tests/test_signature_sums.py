@@ -1,8 +1,8 @@
 """The report's sums per prime signature against the per-n loops they replaced.
 
 kalmar_ratio, sarnak_correlation, coffeeshop_sum and mu_parity_failures sum
-over signatures with count_by_signature; the loops below visit every n and
-are the reference. Equal means equal in value and in type.
+over signatures with count_by_signature and sum_by_signature; the loops below
+visit every n and are the reference. Equal means equal in value and in type.
 """
 
 import math
@@ -57,7 +57,7 @@ def coffeeshop_reference(x, c, kappa, ftables, tables):
     cutoff = int(math.floor(x))
     if cutoff > ftables.limit or cutoff > tables.limit:
         raise ValueError(f"x={x} beyond table limits")
-    mask = tables.kappa_free_mask(kappa)[: cutoff + 1].tolist()
+    mask = tables.kappa_free_mask(kappa, cutoff).tolist()
     omega = tables.big_omega[: cutoff + 1].tolist()
     f = ftables.f
     p, q = Fraction(c).as_integer_ratio()
@@ -100,14 +100,33 @@ def test_sums_equal_the_loops_at_the_report_checkpoints(x, ftables_big, sieve_bi
 @pytest.mark.parametrize("x", [2**20 - 1, 2**20, 2**20 + 1, 2**21 + 5])
 def test_sums_across_bincount_chunks(x, chunk_tables):
     tables, ft = chunk_tables
-    # the helper against one unchunked bincount, with and without mask and weights
-    ids, mu = ft.ids[1 : x + 1], tables.mu[1 : x + 1]
-    size = len(ft.signatures)
-    assert count_by_signature(ft, x) == np.bincount(ids, minlength=size).tolist()
-    assert count_by_signature(ft, x, tables.mu != 0) == np.bincount(ids[mu != 0], minlength=size).tolist()
-    masked = count_by_signature(ft, x, tables.mu != 0, tables.mu)
-    assert masked == [int(v) for v in np.bincount(ids[mu != 0], mu[mu != 0], minlength=size)]
+    # the counts against one unchunked bincount
+    want = np.bincount(ft.ids[1 : x + 1], minlength=len(ft.signatures)).tolist()
+    assert count_by_signature(ft, x) == want
     assert_sums_match(x, ft, tables)
+
+
+def test_sums_with_f_tables_past_the_sieve():
+    # mu and Omega are read only at the smallest n of the signatures up to x
+    tables, ft = build_sieve(1000), build_factorisation_tables(10**4)
+    assert max(ft.reps) > tables.limit
+    assert_sums_match(500, ft, tables)
+    assert counting.coffeeshop_sum(500, 2, 2, ft, tables) == 13075
+
+
+def test_sarnak_reads_mu_from_the_sieve_it_is_given(sieve_small, ftables_small):
+    flipped = build_sieve(sieve_small.limit)
+    flipped.mu[30] = -flipped.mu[30]
+    for x in (29, 30, 31, 3000):
+        real = zeta.sarnak_correlation(x, "f", ftables_small, sieve_small)
+        got = zeta.sarnak_correlation(x, "f", ftables_small, flipped)
+        assert (got.numerator != real.numerator) == (x >= 30)
+        assert got.denominator == real.denominator
+
+
+def test_coffeeshop_rejects_kappa_below_two(ftables_small, sieve_small):
+    with pytest.raises(ValueError, match="kappa must be >= 2, got 1"):
+        counting.coffeeshop_sum(10, 1, 1, ftables_small, sieve_small)
 
 
 @settings(max_examples=25, deadline=None)
@@ -133,7 +152,7 @@ def test_coffeeshop_with_a_float_c_is_the_exact_sum_rounded_once(ftables_big, si
     got = counting.coffeeshop_sum(x, 1.5, 2, ftables_big, sieve_big)
     assert_same(got, coffeeshop_reference(x, 1.5, 2, ftables_big, sieve_big))
     # a sum of floats in n order lands within rounding of it
-    mask, omega, f = sieve_big.kappa_free_mask(2), sieve_big.big_omega, ftables_big.f
+    mask, omega, f = sieve_big.kappa_free_mask(2, x), sieve_big.big_omega, ftables_big.f
     floats = sum(1.5 ** int(omega[n]) * f[n] for n in range(1, x + 1) if mask[n])
     assert got == pytest.approx(floats, rel=1e-12)
 
