@@ -220,6 +220,9 @@ def cmd_dz(args) -> int:
 
 
 def cmd_dz_eval(args) -> int:
+    for name in ("sigma", "t"):
+        if not math.isfinite(getattr(args, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(args, name)}")
     ctx = _z_context(args)
     val = series_eval(ctx.fz_tilde, complex(args.sigma, args.t))
     _emit_json(

@@ -6,29 +6,25 @@ mixed or complex inputs fall back to complex doubles.  Instances are treated as
 immutable: every operation returns a new ArithFn.
 
 convolve and dirichlet_inverse sweep strided slices of numpy arrays, and
-every result equals the plain double loop's in value, type and signed zero:
-
-- Each cell takes its terms in increasing order of the first factor: a in
-  (F*G)(ab), m in the push F(d) Ft(m) to dm.  Where one numpy step covers a
-  range of those factors, the steps that reach a cell run with the other
-  factor descending.
-- A term whose F(a) or Ft(m) compares equal to 0 is skipped, as the loop
-  skips it; adding it would turn an int 0 into 0j or flip a zero's sign.
-
+every result equals the plain double loop's in value, type and signed zero.
 The sweep runs on one of three representations, the first that holds the
 input exactly:
 
 - int64 needs every value to be a Python int (type int, not bool or a
   numpy scalar), F(1) = +-1 for the inverse, and a bound below 2^62 on
-  every sum and term the sweep makes.  The inverse's bound is the same sweep
-  run in float64 on (1, -|F(2)|, -|F(3)|, ...): its inverse B has
-  B(n) = sum over d | n, d > 1, of |F(d)| B(n/d), so B(n) >= |Ft(n)|, and
-  each term |F(d) Ft(m)| and each partial sum of cell dm is at most B(dm).
-  The convolution's bound is max|F| max|G| 2 isqrt(N), as n has at most
-  2 isqrt(n) divisors.  2^62 is half of int64's range: the float64 sums of
-  non-negative terms round by far less than that factor of 2.  tolist()
-  turns int64 into Python ints, so the result is the object sweep's in
-  value and type.
+  every sum and term the sweep makes.  Integer sums below that bound are
+  exact in any order, so the int64 sweep takes no care of order or of zero
+  terms: each numpy step adds one strided slice of products, zeros
+  included, and none scatters through an index array.  The inverse's bound
+  is the same sweep run in float64 on (1, -|F(2)|, -|F(3)|, ...): its
+  inverse B has B(n) = sum over d | n, d > 1, of |F(d)| B(n/d), so
+  B(n) >= |Ft(n)|.  A term |F(d) Ft(m)| is at most B(dm), and a partial sum
+  of cell dm, in whatever order its terms come, is a sum over a subset of
+  them, so it is at most B(dm) too.  The convolution's bound is
+  max|F| max|G| 2 isqrt(N), as n has at most 2 isqrt(n) divisors.  2^62 is
+  half of int64's range: the float64 sums, all of terms of one sign, round
+  by far less than that factor of 2.  tolist() turns int64 into Python
+  ints, so the result is the object sweep's in value and type.
 - Planes (_Planes) hold complex values as the float64 real and imaginary
   planes of one complex128 array, with a bool array that marks which
   values are Python complex numbers.  They are used where F(1) is the int
@@ -49,6 +45,17 @@ input exactly:
   most _CHUNK elements, because an object step makes a new Python object
   per element: unchunked steps raised the peak RSS of five F_z inversions
   and convolutions at N = 2*10^5 from 146 to 163 MB.
+
+Float rounding, signed zeros and the int or complex type of each value
+depend on the order of the operations, so the plane and object sweeps keep
+the loop's:
+
+- Each cell takes its terms in increasing order of the first factor: a in
+  (F*G)(ab), m in the push F(d) Ft(m) to dm.  Where one numpy step covers a
+  range of those factors, the steps that reach a cell run with the other
+  factor descending.
+- A term whose F(a) or Ft(m) compares equal to 0 is skipped, as the loop
+  skips it; adding it would turn an int 0 into 0j or flip a zero's sign.
 
 The plane and object sweeps run under np.errstate(all="ignore"): a value
 that overflows becomes inf or nan, as in Python, and numpy warns of
@@ -321,12 +328,20 @@ def _chunks(lo: int, hi: int):
         yield slice(start, min(start + _CHUNK, hi))
 
 
+def _order_free(a) -> bool:
+    """Whether a is an int64 array or the inverse's float64 majorant, whose
+    sweep may add each cell's terms in any order."""
+    return isinstance(a, np.ndarray) and a.dtype != object
+
+
 def convolve(F: ArithFn, G: ArithFn) -> ArithFn:
-    """(F*G)(n) = sum over ab = n of F(a) G(b), skipping the a with F(a) = 0.
+    """(F*G)(n) = sum over ab = n of F(a) G(b).
 
     Hyperbola split at r = isqrt(N): each a <= r pushes F(a) G(b) to every
-    ab <= N at once; then each b <= N/(r+1), in descending order, pushes to
-    the ab with r < a <= N/b.  Every cell takes its terms in increasing a.
+    ab <= N at once; then each b <= N/(r+1) pushes to the ab with
+    r < a <= N/b.  On planes and objects the a with F(a) = 0 are skipped and
+    the b run in descending order, so every cell takes its terms in
+    increasing a.
     """
     if F.limit != G.limit:
         raise ValueError(f"limit mismatch: {F.limit} vs {G.limit}")
@@ -348,6 +363,8 @@ def convolve(F: ArithFn, G: ArithFn) -> ArithFn:
 
 def _convolve_sweep(f, g):
     """convolve on f and g of one representation, in that representation."""
+    if _order_free(f):
+        return _strided_convolve(f, g)
     N = len(f) - 1
     out = _zeros_like(f)
     nonzero = ~(f == 0)
@@ -364,12 +381,28 @@ def _convolve_sweep(f, g):
     return out
 
 
+def _strided_convolve(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The int64 convolution, one strided slice per step: each a <= r =
+    isqrt(N) adds F(a) G(b) for every b <= N/a, then each b <= N/(r+1) adds
+    F(a) G(b) for every r < a <= N/b.  Each pair ab <= N comes once."""
+    N = len(f) - 1
+    out = np.zeros_like(f)
+    r = math.isqrt(N)
+    for a in range(1, r + 1):
+        k = N // a
+        out[a : k * a + 1 : a] += f[a] * g[1 : k + 1]
+    for b in range(1, N // (r + 1) + 1):
+        hi = N // b
+        out[(r + 1) * b : hi * b + 1 : b] += g[b] * f[r + 1 : hi + 1]
+    return out
+
+
 def dirichlet_inverse(F: ArithFn) -> ArithFn:
     """The function Ft with F * Ft = I, by the forward-substitution sweep.
 
     O(N log N): once Ft(m) is final, its contributions F(d) Ft(m) are pushed
-    to all dm <= N, skipping the m with Ft(m) = 0.  Exact when F is
-    integer-valued with F(1) = +-1.
+    to all dm <= N; planes and objects skip the m with Ft(m) = 0.  Exact
+    when F is integer-valued with F(1) = +-1.
     """
     f1 = F.values[1]
     if f1 == 0:
@@ -398,10 +431,12 @@ def _inverse_sweep(f):
 
     Each m <= isqrt(N) is finalized and pushed on its own.  Above that, a
     block (M, 2M] hears only from m <= M, so it is finalized whole and
-    pushed for each d, in descending order.  A cell holds the sum of its
-    terms until it is finalized and the inverse from then on: every push
-    goes to a cell above the one that makes it.
+    pushed for each d, in descending order on planes and objects.  A cell
+    holds the sum of its terms until it is finalized and the inverse from
+    then on: every push goes to a cell above the one that makes it.
     """
+    if _order_free(f):
+        return _strided_inverse(f)
     N = len(f) - 1
     f1 = f[1]
     exact_unit = f1 == 1 or f1 == -1
@@ -428,6 +463,33 @@ def _inverse_sweep(f):
         for d in range(N // (M + 1), 1, -1):
             for s in _chunks(0, np.searchsorted(ms, N // d, side="right")):
                 out[ms[s] * d] += f[d : d + 1] * ft[s]
+        M = top
+    return out
+
+
+def _strided_inverse(f: np.ndarray) -> np.ndarray:
+    """_inverse_sweep on int64 or float64, with F(1) = +-1, one strided
+    slice per step: each m <= isqrt(N) adds F(d) Ft(m) for every d <= N/m;
+    each block (M, 2M] is finalized whole, then adds F(d) Ft(m) for every m
+    in it with dm <= N, one d at a time."""
+    N = len(f) - 1
+    out = np.zeros_like(f)
+    out[1] = f[1]  # the inverse of F(1) = +-1 is F(1)
+    neg_inv1 = -f[1]
+    r = math.isqrt(N)
+    for m in range(1, r + 1):
+        if m > 1:
+            out[m] *= neg_inv1
+        k = N // m
+        out[2 * m : k * m + 1 : m] += f[2 : k + 1] * out[m]
+    M = r
+    while M < N:
+        top = min(2 * M, N)
+        block = out[M + 1 : top + 1]
+        block *= neg_inv1
+        for d in range(2, N // (M + 1) + 1):
+            hi = min(top, N // d)
+            out[(M + 1) * d : hi * d + 1 : d] += f[d] * block[: hi - M]
         M = top
     return out
 
@@ -520,7 +582,18 @@ def series_eval(F: ArithFn, s) -> complex:
 
 def _doubles(values: list, first: int) -> np.ndarray:
     """values as complex doubles; an int too large for one is a ValueError
-    that names its n, counting the first value as n = first."""
+    that names its n, counting the first value as n = first.
+
+    A list of ints that numpy reads as int64 goes through int64: its cast
+    to double rounds to nearest as complex(int) does, and it is faster than
+    converting each int on its own.  A list
+    that starts with a non-int, or that numpy reads as another dtype, is
+    converted to complex128 directly.
+    """
+    if type(values[0]) is int:
+        ints = np.array(values)
+        if ints.dtype == np.int64:
+            return ints.astype(np.complex128)
     try:
         return np.array(values, dtype=np.complex128)
     except OverflowError:

@@ -342,6 +342,15 @@ def test_non_finite_zeta_sigma_is_a_user_error(capsys, sigma):
     assert "finite" in user_error(capsys, "zeta", "--sigma", sigma)
 
 
+@pytest.mark.parametrize("option", ["sigma", "t"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_dz_eval_point_is_a_user_error(capsys, option, value):
+    point = {"sigma": "3", "t": "0"} | {option: value}
+    line = user_error(capsys, "dz-eval", "--z", "1", "--limit", "10",
+                      "--sigma", point["sigma"], "--t", point["t"])
+    assert line == f"factorbench: error: {option} must be finite, got {value}"
+
+
 @pytest.mark.parametrize("sigma", ["1e40", "1e300"])
 def test_zeta_at_huge_sigma(capsys, sigma):
     code, out = run(capsys, "zeta", "--sigma", sigma, "--prime")

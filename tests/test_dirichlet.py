@@ -218,6 +218,56 @@ def test_convolution_past_2_62_runs_on_objects(sweep_dtypes):
     assert sweep_dtypes == [object]
 
 
+def random_small_ints(limit, rng):
+    """F(1) = +-1, then small ints, a third of them 0, so that both F(d) = 0
+    and Ft(m) = 0 occur."""
+    return [rng.choice([1, -1])] + [rng.choice([0, 0, 1, -1, 2, -3]) for _ in range(limit - 1)]
+
+
+def assert_int64_sweeps_match_the_loops(fv, gv):
+    """The int64 inverse and convolution sweeps, and the float64 majorant,
+    against the loops, on fv and gv with a slot 0."""
+    f, g = np.array(fv, dtype=np.int64), np.array(gv, dtype=np.int64)
+    inv = dirichlet._inverse_sweep(f).tolist()
+    assert inv == loop_inverse(fv)
+    assert dirichlet._convolve_sweep(f, g).tolist() == loop_convolve(fv, gv)
+    # the majorant's values are exact in float64 at these sizes
+    majorant = [0, 1] + [-abs(v) for v in fv[2:]]
+    bound = dirichlet._inverse_sweep(np.array(majorant, dtype=np.float64)).tolist()
+    assert bound == loop_inverse(majorant)
+    assert all(abs(v) <= b for v, b in zip(inv, bound))
+
+
+# r^2 - 1, r^2 and r^2 + 1 are where isqrt(N) steps, which moves the
+# hyperbola split and the first block; 2^k and 2^k + 1 end a block or
+# start a new one
+INT64_EDGES = sorted({r * r + e for r in (2, 3, 7, 12, 45) for e in (-1, 0, 1)}
+                     | {2**k + e for k in range(13) for e in (0, 1)})
+
+
+@pytest.mark.parametrize("limit", INT64_EDGES)
+def test_int64_sweeps_match_the_loops_at_block_and_hyperbola_edges(limit, sweep_dtypes):
+    rng = random.Random(limit)
+    F = ArithFn.from_values(random_small_ints(limit, rng))
+    G = ArithFn.from_values(random_small_ints(limit, rng))
+    inv = dirichlet_inverse(F)
+    if limit >= 16:
+        assert 0 in F.values[2:] and 0 in inv.values[2:]
+    assert typed(inv.values) == typed(loop_inverse(F.values))
+    assert typed(convolve(F, G).values) == typed(loop_convolve(F.values, G.values))
+    assert sweep_dtypes == [np.float64, np.int64, np.int64]
+    assert_int64_sweeps_match_the_loops(F.values, G.values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=3000), st.integers(min_value=0, max_value=2**32))
+def test_int64_sweeps_match_the_loops(limit, seed):
+    rng = random.Random(seed)
+    assert_int64_sweeps_match_the_loops(
+        [0] + random_small_ints(limit, rng), [0] + random_small_ints(limit, rng)
+    )
+
+
 @pytest.mark.parametrize("values", [
     [1, 2, 0.5],  # a float
     [1, True, 2],  # a bool is not an int here
@@ -504,6 +554,52 @@ def test_series_eval_complex_point():
     s = complex(2.0, 1.0)
     direct = sum(n ** -s for n in range(1, 501))
     assert cmath.isclose(series_eval(F, s), direct, rel_tol=1e-12)
+
+
+# odd ints near +-2^53, where a double holds every other int and the ties
+# round to even, and the ends of int64
+INT64_EDGE_INTS = [sign * (2**53 + k) for sign in (1, -1) for k in range(-9, 10, 2)] + [
+    2**63 - 1, -(2**63), 2**63 - 2**10 + 1, -(2**63) + 2**10 - 1,
+]
+
+
+def test_series_eval_reads_int64_ints_as_complex_does():
+    assert np.array(INT64_EDGE_INTS).dtype == np.int64  # the int64 route
+    got = dirichlet._doubles(INT64_EDGE_INTS, 1)
+    want = np.array([complex(v) for v in INT64_EDGE_INTS], dtype=np.complex128)
+    assert got.dtype == np.complex128 and got.tobytes() == want.tobytes()
+    # at s = 0 the n = 1 term is F(1) itself
+    for v in INT64_EDGE_INTS:
+        assert repr(series_eval(ArithFn.from_values([v]), 0)) == repr(complex(v))
+
+
+@pytest.mark.parametrize("values", [
+    [2**63],  # numpy reads it as uint64
+    [2**64 + 1, 3],  # and these as objects
+    [-(2**63) - 1, 2**63 - 1],
+    [5, 10**300],
+])
+def test_series_eval_of_ints_past_int64(values):
+    # at s = 0 every term is F(n) itself
+    want = complex(math.fsum(float(v) for v in values))
+    assert series_eval(ArithFn.from_values(values), 0) == want
+
+
+def test_series_eval_names_an_int_past_a_double_after_an_int64_chunk():
+    values = [1] * dirichlet._CHUNK + [3, 10**400]
+    n = dirichlet._CHUNK + 2
+    with pytest.raises(ValueError, match=rf"F\({n}\) does not fit a double: it is an integer of 1329 bits"):
+        series_eval(ArithFn.from_values(values), 2)
+
+
+@pytest.mark.parametrize("values", [
+    [1, 2j, -3, complex(-0.0, 0.5)],  # ints and complex numbers
+    [complex(0.0, -0.0), 5, 2**62 + 1],  # a complex first
+    [3, 0.1, -2],  # ints and a float
+])
+def test_series_eval_reads_other_lists_directly(values):
+    got = dirichlet._doubles(values, 1)
+    assert got.tobytes() == np.array(values, dtype=np.complex128).tobytes()
 
 
 def test_growth_of_restricted_inverse_partial_sums(sieve_big):
