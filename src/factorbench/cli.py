@@ -119,7 +119,7 @@ def cmd_sieve(args) -> int:
     key = args.emit
     col = {"mu": tables.mu, "omega": tables.big_omega, "spf": tables.spf}[key]
     lo = 2 if key == "spf" else 1
-    rows = [(n, int(col[n])) for n in range(lo, args.limit + 1)]
+    rows = list(zip(range(lo, args.limit + 1), col[lo:].tolist()))
     if args.format == "csv":
         _emit(_rows_to_csv(["n", key], rows), args.out)
     else:

@@ -60,8 +60,16 @@ def profile_N_kappa(x: float, kappa: int, tables: SieveTables) -> CountingProfil
     )
 
 
+def _floor(x: float) -> int:
+    """floor(x); a non-finite x is a ValueError that names it."""
+    try:
+        return int(math.floor(x))
+    except (OverflowError, ValueError):  # floor of +-inf and of nan
+        raise ValueError(f"x must be finite, got {x}") from None
+
+
 def _cutoff(x: float, tables: SieveTables) -> int:
-    cutoff = int(math.floor(x))
+    cutoff = _floor(x)
     if cutoff > tables.limit:
         raise ValueError(f"x={x} beyond sieve limit {tables.limit}")
     if cutoff < 1:
@@ -124,9 +132,12 @@ class CountingBoundReport:
 
 
 def hr_free_rhs(x: float, kappa: int, ell: int, c1: float, c2: float) -> float:
-    """C1 x/log x * ((kappa-1) log_2 x + (kappa-1) C2)^{ell-1} / (ell-1)!."""
+    """C1 x/log x * ((kappa-1) log_2 x + (kappa-1) C2)^{ell-1} / (ell-1)!,
+    for a finite x > 1, where log x > 0."""
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
+    if not 1 < x < math.inf:
+        raise ValueError(f"x must be finite and > 1, got {x}")
     k1 = kappa - 1
     base = k1 * iterated_log(x, 2) + k1 * c2
     return c1 * x / math.log(x) * base ** (ell - 1) / math.factorial(ell - 1)
@@ -137,8 +148,8 @@ def check_counting_bound(
 ) -> CountingBoundReport:
     """The paper's counting bound N_{kappa,ell}(x) <= hr_free_rhs at one point.
     Pinned by ACCEPT-11 and test_signature_sums; the package never calls it."""
+    rhs = hr_free_rhs(x, kappa, ell, c1, c2)  # raises first, for any x <= 1
     lhs = N_kappa_ell(x, kappa, ell, tables)
-    rhs = hr_free_rhs(x, kappa, ell, c1, c2)
     return CountingBoundReport(x=x, kappa=kappa, ell=ell, c1=c1, c2=c2, lhs=lhs, rhs=rhs)
 
 
@@ -203,7 +214,7 @@ def coffeeshop_sum(
     for every sigma > 1. The unrestricted sum of f grows like x^beta with
     beta = kalmar_beta() = 1.7286.
     """
-    cutoff = int(math.floor(x))
+    cutoff = _floor(x)
     if cutoff > ftables.limit or cutoff > tables.limit:
         raise ValueError(f"x={x} beyond table limits")
     exact = isinstance(c, int)

@@ -1,9 +1,10 @@
 """Smallest-prime-factor sieve and the elementary arithmetic functions built on it.
 
 Everything downstream (factorization counts, Dirichlet inversion, kappa-free
-counting) consumes these tables in bulk, so mu and Omega are filled in during
-sieve construction, from spf by a recurrence on n / spf(n), rather than
-recomputed per query.  omega, which no table needs, comes from factorize.
+counting) consumes these tables in bulk, so Omega and mu are filled in during
+sieve construction rather than recomputed per query: Omega by a recurrence on
+n / spf(n), and mu as (-1)^Omega off the multiples of the squares of primes.
+omega, which no table needs, comes from factorize.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import math
 import os
 from bisect import bisect_left
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import lru_cache
 
 import numpy as np
@@ -63,17 +65,20 @@ class SieveTables:
         return mask
 
     def prime_index(self, p: int) -> int:
-        """1-based index of p in the prime sequence; raises if p is not prime."""
-        i = bisect_left(self.primes, p)
-        if i == len(self.primes) or self.primes[i] != p:
+        """1-based index of p in the prime sequence; raises if p is not prime.
+        Bisects a memoryview of the primes, which compares Python ints."""
+        primes = memoryview(self.primes)
+        i = bisect_left(primes, p)
+        if i == len(primes) or primes[i] != p:
             raise ValueError(f"{p} is not a prime <= {self.limit}")
         return i + 1
 
 
 def build_sieve(limit: int) -> SieveTables:
-    """spf by sieving with the primes <= sqrt(limit); then, with p = spf(n) and
-    m = n / p, Omega(n) = Omega(m) + 1 and, as p divides m or not,
-    mu(n) = 0 or -mu(m).
+    """spf by striking out 2's multiples and then, largest prime first, the odd
+    multiples of each odd prime <= sqrt(limit), so that the smallest prime
+    writes last; Omega(n) = Omega(n / spf(n)) + 1; mu(n) = (-1)^Omega(n), or 0
+    on the multiples of p^2.
 
     The limit is capped by FACTORBENCH_MAX_SIEVE (default 50,000,000), read
     at call time, and must be below 2^31 so that spf fits int32.
@@ -81,14 +86,17 @@ def build_sieve(limit: int) -> SieveTables:
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
     if limit >= 2**31:
-        raise CapacityError(f"sieve limit {limit} is not below 2^31, the bound of int32 spf")
+        raise CapacityError(f"sieve limit {Decimal(limit):.3e} is not below 2^31, the bound of int32 spf")
     raw = os.environ.get("FACTORBENCH_MAX_SIEVE", "50000000")
     try:
         cap = int(raw)
     except ValueError:
         raise ValueError(f"FACTORBENCH_MAX_SIEVE must be an integer, got {raw!r}") from None
     if limit > cap:
-        raise CapacityError(f"sieve limit {limit} exceeds budget {cap}")
+        # 4 + 2 + 1 bytes per n for spf, Omega and mu, 8 per prime, pi(x) < 1.25506 x / log x
+        need = 7 * (limit + 1) + 8 * math.ceil(1.25506 * limit / math.log(limit))
+        raise CapacityError(f"sieve limit {limit} exceeds budget {cap}: its arrays "
+                            f"would take {need} bytes ({need / 2**20:.1f} MiB)")
 
     n = limit + 1
     root = math.isqrt(limit)
@@ -97,18 +105,27 @@ def build_sieve(limit: int) -> SieveTables:
     for i in range(2, math.isqrt(root) + 1):
         if small[i]:
             small[i * i :: i] = False
+    small_primes = np.flatnonzero(small).tolist()
     spf = np.zeros(n, dtype=np.int32)
-    for p in np.flatnonzero(small)[::-1].tolist():  # descending: the smallest prime writes last
-        spf[p * p :: p] = p
+    spf[4::2] = 2
+    for p in small_primes[:0:-1]:  # odd multiples only: the even ones keep 2
+        spf[p * p :: 2 * p] = p
     primes = np.flatnonzero(spf == 0)[2:]  # untouched entries >= 2 are prime
     spf[primes] = primes
 
     big_omega = np.zeros(n, dtype=np.int16)
-    mu = np.zeros(n, dtype=np.int8)
-    mu[1] = 1
-    for block, m, rep in _halving_blocks(spf, n):
-        big_omega[block] = big_omega[m] + 1
-        mu[block] = np.where(rep, 0, -mu[m])
+    lo = 2
+    while lo < n:  # blocks [lo, 2 lo) read only m = k / spf(k) < lo; 2^20 caps temporaries
+        hi = min(2 * lo, lo + (1 << 20), n)
+        big_omega[lo:hi] = big_omega[np.arange(lo, hi) // spf[lo:hi]] + 1
+        lo = hi
+    mu = big_omega.astype(np.int8)  # in place from here: 1 - 2 (Omega mod 2)
+    mu &= 1
+    mu *= -2
+    mu += 1
+    mu[0] = 0
+    for p in small_primes:
+        mu[p * p :: p * p] = 0
 
     return SieveTables(limit=limit, spf=spf, mu=mu, big_omega=big_omega, primes=primes)
 
@@ -116,7 +133,9 @@ def build_sieve(limit: int) -> SieveTables:
 def _halving_blocks(spf: np.ndarray, n: int):
     """2..n - 1 in blocks [lo, 2 lo) of at most 2^20 (to cap temporaries): the
     slice, m = k / spf(k), and whether spf(k) repeats in k, i.e. spf(m) = spf(k)
-    (spf(1) = 0 matches no prime).  m < lo: a recurrence reads finished entries."""
+    (spf(1) = 0 matches no prime).  m < lo: a recurrence reads finished entries.
+    Only factorizations._signature_ids walks these: build_sieve's Omega
+    recurrence needs no repeat test and runs the same blocks inline."""
     lo = 2
     while lo < n:
         hi = min(2 * lo, lo + (1 << 20), n)
@@ -127,18 +146,22 @@ def _halving_blocks(spf: np.ndarray, n: int):
 
 
 def factorize(n: int, tables: SieveTables) -> FactoredInt:
+    """n's prime factorization, read from the live spf array one entry at a time."""
     if not 1 <= n <= tables.limit:
         raise ValueError(f"n={n} out of sieve range [1, {tables.limit}]")
+    spf = tables.spf.item  # a Python int, without a numpy scalar in between
     factors = []
+    big = 0
     m = n
     while m > 1:
-        p = int(tables.spf[m])
-        e = 0
+        p = spf(m)
+        m //= p
+        e = 1
         while m % p == 0:
             m //= p
             e += 1
         factors.append((p, e))
-    big = sum(e for _, e in factors)
+        big += e
     return FactoredInt(n=n, factors=tuple(factors), big_omega=big, small_omega=len(factors))
 
 

@@ -212,3 +212,26 @@ def test_counting_profile_type(sieve_small):
     profile = profile_N_kappa(100, 2, sieve_small)
     assert profile.per_ell[1] == N_kappa_ell(100, 2, 1, sieve_small)
     assert all(c > 0 for c in profile.per_ell.values())
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_non_finite_x_is_a_value_error_that_names_x(ftables_small, sieve_small, x):
+    for call in (lambda: profile_N_kappa(x, 2, sieve_small),
+                 lambda: N_kappa_ell(x, 2, 1, sieve_small),
+                 lambda: count_bigomega(x, 1, sieve_small),
+                 lambda: coffeeshop_sum(x, 2, 2, ftables_small, sieve_small)):
+        with pytest.raises(ValueError, match=f"x must be finite, got {x}"):
+            call()
+
+
+@pytest.mark.parametrize("x", [1, 1.0, 0.5, 0, -3, math.nan, math.inf])
+def test_counting_bound_rejects_x_at_most_one_or_not_finite(sieve_small, x):
+    with pytest.raises(ValueError, match=f"x must be finite and > 1, got {x}"):
+        counting.hr_free_rhs(x, 2, 1, 1.0, 0.1)
+    with pytest.raises(ValueError, match=f"x must be finite and > 1, got {x}"):
+        check_counting_bound(x, 2, 1, 1.0, 0.1, sieve_small)
+
+
+def test_counting_bound_just_above_one_is_positive():
+    assert counting.hr_free_rhs(1.5, 2, 1, 1.0, 0.1) > 0
+    assert counting.hr_free_rhs(2, 3, 3, 1.0, 0.1) > 0

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -64,6 +65,14 @@ def test_sieve_equals_reference_at_every_small_limit():
 @pytest.mark.parametrize("limit", [2**20 - 1, 2**20, 2**20 + 1, 2**21 + 5, 10**6])
 def test_sieve_equals_reference_across_blocks(limit):
     assert_sieve_equals_reference(limit)
+
+
+@pytest.mark.parametrize("p", [p for p in range(3, 100) if all(p % d for d in range(2, p))])
+def test_sieve_equals_reference_at_odd_prime_squares(p):
+    # p^2 is the first odd multiple p strikes and the first n that p^2 makes mu zero;
+    # limits 2..5, below 3^2, are in test_sieve_equals_reference_at_every_small_limit
+    for limit in (p * p - 1, p * p, p * p + 1):
+        assert_sieve_equals_reference(limit)
 
 
 def trial_division_is_prime(n):
@@ -208,6 +217,34 @@ def test_prime_index(sieve_small):
         sieve_small.prime_index(9)
 
 
+def test_prime_index_is_the_position_of_every_prime(sieve_1e5):
+    primes = [n for n in range(2, 10**5 + 1) if trial_division_is_prime(n)]
+    for i, p in enumerate(primes, start=1):
+        got = sieve_1e5.prime_index(p)
+        assert got == i and type(got) is int
+    not_primes = [0, 1, -7, 100_003] + [n for n in range(4, 1001) if not trial_division_is_prime(n)]
+    assert 100_003 == next(n for n in range(10**5, 10**6) if trial_division_is_prime(n))
+    for n in not_primes:
+        with pytest.raises(ValueError, match=f"{n} is not a prime <= 100000"):
+            sieve_1e5.prime_index(n)
+
+
+def test_factorize_gives_python_ints_up_to_the_largest_prime(sieve_1e5):
+    for n in (1, 2, 12, 4400, 2**16, 99_991, 10**5):
+        fi = factorize(n, sieve_1e5)
+        assert math.prod(p**e for p, e in fi.factors) == n
+        assert all(type(p) is int and type(e) is int for p, e in fi.factors)
+        assert type(fi.big_omega) is int and type(fi.small_omega) is int
+    assert factorize(99_991, sieve_1e5).factors == ((99_991, 1),)  # the largest prime <= 10^5
+
+
+def test_factorize_reads_the_live_spf_array():
+    tables = build_sieve(100)
+    assert factorize(91, tables).factors == ((7, 1), (13, 1))
+    tables.spf[91] = 13  # a write after the build, as the benchmark's own check injects
+    assert factorize(91, tables).factors == ((13, 1), (7, 1))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=1, max_value=10**6))
 def test_divisor_and_omega_helpers_match_sympy(n):
@@ -251,6 +288,25 @@ def test_sieve_budget_is_read_from_the_environment_at_call_time(monkeypatch):
     monkeypatch.setenv("FACTORBENCH_MAX_SIEVE", "100")
     with pytest.raises(CapacityError):
         build_sieve(1000)
+
+
+@pytest.mark.parametrize("limit", [101, 1000, 12_345, 10**6])
+def test_capacity_error_states_the_bytes_of_the_arrays(monkeypatch, limit):
+    tables = build_sieve(limit)
+    nbytes = sum(getattr(tables, f).nbytes for f in ("spf", "mu", "big_omega", "primes"))
+    monkeypatch.setenv("FACTORBENCH_MAX_SIEVE", "100")
+    with pytest.raises(CapacityError, match=f"sieve limit {limit} exceeds budget 100") as err:
+        build_sieve(limit)
+    stated = int(re.search(r"would take (\d+) bytes", str(err.value)).group(1))
+    assert nbytes <= stated <= 1.1 * nbytes
+
+
+@pytest.mark.parametrize("limit, short", [(2**31, "2.147e+9"), (int(1e300), "1.000e+300"), (10**5000, "1.000e+5000")],
+                         ids=["2^31", "1e300", "10^5000"])  # 10^5000 is past str(int)'s digit limit
+def test_a_limit_past_int32_is_stated_in_short_form(limit, short):
+    with pytest.raises(CapacityError) as err:
+        build_sieve(limit)
+    assert str(err.value) == f"sieve limit {short} is not below 2^31, the bound of int32 spf"
 
 
 @pytest.mark.parametrize("n", [3, 2**20 + 1, 2**21 + 5])
