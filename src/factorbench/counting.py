@@ -12,6 +12,7 @@ minimal values that make the inequality hold on the scanned grid.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,16 +49,55 @@ def N_kappa_ell(x: float, kappa: int, ell: int, tables: SieveTables) -> int:
 
 
 def profile_N_kappa(x: float, kappa: int, tables: SieveTables) -> CountingProfile:
-    """All N_{kappa,ell}(x) in one sieve pass."""
-    cutoff = _cutoff(x, tables)
-    mask = tables.kappa_free_mask(kappa, cutoff)  # raises for kappa < 2
-    counts = np.zeros(32, dtype=np.int64)  # Omega(n) <= 30 below the sieve's 2^31 bound
-    for lo in range(1, cutoff + 1, 1 << 20):  # chunks, as bincount copies its input to intp
-        chunk = slice(lo, min(lo + (1 << 20), cutoff + 1))
-        counts += np.bincount(tables.big_omega[chunk][mask[chunk]], minlength=32)
-    return CountingProfile(
-        x=x, kappa=kappa, per_ell={ell: int(c) for ell, c in enumerate(counts) if c}
-    )
+    """All N_{kappa,ell}(x) in one pass over the sieve: profile_grid at one point."""
+    return profile_grid([x], [kappa], tables)[0]
+
+
+def profile_grid(xs, kappas, tables: SieveTables) -> list[CountingProfile]:
+    """profile_N_kappa at every (x, kappa), x outer and kappa inner, in the
+    callers' order (repeats allowed), from one pass over 1..max x.
+
+    Each n gets a level: how many of the requested kappas it is not free of.
+    For the sorted distinct kappas k_1 < k_2 < ..., n is k_i-free iff its
+    level is below i, so one bincount of Omega(n) * (levels + 1) + level per
+    chunk fills an (Omega, level) histogram, and at each cutoff the cumulative
+    sum over levels gives N_{k_i,ell}(x) for every kappa at once.
+    """
+    xs, kappas = list(xs), list(kappas)
+    if not xs or not kappas:  # no (x, kappa) pair to count or to check
+        return []
+    cutoffs = [_cutoff(x, tables) for x in xs]
+    for kappa in kappas:
+        if kappa < 2:
+            raise ValueError(f"kappa must be >= 2, got {kappa}")
+    top = max(cutoffs)
+    ks = sorted({k for k in kappas if k < top.bit_length()})  # 2^k > top: all n <= top are k-free
+    width = len(ks) + 1
+    level = np.zeros(top + 1, dtype=np.int8)
+    for i, kappa in enumerate(ks, start=1):  # in increasing kappa: p^k_i | n implies p^k_(i-1) | n
+        for p in tables.primes:
+            pk = int(p) ** kappa
+            if pk > top:
+                break
+            level[pk::pk] = i
+    hist = np.zeros(32 * width, dtype=np.int64)  # Omega(n) <= 30 below the sieve's 2^31 bound
+    free_at = {}  # cutoff -> free[ell, j], the n <= cutoff with Omega = ell and level <= j
+    start = 1  # hist counts 1..start - 1
+    for cutoff in sorted(set(cutoffs)):
+        # 2^16 chunks: bincount copies its key to intp, and at 2^16 that copy
+        # stays in cache and below the peak the sieve's own arrays set
+        for lo in range(start, cutoff + 1, 1 << 16):
+            chunk = slice(lo, min(lo + (1 << 16), cutoff + 1))
+            key = tables.big_omega[chunk] * np.int16(width)
+            key += level[chunk]
+            hist += np.bincount(key, minlength=hist.size)
+        start = cutoff + 1
+        free_at[cutoff] = hist.reshape(-1, width).cumsum(axis=1)
+    return [
+        CountingProfile(x=x, kappa=kappa, per_ell={
+            ell: int(c) for ell, c in enumerate(free_at[cutoff][:, bisect_left(ks, kappa)]) if c})
+        for x, cutoff in zip(xs, cutoffs) for kappa in kappas
+    ]
 
 
 def _floor(x: float) -> int:
@@ -181,11 +221,12 @@ def fit_counting_constants(
     """Fit (C1, C2) empirically: C2 from the prime-sum inequality, then the
     minimal C1 making the N_{kappa,ell} bound hold over the whole grid.
 
-    profiles, when given, are profile_N_kappa at every (x, kappa) of the grid.
+    profiles, when given, are profile_N_kappa at every (x, kappa) of the grid;
+    without them, one profile_grid pass counts the whole grid.
     """
     c2 = fit_prime_sum_constant(xs, tables)
     if profiles is None:
-        profiles = [profile_N_kappa(x, kappa, tables) for x in xs for kappa in kappas]
+        profiles = profile_grid(xs, kappas, tables)
     c1 = 0.0
     for profile in profiles:
         for ell, lhs in profile.per_ell.items():

@@ -93,7 +93,7 @@ def reproduce_report(sieve_limit: int = 1_000_000, seed: int = 12345) -> dict:
         ],
     }
 
-    profiles = [counting.profile_N_kappa(x, kappa, tables) for x in checkpoints for kappa in KAPPAS]
+    profiles = counting.profile_grid(checkpoints, KAPPAS, tables)
     c1, c2 = counting.fit_counting_constants(checkpoints, KAPPAS, tables, profiles)
     holds = all(
         lhs <= counting.hr_free_rhs(p.x, p.kappa, ell, c1, c2)

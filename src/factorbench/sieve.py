@@ -50,13 +50,18 @@ class SieveTables:
 
     def kappa_free_mask(self, kappa: int, cutoff: int) -> np.ndarray:
         """Boolean mask over 0..cutoff; mask[n] iff n is kappa-free (n >= 1).
-        Built on each call: a few ms at 10^7, a fresh array each caller owns."""
+        Built on each call: a few ms at 10^7, a fresh array each caller owns.
+        Inside the package only verify calls it, at kappa 2, 3 and 5; a public
+        caller's kappa with 2^kappa > cutoff strikes nothing and returns at once,
+        where building int(p) ** kappa would grow with kappa."""
         if kappa < 2:
             raise ValueError(f"kappa must be >= 2, got {kappa}")
         if not 0 <= cutoff <= self.limit:
             raise ValueError(f"cutoff {cutoff} outside the sieve range [0, {self.limit}]")
         mask = np.ones(cutoff + 1, dtype=bool)
         mask[0] = False
+        if kappa >= int(cutoff).bit_length():  # 2^kappa > cutoff: no p^kappa to strike
+            return mask
         for p in self.primes:
             pk = int(p) ** kappa
             if pk > cutoff:

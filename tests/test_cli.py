@@ -81,6 +81,26 @@ def test_factorisatio_k_picks_fk_columns_only(capsys):
     assert out.splitlines()[-1] == "16,4"
 
 
+@pytest.mark.parametrize("argv", [
+    ("sieve", "--limit", "200", "--emit", "mu"),
+    ("sieve", "--limit", "200", "--emit", "omega"),
+    ("sieve", "--limit", "200", "--emit", "spf"),
+    ("factorisatio", "--limit", "100", "--emit", "f"),
+    ("factorisatio", "--limit", "100", "--emit", "fk", "--k", "3"),
+    ("hr-count", "--x", "5000", "--kappa", "3"),
+])
+def test_csv_tables_are_the_bytes_csv_writer_writes(monkeypatch, capsys, argv):
+    seen = []
+    rows_to_csv = factorbench.cli._rows_to_csv
+    monkeypatch.setattr(factorbench.cli, "_rows_to_csv",
+                        lambda header, rows: seen.append((header, rows)) or rows_to_csv(header, rows))
+    code, out = run(capsys, *argv)
+    [(header, rows)] = seen
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header, *rows])
+    assert code == 0 and len(rows) > 1 and out == buf.getvalue()
+
+
 def test_factorisatio_k_below_one_is_a_user_error(capsys):
     assert "--k must be >= 1" in user_error(capsys, "factorisatio", "--limit", "10", "--k", "0")
 

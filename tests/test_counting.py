@@ -1,11 +1,16 @@
+import csv
+import io
+import json
 import math
+import re
 from itertools import combinations, product
 
 import numpy as np
 import pytest
 
-from factorbench import counting
+from factorbench import cli, counting
 from factorbench.counting import (
+    CountingProfile,
     N_kappa_ell,
     check_counting_bound,
     coffeeshop_sum,
@@ -15,10 +20,23 @@ from factorbench.counting import (
     growth_exponents,
     prime_reciprocal_sum,
     profile_N_kappa,
+    profile_grid,
     psi_tuple,
     tilde_p,
 )
 from factorbench.sieve import build_sieve, iterated_log
+
+
+def profile_reference(x, kappa, tables):
+    """profile_N_kappa one point at a time, the reference for profile_grid:
+    a kappa-free mask, then a compress and a bincount of Omega per 2^20 chunk."""
+    cutoff = math.floor(x)
+    mask = tables.kappa_free_mask(kappa, cutoff)
+    counts = np.zeros(32, dtype=np.int64)
+    for lo in range(1, cutoff + 1, 1 << 20):
+        chunk = slice(lo, min(lo + (1 << 20), cutoff + 1))
+        counts += np.bincount(tables.big_omega[chunk][mask[chunk]], minlength=32)
+    return CountingProfile(x=x, kappa=kappa, per_ell={ell: int(c) for ell, c in enumerate(counts) if c})
 
 
 def test_count_examples(sieve_small):
@@ -70,14 +88,102 @@ def test_profile_reads_the_sieve_only_to_its_cutoff(sieve_big, kappa):
         sieve_big.kappa_free_mask(kappa, sieve_big.limit + 1)
 
 
-def test_profile_across_bincount_chunks_equals_one_bincount():
-    tables = build_sieve(2**21 + 5)
+def test_profile_across_bincount_chunks_equals_one_bincount(chunk_tables):
+    tables, _ = chunk_tables
     for x, kappa in product([2**20, 2**20 + 1, 2**21 + 5], [2, 3]):
         mask = tables.kappa_free_mask(kappa, x)[1:]
         counts = np.bincount(tables.big_omega[1 : x + 1][mask])
         want = {ell: int(c) for ell, c in enumerate(counts) if c}
         assert profile_N_kappa(x, kappa, tables).per_ell == want
         assert N_kappa_ell(x, kappa, 2, tables) == want[2]
+
+
+@pytest.mark.parametrize("kappa", [2, 3, 4, 5, 7])
+@pytest.mark.parametrize("x", [1, 1.5, 2, 2**16, 2**16 + 1, 2**20, 2**20 + 1, 2**21 + 5])
+def test_profile_matches_the_reference_kernel(chunk_tables, x, kappa):
+    tables, _ = chunk_tables
+    assert profile_N_kappa(x, kappa, tables) == profile_reference(x, kappa, tables)
+
+
+def test_grid_answers_unsorted_repeated_points_in_the_callers_order(chunk_tables):
+    tables, _ = chunk_tables
+    xs = [2**21 + 5, 1, 2**20 + 1, 1.5, 2**16 + 1, 2**20, 2, 2**20 + 1]
+    kappas = [5, 2, 7, 2, 3, 4, 10**12]
+    want = [profile_reference(x, kappa, tables) for x in xs for kappa in kappas]
+    assert profile_grid(xs, kappas, tables) == want
+
+
+def test_fit_without_profiles_equals_the_fit_on_reference_profiles(chunk_tables):
+    tables, _ = chunk_tables
+    xs, kappas = [10**3, 2**20 + 1, 10**4, 2**21 + 5], [3, 2, 5]
+    reference = [profile_reference(x, kappa, tables) for x in xs for kappa in kappas]
+    assert fit_counting_constants(xs, kappas, tables) == fit_counting_constants(xs, kappas, tables, reference)
+
+
+def test_fit_on_an_empty_grid(sieve_small):
+    assert fit_counting_constants([], [2], sieve_small) == (0.0, -math.inf)
+    xs = [100, 1000]
+    assert fit_counting_constants(xs, [], sieve_small) == (0.0, fit_prime_sum_constant(xs, sieve_small))
+    assert profile_grid([], [2], sieve_small) == profile_grid([100], [], sieve_small) == []
+
+
+def test_kappa_below_two_is_a_value_error(sieve_small):
+    for call in (lambda: profile_N_kappa(100, 1, sieve_small),
+                 lambda: profile_grid([100, 10], [3, 1], sieve_small),
+                 lambda: fit_counting_constants([100], [2, 1], sieve_small)):
+        with pytest.raises(ValueError, match=r"^kappa must be >= 2, got 1$"):
+            call()
+
+
+@pytest.mark.parametrize("x, message", [
+    (10_001, "x=10001 beyond sieve limit 10000"),
+    (0.5, "x=0.5 must be >= 1"),
+    (0, "x=0 must be >= 1"),
+    (math.nan, "x must be finite, got nan"),
+])
+def test_x_errors_name_x(sieve_small, x, message):
+    calls = [lambda: profile_N_kappa(x, 2, sieve_small), lambda: profile_grid([100, x], [2], sieve_small)]
+    if x != 0:  # the prime-sum fit runs first, and log(0) stops it there
+        calls.append(lambda: fit_counting_constants([100, x], [2], sieve_small))
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+
+def test_huge_kappa_counts_every_n(sieve_small, capsys):
+    # 2^kappa > x, so every n <= x is kappa-free; 2**kappa itself is never built
+    kappa = 10**12
+    want = {ell: count_bigomega(100, ell, sieve_small) for ell in range(7)}
+    assert profile_N_kappa(100, kappa, sieve_small).per_ell == want
+    assert profile_grid([100], [kappa, 7], sieve_small) == [
+        CountingProfile(100, kappa, want), CountingProfile(100, 7, want)]
+    assert sieve_small.kappa_free_mask(kappa, 100)[1:].all()
+    assert cli.main(["hr-count", "--x", "100", "--kappa", str(kappa)]) == 0
+    assert capsys.readouterr().out == "ell,count\r\n" + "".join(f"{ell},{c}\r\n" for ell, c in want.items())
+    assert cli.main(["hr-count", "--x", "100", "--kappa", str(kappa), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["kappa"] == kappa
+
+
+def test_hr_count_bytes(capsys):
+    assert cli.main(["hr-count", "--x", "30", "--kappa", "2"]) == 0
+    assert capsys.readouterr().out == "ell,count\r\n0,1\r\n1,10\r\n2,7\r\n3,1\r\n"
+    assert cli.main(["hr-count", "--x", "30", "--kappa", "3", "--format", "json"]) == 0
+    assert capsys.readouterr().out == (
+        '{\n  "x": 30.0,\n  "kappa": 3,\n  "per_ell": {\n'
+        '    "0": 1,\n    "1": 10,\n    "2": 10,\n    "3": 5\n  }\n}\n')
+
+
+@pytest.mark.parametrize("x", ["1", "2.5", "97", "1000"])
+@pytest.mark.parametrize("kappa", [2, 3, 9])
+def test_hr_count_writes_the_reference_profile(sieve_small, capsys, x, kappa):
+    rows = sorted(profile_reference(float(x), kappa, sieve_small).per_ell.items())
+    buf = io.StringIO()
+    csv.writer(buf).writerows([("ell", "count"), *rows])
+    assert cli.main(["hr-count", "--x", x, "--kappa", str(kappa)]) == 0
+    assert capsys.readouterr().out == buf.getvalue()
+    assert cli.main(["hr-count", "--x", x, "--kappa", str(kappa), "--format", "json"]) == 0
+    want = json.dumps({"x": float(x), "kappa": kappa, "per_ell": dict(rows)}, indent=2) + "\n"
+    assert capsys.readouterr().out == want
 
 
 def test_tilde_p_examples(sieve_small):
