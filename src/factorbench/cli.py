@@ -15,10 +15,9 @@ import cmath
 import json
 import math
 import sys
-from itertools import chain
 
 from . import counting, verify, zeta
-from .dirichlet import ArithFn, convolve, dirichlet_inverse, series_eval
+from .dirichlet import ArithFn, _rows_to_csv, convolve, dirichlet_inverse, series_eval
 from .factorizations import (
     PartitionMultiset,
     build_factorisation_tables,
@@ -51,13 +50,6 @@ def _jsonable(v):
     if isinstance(v, complex):
         return {"re": _jsonable(v.real), "im": _jsonable(v.imag)}
     return None if isinstance(v, float) and not math.isfinite(v) else v
-
-
-def _rows_to_csv(header, rows) -> str:
-    """The text csv.writer writes for header and rows of ints, one per column:
-    plain comma-joined lines ending in \r\n, built by one %-format."""
-    line = ",".join(["%d"] * len(header)) + "\r\n"
-    return ",".join(header) + "\r\n" + line * len(rows) % tuple(chain.from_iterable(rows))
 
 
 def _parse_z(text: str) -> complex:

@@ -18,8 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .factorizations import FactorisationTables, count_by_signature, sum_by_signature
-from .sieve import SieveTables, factorize, iterated_log
+from .factorizations import _COUNT_CHUNK, FactorisationTables, count_by_signature, sum_by_signature
+from .sieve import SieveTables, _x_cutoff, factorize, iterated_log
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class CountingProfile:
 def count_bigomega(x: float, ell: int, tables: SieveTables) -> int:
     """|{n <= x : Omega(n) = ell}|, exact.
     A test reference only: test_N_kappa_ell_* check N_kappa_ell against it."""
-    cutoff = _cutoff(x, tables)
+    cutoff = _x_cutoff(x, 1, tables)
     return int(np.count_nonzero(tables.big_omega[1 : cutoff + 1] == ell))
 
 
@@ -57,37 +57,25 @@ def profile_grid(xs, kappas, tables: SieveTables) -> list[CountingProfile]:
     """profile_N_kappa at every (x, kappa), x outer and kappa inner, in the
     callers' order (repeats allowed), from one pass over 1..max x.
 
-    Each n gets a level: how many of the requested kappas it is not free of.
-    For the sorted distinct kappas k_1 < k_2 < ..., n is k_i-free iff its
-    level is below i, so one bincount of Omega(n) * (levels + 1) + level per
-    chunk fills an (Omega, level) histogram, and at each cutoff the cumulative
-    sum over levels gives N_{k_i,ell}(x) for every kappa at once.
+    SieveTables.kappa_levels gives each n its level for the sorted distinct
+    kappas k_1 < k_2 < ...: n is k_i-free iff its level is below i. One
+    bincount of Omega(n) * (top level + 1) + level per _COUNT_CHUNK chunk
+    fills an (Omega, level) histogram, and at each cutoff the cumulative sum
+    over levels gives N_{k_i,ell}(x) for every kappa at once.
     """
     xs, kappas = list(xs), list(kappas)
     if not xs or not kappas:  # no (x, kappa) pair to count or to check
         return []
-    cutoffs = [_cutoff(x, tables) for x in xs]
-    for kappa in kappas:
-        if kappa < 2:
-            raise ValueError(f"kappa must be >= 2, got {kappa}")
-    top = max(cutoffs)
-    ks = sorted({k for k in kappas if k < top.bit_length()})  # 2^k > top: all n <= top are k-free
-    width = len(ks) + 1
-    level = np.zeros(top + 1, dtype=np.int8)
-    for i, kappa in enumerate(ks, start=1):  # in increasing kappa: p^k_i | n implies p^k_(i-1) | n
-        for p in tables.primes:
-            pk = int(p) ** kappa
-            if pk > top:
-                break
-            level[pk::pk] = i
+    cutoffs = [_x_cutoff(x, 1, tables) for x in xs]
+    ks = sorted(set(kappas))
+    level = tables.kappa_levels(ks, max(cutoffs))
+    width = int(level.max()) + 1  # a column past the top level would count every n, as the top one does
     hist = np.zeros(32 * width, dtype=np.int64)  # Omega(n) <= 30 below the sieve's 2^31 bound
     free_at = {}  # cutoff -> free[ell, j], the n <= cutoff with Omega = ell and level <= j
     start = 1  # hist counts 1..start - 1
     for cutoff in sorted(set(cutoffs)):
-        # 2^16 chunks: bincount copies its key to intp, and at 2^16 that copy
-        # stays in cache and below the peak the sieve's own arrays set
-        for lo in range(start, cutoff + 1, 1 << 16):
-            chunk = slice(lo, min(lo + (1 << 16), cutoff + 1))
+        for lo in range(start, cutoff + 1, _COUNT_CHUNK):
+            chunk = slice(lo, min(lo + _COUNT_CHUNK, cutoff + 1))
             key = tables.big_omega[chunk] * np.int16(width)
             key += level[chunk]
             hist += np.bincount(key, minlength=hist.size)
@@ -95,26 +83,9 @@ def profile_grid(xs, kappas, tables: SieveTables) -> list[CountingProfile]:
         free_at[cutoff] = hist.reshape(-1, width).cumsum(axis=1)
     return [
         CountingProfile(x=x, kappa=kappa, per_ell={
-            ell: int(c) for ell, c in enumerate(free_at[cutoff][:, bisect_left(ks, kappa)]) if c})
+            ell: int(c) for ell, c in enumerate(free_at[cutoff][:, min(bisect_left(ks, kappa), width - 1)]) if c})
         for x, cutoff in zip(xs, cutoffs) for kappa in kappas
     ]
-
-
-def _floor(x: float) -> int:
-    """floor(x); a non-finite x is a ValueError that names it."""
-    try:
-        return int(math.floor(x))
-    except (OverflowError, ValueError):  # floor of +-inf and of nan
-        raise ValueError(f"x must be finite, got {x}") from None
-
-
-def _cutoff(x: float, tables: SieveTables) -> int:
-    cutoff = _floor(x)
-    if cutoff > tables.limit:
-        raise ValueError(f"x={x} beyond sieve limit {tables.limit}")
-    if cutoff < 1:
-        raise ValueError(f"x={x} must be >= 1")
-    return cutoff
 
 
 def tilde_p(j: int, kappa: int, tables: SieveTables) -> int:
@@ -224,6 +195,8 @@ def fit_counting_constants(
     profiles, when given, are profile_N_kappa at every (x, kappa) of the grid;
     without them, one profile_grid pass counts the whole grid.
     """
+    for x in xs:  # before the prime sum, which cannot name a bad x
+        _x_cutoff(x, 1, tables)
     c2 = fit_prime_sum_constant(xs, tables)
     if profiles is None:
         profiles = profile_grid(xs, kappas, tables)
@@ -255,9 +228,7 @@ def coffeeshop_sum(
     for every sigma > 1. The unrestricted sum of f grows like x^beta with
     beta = kalmar_beta() = 1.7286.
     """
-    cutoff = _floor(x)
-    if cutoff > ftables.limit or cutoff > tables.limit:
-        raise ValueError(f"x={x} beyond table limits")
+    cutoff = _x_cutoff(x, 0, ftables, tables)
     exact = isinstance(c, int)
     if not exact and not math.isfinite(c):
         raise ValueError(f"c must be finite, got {c}")

@@ -65,7 +65,6 @@ nothing.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import mmap
 import operator
@@ -82,6 +81,20 @@ _INT64_SAFE = 2**62  # a bound below this proves int64 holds every sum, with 2x 
 # whether this interpreter mixes an int into complex arithmetic as (float(v), +0.0),
 # which the planes copy
 _INT_ENTERS_AS_COMPLEX = repr(-1 * 0j) == "(-0+0j)" and repr(0 + complex(0.0, -0.0)) == "0j"
+
+
+def _rows_to_csv(header, rows) -> str:
+    """The text csv.writer writes for header and an iterable of rows whose
+    fields need no quoting, such as ints and floats: each field as str (a
+    float's repr), comma-joined lines ending in \r\n. One %-format builds
+    each _CHUNK rows, so no copy of every field is held at once. The one CSV
+    writer of the package: ArithFn.csv_text and the cli's tables use it."""
+    line = ",".join(["%s"] * len(header)) + "\r\n"
+    rows = iter(rows)
+    parts = [",".join(header) + "\r\n"]
+    while part := list(islice(rows, _CHUNK)):
+        parts.append(line * len(part) % tuple(chain.from_iterable(part)))
+    return "".join(parts)
 
 
 @dataclass
@@ -132,18 +145,19 @@ class ArithFn:
         return ArithFn(self.limit, [0] + [c * v for v in self.values[1:]])
 
     def csv_text(self) -> str:
-        """CSV with header n,re,im and one row per n; integers are written exactly."""
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["n", "re", "im"])
-        for n in range(1, self.limit + 1):
-            v = self.values[n]
-            if isinstance(v, int):
-                w.writerow([n, int(v), 0])
-            else:
-                v = complex(v)
-                w.writerow([n, repr(v.real), repr(v.imag)])
-        return buf.getvalue()
+        """CSV with header n,re,im and one row per n, by _rows_to_csv: an int
+        exactly (a bool as 0 or 1) with im 0, any other value as the reprs of
+        its complex parts."""
+        def rows():
+            for n in range(1, self.limit + 1):
+                v = self.values[n]
+                if isinstance(v, int):
+                    yield n, int(v), 0
+                else:
+                    v = complex(v)
+                    yield n, v.real, v.imag
+
+        return _rows_to_csv(["n", "re", "im"], rows())
 
     @classmethod
     def from_csv(cls, path) -> "ArithFn":

@@ -25,6 +25,11 @@ import numpy as np
 from .sieve import FactoredInt, SieveTables, _big_omega, _divisors, _halving_blocks, build_sieve
 
 MAX_PARTITION_ELL = 90
+# The per-n counts (count_by_signature, counting.profile_grid) run np.bincount
+# over chunks this long, as bincount copies its input to intp: at 2^16 that
+# copy stays in cache and below the peak the sieve's own arrays set, where
+# 2^20's 8 MiB copy raised the peak RSS of the reproduce report.
+_COUNT_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -227,10 +232,11 @@ def build_factorisation_tables(
 
 
 def count_by_signature(ftables: FactorisationTables, cutoff: int) -> list[int]:
-    """Per signature id, how many n in 1..cutoff have it."""
+    """Per signature id, how many n in 1..cutoff have it: one np.bincount of
+    the ids per _COUNT_CHUNK chunk."""
     counts = np.zeros(len(ftables.reps), np.int64)
-    for lo in range(1, cutoff + 1, 1 << 20):  # chunks, as bincount copies its input to intp
-        counts += np.bincount(ftables.ids[lo : min(lo + (1 << 20), cutoff + 1)], minlength=len(counts))
+    for lo in range(1, cutoff + 1, _COUNT_CHUNK):
+        counts += np.bincount(ftables.ids[lo : min(lo + _COUNT_CHUNK, cutoff + 1)], minlength=len(counts))
     return [int(c) for c in counts]
 
 

@@ -49,25 +49,35 @@ class SieveTables:
     primes: np.ndarray
 
     def kappa_free_mask(self, kappa: int, cutoff: int) -> np.ndarray:
-        """Boolean mask over 0..cutoff; mask[n] iff n is kappa-free (n >= 1).
-        Built on each call: a few ms at 10^7, a fresh array each caller owns.
-        Inside the package only verify calls it, at kappa 2, 3 and 5; a public
-        caller's kappa with 2^kappa > cutoff strikes nothing and returns at once,
-        where building int(p) ** kappa would grow with kappa."""
-        if kappa < 2:
-            raise ValueError(f"kappa must be >= 2, got {kappa}")
+        """Boolean mask over 0..cutoff; mask[n] iff n is kappa-free (n >= 1):
+        the n at level 0 of kappa_levels([kappa], cutoff). Built on each call,
+        a fresh array each caller owns; inside the package only verify calls
+        it, at kappa 2, 3 and 5."""
+        mask = self.kappa_levels([kappa], cutoff) == 0
+        mask[0] = False
+        return mask
+
+    def kappa_levels(self, kappas, cutoff: int) -> np.ndarray:
+        """int8 levels over 0..cutoff for increasing kappas k_1 < k_2 < ...:
+        level[n] is the largest i with p^k_i | n for a prime p, or 0, so n is
+        k_i-free iff level[n] < i. The one place that strikes p^kappa, for
+        kappa_free_mask and counting.profile_grid. The first kappa with
+        2^kappa > cutoff, and every later one, strikes nothing: the strikes
+        stop there, where building int(p) ** kappa would grow with kappa."""
+        if kappas and kappas[0] < 2:
+            raise ValueError(f"kappa must be >= 2, got {kappas[0]}")
         if not 0 <= cutoff <= self.limit:
             raise ValueError(f"cutoff {cutoff} outside the sieve range [0, {self.limit}]")
-        mask = np.ones(cutoff + 1, dtype=bool)
-        mask[0] = False
-        if kappa >= int(cutoff).bit_length():  # 2^kappa > cutoff: no p^kappa to strike
-            return mask
-        for p in self.primes:
-            pk = int(p) ** kappa
-            if pk > cutoff:
+        level = np.zeros(cutoff + 1, dtype=np.int8)
+        for i, kappa in enumerate(kappas, start=1):  # p^k_i | n implies p^k_(i-1) | n
+            if kappa >= int(cutoff).bit_length():  # 2^kappa > cutoff: no p^kappa to strike
                 break
-            mask[pk::pk] = False
-        return mask
+            for p in self.primes:
+                pk = int(p) ** kappa
+                if pk > cutoff:
+                    break
+                level[pk::pk] = i
+        return level
 
     def prime_index(self, p: int) -> int:
         """1-based index of p in the prime sequence; raises if p is not prime.
@@ -133,6 +143,25 @@ def build_sieve(limit: int) -> SieveTables:
         mu[p * p :: p * p] = 0
 
     return SieveTables(limit=limit, spf=spf, mu=mu, big_omega=big_omega, primes=primes)
+
+
+def _x_cutoff(x: float, least: int, *tables) -> int:
+    """floor(x), the cutoff of a sum or count over n <= x: x must be finite,
+    at least least and above 0, and floor(x) at most the limit of each table
+    given; any other x is a ValueError that names it. The kappa-free profiles
+    take least = 1; the sums of zeta and coffeeshop_sum take 0, and are
+    empty for 0 < x < 1."""
+    try:
+        cutoff = math.floor(x)
+    except (OverflowError, ValueError):  # floor of +-inf and of nan
+        raise ValueError(f"x must be finite, got {x}") from None
+    if x < least or x <= 0:
+        raise ValueError(f"x={x} must be >= {least}" if least > 0 else f"x={x} must be > 0")
+    for t in tables:
+        if cutoff > t.limit:
+            kind = "sieve" if isinstance(t, SieveTables) else "table"
+            raise ValueError(f"x={x} beyond {kind} limit {t.limit}")
+    return cutoff
 
 
 def _halving_blocks(spf: np.ndarray, n: int):

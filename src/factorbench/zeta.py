@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .factorizations import FactorisationTables, count_by_signature, sum_by_signature
-from .sieve import SieveTables
+from .sieve import SieveTables, _x_cutoff
 
 SIGMA_FLOOR = 1.0 + 1e-6
 _N, _K = 10, 10  # terms summed directly, Bernoulli corrections
@@ -146,9 +146,7 @@ def kalmar_constant() -> float:
 
 def kalmar_ratio(x: float, ftables: FactorisationTables) -> float:
     """(sum of f(n) for n <= x) / (x^beta * kalmar_constant); tends to 1."""
-    cutoff = int(math.floor(x))
-    if cutoff > ftables.limit:
-        raise ValueError(f"x={x} beyond table limit {ftables.limit}")
+    cutoff = _x_cutoff(x, 0, ftables)
     total = sum_by_signature(ftables, count_by_signature(ftables, cutoff))
     return total / (x ** kalmar_beta() * kalmar_constant())
 
@@ -179,9 +177,7 @@ def sarnak_correlation(
     """
     if selector not in ("f", "fmu2"):
         raise ValueError(f"selector must be 'f' or 'fmu2', got {selector!r}")
-    cutoff = int(math.floor(x))
-    if cutoff > ftables.limit or cutoff > tables.limit:
-        raise ValueError(f"x={x} beyond table limits")
+    cutoff = _x_cutoff(x, 0, ftables, tables)
     counts = count_by_signature(ftables, cutoff)
     mu_counts = [k and k * int(tables.mu[rep]) for k, rep in zip(counts, ftables.reps)]
     num = sum_by_signature(ftables, mu_counts)

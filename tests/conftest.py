@@ -46,6 +46,7 @@ def ftables_big(sieve_big):
 
 @pytest.fixture(scope="session")
 def chunk_tables():
-    # past 2^21: across the sieve walk's 2^20 block cap and count_by_signature's chunks
+    # past 2^21: across the sieve walk's 2^20 block cap and many of the 2^16
+    # chunks that count_by_signature and profile_grid count by
     tables = build_sieve(2**21 + 5)
     return tables, build_factorisation_tables(2**21 + 5, tables)

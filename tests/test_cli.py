@@ -85,6 +85,7 @@ def test_factorisatio_k_picks_fk_columns_only(capsys):
     ("sieve", "--limit", "200", "--emit", "mu"),
     ("sieve", "--limit", "200", "--emit", "omega"),
     ("sieve", "--limit", "200", "--emit", "spf"),
+    ("sieve", "--limit", "8200", "--emit", "spf"),  # two full writer chunks of 4096 rows and a part
     ("factorisatio", "--limit", "100", "--emit", "f"),
     ("factorisatio", "--limit", "100", "--emit", "fk", "--k", "3"),
     ("hr-count", "--x", "5000", "--kappa", "3"),

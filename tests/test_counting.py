@@ -8,7 +8,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from factorbench import cli, counting
+from factorbench import cli, counting, zeta
 from factorbench.counting import (
     CountingProfile,
     N_kappa_ell,
@@ -24,6 +24,7 @@ from factorbench.counting import (
     psi_tuple,
     tilde_p,
 )
+from factorbench.factorizations import build_factorisation_tables
 from factorbench.sieve import build_sieve, iterated_log
 
 
@@ -140,12 +141,12 @@ def test_kappa_below_two_is_a_value_error(sieve_small):
     (0.5, "x=0.5 must be >= 1"),
     (0, "x=0 must be >= 1"),
     (math.nan, "x must be finite, got nan"),
+    (math.inf, "x must be finite, got inf"),
 ])
 def test_x_errors_name_x(sieve_small, x, message):
-    calls = [lambda: profile_N_kappa(x, 2, sieve_small), lambda: profile_grid([100, x], [2], sieve_small)]
-    if x != 0:  # the prime-sum fit runs first, and log(0) stops it there
-        calls.append(lambda: fit_counting_constants([100, x], [2], sieve_small))
-    for call in calls:
+    for call in (lambda: profile_N_kappa(x, 2, sieve_small),
+                 lambda: profile_grid([100, x], [2], sieve_small),
+                 lambda: fit_counting_constants([100, x], [2], sieve_small)):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
 
@@ -162,6 +163,14 @@ def test_huge_kappa_counts_every_n(sieve_small, capsys):
     assert capsys.readouterr().out == "ell,count\r\n" + "".join(f"{ell},{c}\r\n" for ell, c in want.items())
     assert cli.main(["hr-count", "--x", "100", "--kappa", str(kappa), "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["kappa"] == kappa
+
+
+def test_grid_of_thousands_of_kappas(sieve_small):
+    # all but 12 of them have 2^kappa > 10^4 and share the top level's
+    # column; a column each would take Omega(n) * 3000 past int16 at Omega = 11
+    kappas = range(2, 3001)
+    assert profile_grid([10**4], kappas, sieve_small) == [
+        profile_reference(10**4, kappa, sieve_small) for kappa in kappas]
 
 
 def test_hr_count_bytes(capsys):
@@ -320,14 +329,46 @@ def test_counting_profile_type(sieve_small):
     assert all(c > 0 for c in profile.per_ell.values())
 
 
+def sum_calls(x, ftables, tables):
+    """The sums over n <= x: kalmar_ratio, sarnak_correlation with both
+    selectors, and coffeeshop_sum."""
+    return [lambda: zeta.kalmar_ratio(x, ftables),
+            lambda: zeta.sarnak_correlation(x, "f", ftables, tables),
+            lambda: zeta.sarnak_correlation(x, "fmu2", ftables, tables),
+            lambda: coffeeshop_sum(x, 2, 2, ftables, tables)]
+
+
 @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
 def test_non_finite_x_is_a_value_error_that_names_x(ftables_small, sieve_small, x):
     for call in (lambda: profile_N_kappa(x, 2, sieve_small),
                  lambda: N_kappa_ell(x, 2, 1, sieve_small),
                  lambda: count_bigomega(x, 1, sieve_small),
-                 lambda: coffeeshop_sum(x, 2, 2, ftables_small, sieve_small)):
-        with pytest.raises(ValueError, match=f"x must be finite, got {x}"):
+                 lambda: fit_counting_constants([100, x], [2], sieve_small),
+                 *sum_calls(x, ftables_small, sieve_small)):
+        with pytest.raises(ValueError, match=f"^x must be finite, got {x}$"):
             call()
+
+
+@pytest.mark.parametrize("x", [0, -3, 0.0, -0.5])
+def test_sums_reject_x_at_most_zero_and_name_it(ftables_small, sieve_small, x):
+    for call in sum_calls(x, ftables_small, sieve_small):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'x={x} must be > 0')}$"):
+            call()
+
+
+def test_sums_below_one_are_empty(ftables_small, sieve_small):
+    kalmar, sarnak_f, sarnak_fmu2, coffeeshop = (call() for call in sum_calls(0.5, ftables_small, sieve_small))
+    assert (kalmar, coffeeshop) == (0.0, 0)
+    assert (sarnak_f.numerator, sarnak_f.denominator, sarnak_fmu2.denominator) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("x", [3001, 10**400], ids=["3001", "10**400"])
+def test_sums_name_the_table_x_is_beyond(ftables_small, sieve_small, x):
+    for call in sum_calls(x, ftables_small, sieve_small):
+        with pytest.raises(ValueError, match=f"^x={x} beyond table limit 3000$"):
+            call()
+    with pytest.raises(ValueError, match="^x=5000 beyond sieve limit 1000$"):
+        coffeeshop_sum(5000, 2, 2, build_factorisation_tables(5000), build_sieve(1000))
 
 
 @pytest.mark.parametrize("x", [1, 1.0, 0.5, 0, -3, math.nan, math.inf])

@@ -1,4 +1,6 @@
 import cmath
+import csv
+import io
 import math
 import random
 from unittest import mock
@@ -330,6 +332,17 @@ def test_an_int_past_a_double_beside_complex_values_runs_on_objects(sweep_dtypes
     assert sweep_dtypes == [object]
 
 
+def test_an_interpreter_that_mixes_ints_into_complex_otherwise_runs_on_objects(sweep_dtypes, monkeypatch):
+    limit = 2**13 + 1
+    fz = ArithFn(limit, [0, 1] + [complex(0.7, -1.1)] * (limit - 1))
+    inv = dirichlet_inverse(fz)
+    product = convolve(fz, inv)
+    monkeypatch.setattr(dirichlet, "_INT_ENTERS_AS_COMPLEX", False)
+    assert typed(dirichlet_inverse(fz).values) == typed(inv.values)
+    assert typed(convolve(fz, inv).values) == typed(product.values)
+    assert sweep_dtypes == [dirichlet._Planes] * 2 + [object] * 2
+
+
 def test_inverse_of_ones_is_mu_at_a_million(sieve_big):
     assert dirichlet_inverse(ArithFn.ones(10**6)).values[1:] == sieve_big.mu[1:].tolist()
 
@@ -626,6 +639,24 @@ def test_csv_roundtrip(tmp_path, sieve_small):
     G = ArithFn.from_csv(path)
     assert G.limit == 50
     assert [complex(v) for v in G.values[1:]] == [complex(v) for v in F.values[1:]]
+
+
+def test_csv_text_is_the_bytes_csv_writer_writes():
+    values = [True, complex(-0.0, -0.0), -0.0, complex(1.0, -0.0), math.inf, complex(-math.inf, math.nan),
+              math.nan, 1e-300, complex(1e300, -1e-300), 2**63 + 1, -(2**70), 0, False]
+    values *= 316  # 4108 rows: one full writer chunk of 4096 and a part
+    rows = [["n", "re", "im"]]
+    for n, v in enumerate(values, start=1):
+        rows.append([n, int(v), 0] if isinstance(v, int) else [n, repr(complex(v).real), repr(complex(v).imag)])
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    text = ArithFn.from_values(values).csv_text()
+    assert text == buf.getvalue()
+    lines = text.split("\r\n")
+    assert lines[1:4] == ["1,1,0", "2,-0.0,-0.0", "3,-0.0,0.0"]
+    assert lines[6:14] == ["6,-inf,nan", "7,nan,0.0", "8,1e-300,0.0", "9,1e+300,-1e-300",
+                           "10,9223372036854775809,0", "11,-1180591620717411303424,0", "12,0,0", "13,0,0"]
+    assert len(lines) == 4110 and lines[-1] == ""
 
 
 def test_csv_keeps_big_integers_exact(tmp_path):

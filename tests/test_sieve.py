@@ -197,6 +197,7 @@ def test_verify_omega_check_catches_a_wrong_big_omega():
 
 def test_kappa_free_mask_matches_pointwise(sieve_small):
     mask = sieve_small.kappa_free_mask(3, 2000)
+    assert mask.dtype == bool and len(mask) == 2001 and not mask[0]
     for n in range(1, 2001):
         assert bool(mask[n]) == is_kappa_free(n, 3, sieve_small)
 

@@ -97,7 +97,7 @@ def test_sums_equal_the_loops_at_the_report_checkpoints(x, ftables_big, sieve_bi
     assert_sums_match(x, ftables_big, sieve_big)
 
 
-@pytest.mark.parametrize("x", [2**20 - 1, 2**20, 2**20 + 1, 2**21 + 5])
+@pytest.mark.parametrize("x", [2**16 - 1, 2**16, 2**16 + 1, 2**20 - 1, 2**20, 2**20 + 1, 2**21 + 5])
 def test_sums_across_bincount_chunks(x, chunk_tables):
     tables, ft = chunk_tables
     # the counts against one unchunked bincount
