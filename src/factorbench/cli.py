@@ -25,7 +25,7 @@ from .factorizations import (
     d_lambda_bound,
 )
 from .reproduce import reproduce_report
-from .sieve import SieveTables, build_sieve, factorize
+from .sieve import SieveTables, _x_cutoff, build_sieve, factorize
 from .zfamily import beta_for_z, build_context
 
 
@@ -64,13 +64,9 @@ def _parse_z(text: str) -> complex:
 
 
 def _x_sieve(args) -> tuple[int, SieveTables]:
-    """The cutoff int(--x) and a sieve to max(x, 2); a non-finite x or one
+    """The cutoff floor(--x) and a sieve to max(x, 2); a non-finite x or one
     below 1 is a user error."""
-    if not math.isfinite(args.x):
-        raise ValueError(f"x must be finite, got {args.x}")
-    x = int(args.x)
-    if x < 1:
-        raise ValueError(f"x = {args.x} gives sieve limit {x}, below 1")
+    x = _x_cutoff(args.x, 1)
     return x, build_sieve(max(x, 2))
 
 

@@ -59,7 +59,8 @@ the loop's:
 
 The plane and object sweeps run under np.errstate(all="ignore"): a value
 that overflows becomes inf or nan, as in Python, and numpy warns of
-nothing.
+nothing.  Where an int too large for a double meets a float or complex
+value, Python raises OverflowError; the sweeps raise it as a ValueError.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ import csv
 import math
 import mmap
 import operator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from typing import Callable, Iterable
@@ -342,6 +344,18 @@ def _chunks(lo: int, hi: int):
         yield slice(start, min(start + _CHUNK, hi))
 
 
+@contextmanager
+def _sweeping():
+    """The context of a sweep: numpy warns of nothing, and an int too large
+    for a double meeting a float or complex value is a ValueError."""
+    with np.errstate(all="ignore"):
+        try:
+            yield
+        except OverflowError as exc:
+            raise ValueError("an int too large for a double meets a float or complex "
+                             f"value: {exc}") from None
+
+
 def _order_free(a) -> bool:
     """Whether a is an int64 array or the inverse's float64 majorant, whose
     sweep may add each cell's terms in any order."""
@@ -369,7 +383,7 @@ def convolve(F: ArithFn, G: ArithFn) -> ArithFn:
         g = None if f is None else _planes_or_none(G.values, g_later)
     if g is None:
         f, g = np.array(F.values, dtype=object), np.array(G.values, dtype=object)
-    with np.errstate(all="ignore"):
+    with _sweeping():
         out = _convolve_sweep(f, g)
     del f, g  # free the inputs before the result list is built
     return ArithFn(limit=N, values=out.tolist())
@@ -434,7 +448,7 @@ def dirichlet_inverse(F: ArithFn) -> ArithFn:
         f = _planes_or_none(F.values, later)
     if f is None:
         f = np.array(F.values, dtype=object)
-    with np.errstate(all="ignore"):
+    with _sweeping():
         out = _inverse_sweep(f)
     del f  # free the input before the result list is built
     return ArithFn(limit=F.limit, values=out.tolist())

@@ -130,8 +130,8 @@ def d_lambda(n: FactoredInt, lam: PartitionMultiset) -> int:
 
 
 def d_lambda_all(n: int) -> dict[tuple[int, ...], int]:
-    """All nonzero d_lambda values of n at once, keyed by sorted part tuple.
-    Pinned by ACCEPT-08; the package never calls it."""
+    """All nonzero d_lambda values of n at once, keyed by sorted part tuple;
+    verify's d-lambda-bound check reads one per n."""
     return {k: v for k, v in _omega_profile_counts(n).items() if k}
 
 

@@ -54,7 +54,7 @@ def reproduce_report(sieve_limit: int = 1_000_000, seed: int = 12345) -> dict:
 
     # squarefree support of the inverse of completely multiplicative F
     lim = min(3000, sieve_limit)
-    worst = cm_inverse_residual(tables, lim, rng)
+    _, worst = cm_inverse_residual(tables, lim, rng)
     report["cm_inverse_squarefree_support"] = {
         "samples": 20, "limit": lim, "worst_relative": worst, "pass": worst <= 1e-9,
     }

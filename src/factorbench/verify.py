@@ -1,9 +1,10 @@
 """Self-contained invariant suites, runnable from the CLI without pytest.
 
-Each suite check returns (name, passed, detail).  These duplicate the spirit
-of the test suite at adjustable scale so a deployment can sanity-check itself.
-The public checks take the tables and grid they check and build no tables;
-the suites here and the reproduction report both call them.
+Each suite check takes (tables, limit, rng) and returns (name, passed,
+detail); run_suite caps the limit of the slow ones (_CAP).  Each identity of
+the paper is checked in one place here, which the suites, the reproduction
+report and the acceptance gate (tests/test_acceptance.py) all call, each on
+its own grid.  The public checks take the tables they check and build none.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from itertools import product
 from typing import Iterable
 
 import numpy as np
@@ -22,7 +24,7 @@ from .sieve import SieveTables, build_sieve, factorize
 Check = tuple[str, bool, str]
 
 
-def _mobius_sum_identity(tables: SieveTables, limit: int) -> Check:
+def _mobius_sum_identity(tables: SieveTables, limit: int, rng: random.Random) -> Check:
     mu = tables.mu
     sums = [0] * (limit + 1)
     for d in range(1, limit + 1):
@@ -34,7 +36,7 @@ def _mobius_sum_identity(tables: SieveTables, limit: int) -> Check:
     return ("mobius-sum-identity", not bad, f"checked n <= {limit}, failures {bad[:5]}")
 
 
-def _omega_inequality(tables: SieveTables, limit: int) -> Check:
+def _omega_inequality(tables: SieveTables, limit: int, rng: random.Random) -> Check:
     """The sieve's Omega(n) <= kappa omega(n) on kappa-free n, omega from factorize."""
     kappas = (2, 3, 5)
     masks = [tables.kappa_free_mask(kappa, limit) for kappa in kappas]
@@ -45,15 +47,14 @@ def _omega_inequality(tables: SieveTables, limit: int) -> Check:
     return ("omega-le-kappa-omega", not bad, f"kappa in 2,3,5 up to {limit}")
 
 
-def _f_bruteforce(tables: SieveTables, limit: int) -> Check:
-    lim = min(limit, 400)
-    ft = factorizations.build_factorisation_tables(lim, tables)
+def _f_bruteforce(tables: SieveTables, limit: int, rng: random.Random) -> Check:
+    ft = factorizations.build_factorisation_tables(limit, tables)
     bad = [
         n
-        for n in range(1, lim + 1)
+        for n in range(1, limit + 1)
         if ft.f[n] != len(factorizations.enumerate_ordered_factorizations(n))
     ]
-    return ("f-equals-bruteforce", not bad, f"n <= {lim}, failures {bad[:5]}")
+    return ("f-equals-bruteforce", not bad, f"n <= {limit}, failures {bad[:5]}")
 
 
 def mu_parity_failures(
@@ -69,51 +70,51 @@ def mu_parity_failures(
     return (np.flatnonzero(diff[ftables.ids[1 : limit + 1]] != tables.mu[1 : limit + 1]) + 1).tolist()
 
 
-def _mu_parity(tables: SieveTables, limit: int) -> Check:
+def _mu_parity(tables: SieveTables, limit: int, rng: random.Random) -> Check:
     ft = factorizations.build_factorisation_tables(limit, tables)
     bad = mu_parity_failures(tables, ft, limit)
     return ("mu-equals-feven-minus-fodd", not bad, f"n <= {limit}, failures {bad[:5]}")
 
 
-def _d_lambda_bound(tables: SieveTables, limit: int) -> Check:
-    lim = min(limit, 600)
+def _d_lambda_bound(tables: SieveTables, limit: int, rng: random.Random) -> Check:
+    """d_lambda(n) <= the multinomial bound for every partition lambda of
+    Omega(n), with equality on squarefree n, for 2 <= n <= limit."""
     bad = []
-    for n in range(2, lim + 1):
-        fi = factorize(n, tables)
+    for n in range(2, limit + 1):
+        profile = factorizations.d_lambda_all(n)
         squarefree = tables.mu[n] != 0
-        for lam in factorizations.enumerate_partitions(fi.big_omega):
-            d = factorizations.d_lambda(fi, lam)
+        for lam in factorizations.enumerate_partitions(int(tables.big_omega[n])):
+            d = profile.get(lam.parts, 0)
             bound = factorizations.d_lambda_bound(lam)
             if d > bound or (squarefree and d != bound):
                 bad.append((n, lam.parts))
-    return ("d-lambda-bound", not bad, f"n <= {lim}, failures {bad[:5]}")
+    return ("d-lambda-bound", not bad, f"n <= {limit}, failures {bad[:5]}")
 
 
 def _roundtrip(tables: SieveTables, limit: int, rng: random.Random) -> Check:
-    lim = min(limit, 2000)
+    """F * Ft = I on 1..limit for 20 random complex F with F(1) = 1."""
     worst = 0.0
     for _ in range(20):
         vals = [1] + [
-            complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(lim - 1)
+            complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(limit - 1)
         ]
-        F = ArithFn(lim, [0] + vals)
+        F = ArithFn(limit, [0] + vals)
         H = convolve(F, dirichlet_inverse(F))
-        worst = max(worst, max(abs(H.values[n] - (1 if n == 1 else 0)) for n in range(1, lim + 1)))
+        worst = max(worst, max(abs(H.values[n] - (1 if n == 1 else 0)) for n in range(1, limit + 1)))
     return ("convolve-inverse-roundtrip", worst <= 1e-9, f"worst residual {worst:.2e}")
 
 
-def _inverse_of_ones(tables: SieveTables, limit: int) -> Check:
+def _inverse_of_ones(tables: SieveTables, limit: int, rng: random.Random) -> Check:
     inv = dirichlet_inverse(ArithFn.ones(limit))
     bad = [n for n in range(1, limit + 1) if inv.values[n] != int(tables.mu[n])]
     return ("inverse-of-ones-is-mu", not bad, f"n <= {limit}, failures {bad[:5]}")
 
 
-def _inverse_vs_alternating(tables: SieveTables, limit: int) -> Check:
+def _inverse_vs_alternating(tables: SieveTables, limit: int, rng: random.Random) -> Check:
     """The sweep against the alternating-series inverse on F_z: exactly for
     z = 2, to 1e-9 relative for a complex z."""
-    lim = min(limit, 1000)
     z = complex(0.6, 0.8)
-    f2, fz = (ArithFn(lim, [0, 1] + [-w] * (lim - 1)) for w in (2, z))
+    f2, fz = (ArithFn(limit, [0, 1] + [-w] * (limit - 1)) for w in (2, z))
     exact_ok = dirichlet_inverse(f2).values == inverse_via_alternating(f2).values
     sweep = dirichlet_inverse(fz).values
     alt = inverse_via_alternating(fz).values
@@ -122,14 +123,17 @@ def _inverse_vs_alternating(tables: SieveTables, limit: int) -> Check:
     return (
         "inverse-sweep-equals-alternating",
         exact_ok and worst <= 1e-9,
-        f"n <= {lim}, z = 2 exact {exact_ok}, z = {z} worst relative {worst:.2e}",
+        f"n <= {limit}, z = 2 exact {exact_ok}, z = {z} worst relative {worst:.2e}",
     )
 
 
-def cm_inverse_residual(tables: SieveTables, limit: int, rng: random.Random) -> float:
-    """Worst |Ft - F mu| / max |Ft| over 20 random completely multiplicative F
-    on 1..limit (|F(p)| <= 1); zero off the squarefree n follows from it."""
-    worst = 0.0
+def cm_inverse_residual(
+    tables: SieveTables, limit: int, rng: random.Random
+) -> tuple[float, float]:
+    """The worst |Ft - F mu| and the worst |Ft - F mu| / max |Ft| over 20
+    random completely multiplicative F on 1..limit (|F(p)| <= 1); zero off
+    the squarefree n follows from either."""
+    worst_abs = worst_rel = 0.0
     primes = tables.primes[tables.primes <= limit].tolist()
     mu = tables.mu[1 : limit + 1]
     for _ in range(20):
@@ -139,12 +143,14 @@ def cm_inverse_residual(tables: SieveTables, limit: int, rng: random.Random) -> 
         d = inv - np.array(F.values[1:], dtype=complex) * mu
         # np.hypot is the C hypot that abs(complex) calls, so this is abs to the bit
         scale = np.hypot(inv.real, inv.imag).max() or 1.0
-        worst = max(worst, float(np.hypot(d.real, d.imag).max() / scale))
-    return worst
+        residual = np.hypot(d.real, d.imag).max()
+        worst_abs = max(worst_abs, float(residual))
+        worst_rel = max(worst_rel, float(residual / scale))
+    return worst_abs, worst_rel
 
 
 def _cm_support(tables: SieveTables, limit: int, rng: random.Random) -> Check:
-    worst = cm_inverse_residual(tables, min(limit, 3000), rng)
+    _, worst = cm_inverse_residual(tables, limit, rng)
     return (
         "completely-multiplicative-inverse-is-F-mu",
         worst <= 1e-9,
@@ -152,7 +158,7 @@ def _cm_support(tables: SieveTables, limit: int, rng: random.Random) -> Check:
     )
 
 
-def _binomial_identity(tables: SieveTables, limit: int) -> Check:
+def _binomial_identity(tables: SieveTables, limit: int, rng: random.Random) -> Check:
     bad = [
         (alpha, k, ell)
         for alpha in range(1, 13)
@@ -166,46 +172,49 @@ def _binomial_identity(tables: SieveTables, limit: int) -> Check:
 def closed_form_mismatches(
     contexts: Iterable[zfamily.ZFamilyContext],
     ftables: factorizations.FactorisationTables,
-    ps: tuple[int, ...],
-    alphas: tuple[int, ...],
-    ns: tuple[int, ...],
+    ps: Iterable[int],
+    alphas: Iterable[int],
+    ns: Iterable[int],
 ) -> tuple[int, list[tuple]]:
     """The prime-power closed form against each context's inverted table at
-    p^alpha * n, over p not dividing n with p^alpha * n in range.  Returns
-    the number of cases and the (z, p, alpha, n) that disagree."""
+    p^alpha * n, over p not dividing n with p^alpha * n in range: exactly
+    for an int z, else to 1e-9 relative (absolute below 1).  Returns the
+    number of cases and the (z, p, alpha, n) that disagree."""
     cases, bad = 0, []
     for ctx in contexts:
-        for p in ps:
-            for alpha in alphas:
-                for n in ns:
-                    if n % p == 0 or p**alpha * n > ctx.limit:
-                        continue
-                    cases += 1
-                    lhs = zfamily.inverse_at_prime_power(ctx.z, alpha, n, p, ftables)
-                    if lhs != ctx.fz_tilde.values[p**alpha * n]:
-                        bad.append((ctx.z, p, alpha, n))
+        for p, alpha, n in product(ps, alphas, ns):
+            if n % p == 0 or p**alpha * n > ctx.limit:
+                continue
+            cases += 1
+            lhs = zfamily.inverse_at_prime_power(ctx.z, alpha, n, p, ftables)
+            rhs = ctx.fz_tilde.values[p**alpha * n]
+            if isinstance(ctx.z, int):
+                agree = lhs == rhs
+            else:
+                agree = abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))  # False on NaN
+            if not agree:
+                bad.append((ctx.z, p, alpha, n))
     return cases, bad
 
 
-def _closed_form(tables: SieveTables, limit: int) -> Check:
+def _closed_form(tables: SieveTables, limit: int, rng: random.Random) -> Check:
     ft = factorizations.build_factorisation_tables(64, tables)
     contexts = (zfamily.build_context(z, min(tables.limit, 4000), tables) for z in (-1, 1, 2, 3))
     _, bad = closed_form_mismatches(contexts, ft, (2, 3), (1, 2, 3), (3, 5, 9, 15, 35))
     return ("inverse-closed-form", not bad, f"failures {bad[:5]}")
 
 
-def _psi_minimality(tables: SieveTables, limit: int) -> Check:
-    lim = min(limit, 500)
+def _psi_minimality(tables: SieveTables, limit: int, rng: random.Random) -> Check:
     bad = []
     for kappa in (2, 3, 5):
-        for n in np.flatnonzero(tables.kappa_free_mask(kappa, lim))[1:].tolist():  # kappa-free n >= 2
+        for n in np.flatnonzero(tables.kappa_free_mask(kappa, limit))[1:].tolist():  # kappa-free n >= 2
             tup, j = counting.psi_tuple(n, kappa, tables)
             prod = 1
             for i in tup:
                 prod *= counting.tilde_p(i, kappa, tables)
             if prod != n or list(tup) != sorted(set(tup)) or j != tup[-1]:
                 bad.append((kappa, n))
-    return ("psi-reconstruction", not bad, f"kappa in 2,3,5, n <= {lim}")
+    return ("psi-reconstruction", not bad, f"kappa in 2,3,5, n <= {limit}")
 
 
 SUITES = {
@@ -216,6 +225,11 @@ SUITES = {
     "counting": [_psi_minimality],
 }
 
+# the largest limit run_suite gives each check whose cost grows fast with
+# it (a brute-force oracle, or 20 random tables); the rest take it as given
+_CAP = {_f_bruteforce: 400, _d_lambda_bound: 600, _roundtrip: 2000,
+        _cm_support: 3000, _inverse_vs_alternating: 1000, _psi_minimality: 500}
+
 
 def run_suite(name: str, limit: int, seed: int = 12345) -> list[Check]:
     if name == "all":
@@ -225,12 +239,6 @@ def run_suite(name: str, limit: int, seed: int = 12345) -> list[Check]:
     else:
         raise ValueError(f"unknown suite {name!r}; pick from {['all', *SUITES]}")
     tables = build_sieve(max(limit, 100))
-    rng = random.Random(seed)
-    results: list[Check] = []
-    for suite in names:
-        for check in SUITES[suite]:
-            if check in (_roundtrip, _cm_support):
-                results.append(check(tables, limit, rng))
-            else:
-                results.append(check(tables, limit))
-    return results
+    rng = random.Random(seed)  # only _roundtrip and _cm_support draw from it
+    return [check(tables, min(limit, _CAP.get(check, limit)), rng)
+            for suite in names for check in SUITES[suite]]

@@ -19,7 +19,6 @@ PACKAGE = ROOT / "src" / "factorbench"
 PAPER_OBJECTS = {
     "f_k_F": "tests/test_dirichlet.py::test_f_k_F_*",
     "check_counting_bound": "tests/test_acceptance.py::test_accept_11_counting_inequality",
-    "d_lambda_all": "tests/test_acceptance.py::test_accept_08_d_lambda_bound",
     "B_sum": "tests/test_zfamily.py::test_B_sum_equals_closed_*",
     "B_closed": "tests/test_zfamily.py::test_B_sum_equals_closed_*",
     "fk_prime_power_expansion": "tests/test_zfamily.py::test_fk_prime_power_expansion",

@@ -229,6 +229,17 @@ def test_verify_suite(capsys):
     code, out = run(capsys, "verify", "--suite", "sieve", "--limit", "2000")
     assert code == 0
     assert "[PASS]" in out and "[FAIL]" not in out
+    code, out = run(capsys, "verify", "--suite", "all", "--limit", "2000")
+    assert code == 0
+    names = [
+        "mobius-sum-identity", "omega-le-kappa-omega",
+        "f-equals-bruteforce", "mu-equals-feven-minus-fodd", "d-lambda-bound",
+        "convolve-inverse-roundtrip", "inverse-of-ones-is-mu",
+        "completely-multiplicative-inverse-is-F-mu", "inverse-sweep-equals-alternating",
+        "binomial-identity", "inverse-closed-form",
+        "psi-reconstruction",
+    ]
+    assert [line.split(":")[0] for line in out.splitlines()] == [f"[PASS] {name}" for name in names]
 
 
 def test_verify_unknown_suite(capsys):
@@ -296,7 +307,7 @@ def test_reproduce_below_psi_limit_is_a_user_error(capsys):
 
 
 def test_sieve_limit_below_two_is_a_user_error(capsys):
-    assert "sieve limit" in user_error(capsys, "hr-count", "--x", "0.5", "--kappa", "2")
+    assert "x=0.5 must be >= 1" in user_error(capsys, "hr-count", "--x", "0.5", "--kappa", "2")
 
 
 @pytest.mark.parametrize("command", [
@@ -304,7 +315,7 @@ def test_sieve_limit_below_two_is_a_user_error(capsys):
 ])
 def test_x_below_one_is_a_user_error(capsys, command):
     line = user_error(capsys, *command, "--x", "0.5")
-    assert line == "factorbench: error: x = 0.5 gives sieve limit 0, below 1"
+    assert line == "factorbench: error: x=0.5 must be >= 1"
 
 
 @pytest.mark.parametrize("command", [
@@ -351,6 +362,18 @@ def test_missing_input_file_is_a_user_error(tmp_path, capsys):
 def test_bad_sieve_budget_variable_is_a_user_error(monkeypatch, capsys):
     monkeypatch.setenv("FACTORBENCH_MAX_SIEVE", "1e7")
     assert "FACTORBENCH_MAX_SIEVE" in user_error(capsys, "sieve", "--limit", "10")
+
+
+@pytest.mark.parametrize("command", ["invert", "convolve"])
+@pytest.mark.parametrize("f2", ["1e+300", str(10**300)], ids=["1e+300", "301-digits"])
+def test_an_int_past_a_double_meeting_a_complex_is_a_user_error(tmp_path, capsys, command, f2):
+    # F(2)^2 = 10^600 is an exact int, which the sum at n = 4 adds to the complex F(4)
+    path = tmp_path / "F.csv"
+    path.write_text(f"n,re,im\n1,1,0\n2,{f2},0\n3,0,0\n4,0.5,0.5\n")
+    argv = ["--input", str(path)] if command == "invert" else ["--a", str(path), "--b", str(path)]
+    line = user_error(capsys, command, *argv)
+    assert line == ("factorbench: error: an int too large for a double meets a float or "
+                    "complex value: int too large to convert to float")
 
 
 def test_series_overflow_is_a_user_error(capsys):

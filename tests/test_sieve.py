@@ -189,9 +189,9 @@ def test_sieve_tables_are_frozen_and_keep_no_cache(sieve_small):
 
 def test_verify_omega_check_catches_a_wrong_big_omega():
     tables = build_sieve(100)
-    assert _omega_inequality(tables, 100) == ("omega-le-kappa-omega", True, "kappa in 2,3,5 up to 100")
+    assert _omega_inequality(tables, 100, None) == ("omega-le-kappa-omega", True, "kappa in 2,3,5 up to 100")
     tables.big_omega[6] = 5  # 6 = 2 * 3 is squarefree with omega 2, and 5 > 2 * 2
-    name, passed, _ = _omega_inequality(tables, 100)
+    name, passed, _ = _omega_inequality(tables, 100, None)
     assert name == "omega-le-kappa-omega" and not passed
 
 
