@@ -18,8 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .factorizations import _COUNT_CHUNK, FactorisationTables, count_by_signature, sum_by_signature
-from .sieve import SieveTables, _x_cutoff, factorize, iterated_log
+from .factorizations import FactorisationTables, count_by_signature, sum_by_signature
+from .sieve import _COUNT_CHUNK, SieveTables, _x_cutoff, factorize, iterated_log
 
 
 @dataclass(frozen=True)

@@ -22,14 +22,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .sieve import FactoredInt, SieveTables, _big_omega, _divisors, _halving_blocks, build_sieve
+from .sieve import _COUNT_CHUNK, FactoredInt, SieveTables, _big_omega, _divisors, _halving_blocks, build_sieve
 
 MAX_PARTITION_ELL = 90
-# The per-n counts (count_by_signature, counting.profile_grid) run np.bincount
-# over chunks this long, as bincount copies its input to intp: at 2^16 that
-# copy stays in cache and below the peak the sieve's own arrays set, where
-# 2^20's 8 MiB copy raised the peak RSS of the reproduce report.
-_COUNT_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -224,8 +219,9 @@ def build_factorisation_tables(
     rows = [_fk_of_signature(sig) for sig in signatures]
     k_max = limit.bit_length() - 1
     fk = [_BySignature([r[k] if k < len(r) else 0 for r in rows], ids) for k in range(k_max + 1)]
-    f = np.array([sum(r) for r in rows], dtype=object)[ids].tolist()
-    f[0] = 0
+    f_of_id, f = np.array([sum(r) for r in rows], dtype=object), [0]  # f[0] = 0
+    for lo in range(1, limit + 1, _COUNT_CHUNK):  # every n of a signature gets its one int
+        f.extend(f_of_id[ids[lo : lo + _COUNT_CHUNK]])
     f_even = _BySignature([sum(r[0::2]) for r in rows], ids)
     f_odd = _BySignature([sum(r[1::2]) for r in rows], ids)
     return FactorisationTables(limit, k_max, ids, signatures, reps, f, fk, f_even, f_odd)

@@ -18,6 +18,13 @@ from functools import lru_cache
 
 import numpy as np
 
+# The one chunk length of per-n work: build_sieve's Omega recurrence, the
+# signature-id walk (_halving_blocks), the f list of build_factorisation_tables
+# and the bincounts of count_by_signature and counting.profile_grid. Their int64
+# and intp temporaries are then 512 KiB, below the peak the returned arrays set,
+# where 2^20 entries made 8 MiB copies that raised the peak RSS of the tables.
+_COUNT_CHUNK = 1 << 16
+
 
 class CapacityError(ValueError):
     """Requested limit exceeds the configured memory budget."""
@@ -130,12 +137,11 @@ def build_sieve(limit: int) -> SieveTables:
 
     big_omega = np.zeros(n, dtype=np.int16)
     lo = 2
-    while lo < n:  # blocks [lo, 2 lo) read only m = k / spf(k) < lo; 2^20 caps temporaries
-        hi = min(2 * lo, lo + (1 << 20), n)
+    while lo < n:  # blocks [lo, 2 lo) read only m = k / spf(k) < lo; _COUNT_CHUNK caps them
+        hi = min(2 * lo, lo + _COUNT_CHUNK, n)
         big_omega[lo:hi] = big_omega[np.arange(lo, hi) // spf[lo:hi]] + 1
         lo = hi
-    mu = big_omega.astype(np.int8)  # in place from here: 1 - 2 (Omega mod 2)
-    mu &= 1
+    mu = np.bitwise_and(big_omega, 1, dtype=np.int8)  # Omega mod 2, then in place 1 - 2 (Omega mod 2)
     mu *= -2
     mu += 1
     mu[0] = 0
@@ -165,14 +171,14 @@ def _x_cutoff(x: float, least: int, *tables) -> int:
 
 
 def _halving_blocks(spf: np.ndarray, n: int):
-    """2..n - 1 in blocks [lo, 2 lo) of at most 2^20 (to cap temporaries): the
+    """2..n - 1 in blocks [lo, 2 lo) of at most _COUNT_CHUNK entries: the
     slice, m = k / spf(k), and whether spf(k) repeats in k, i.e. spf(m) = spf(k)
     (spf(1) = 0 matches no prime).  m < lo: a recurrence reads finished entries.
     Only factorizations._signature_ids walks these: build_sieve's Omega
     recurrence needs no repeat test and runs the same blocks inline."""
     lo = 2
     while lo < n:
-        hi = min(2 * lo, lo + (1 << 20), n)
+        hi = min(2 * lo, lo + _COUNT_CHUNK, n)
         p = spf[lo:hi]
         m = np.arange(lo, hi) // p
         yield slice(lo, hi), m, spf[m] == p

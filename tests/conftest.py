@@ -46,7 +46,8 @@ def ftables_big(sieve_big):
 
 @pytest.fixture(scope="session")
 def chunk_tables():
-    # past 2^21: across the sieve walk's 2^20 block cap and many of the 2^16
-    # chunks that count_by_signature and profile_grid count by
+    # past 2^21: across many of the 2^16 chunks (_COUNT_CHUNK) that bound the
+    # sieve's walks, the fill of the f list and the bincounts of
+    # count_by_signature and profile_grid
     tables = build_sieve(2**21 + 5)
     return tables, build_factorisation_tables(2**21 + 5, tables)

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -225,21 +226,33 @@ def test_sarnak(capsys):
     assert data["numerator"] == 3
 
 
+# the text of verify --suite all --limit 2000; each RESIDUAL is a float
+# residual, printed as d.dde-dd and at most 1e-9
+VERIFY_ALL_2000 = """\
+[PASS] mobius-sum-identity: checked n <= 2000, failures []
+[PASS] omega-le-kappa-omega: kappa in 2,3,5 up to 2000
+[PASS] f-equals-bruteforce: n <= 400, failures []
+[PASS] mu-equals-feven-minus-fodd: n <= 2000, failures []
+[PASS] d-lambda-bound: n <= 600, failures []
+[PASS] convolve-inverse-roundtrip: worst residual RESIDUAL
+[PASS] inverse-of-ones-is-mu: n <= 2000, failures []
+[PASS] completely-multiplicative-inverse-is-F-mu: worst relative residual RESIDUAL
+[PASS] inverse-sweep-equals-alternating: n <= 1000, z = 2 exact True, z = (0.6+0.8j) worst relative RESIDUAL
+[PASS] binomial-identity: alpha,ell <= 12, failures []
+[PASS] inverse-closed-form: failures []
+[PASS] psi-reconstruction: kappa in 2,3,5, n <= 500
+"""
+
+
 def test_verify_suite(capsys):
     code, out = run(capsys, "verify", "--suite", "sieve", "--limit", "2000")
     assert code == 0
     assert "[PASS]" in out and "[FAIL]" not in out
     code, out = run(capsys, "verify", "--suite", "all", "--limit", "2000")
     assert code == 0
-    names = [
-        "mobius-sum-identity", "omega-le-kappa-omega",
-        "f-equals-bruteforce", "mu-equals-feven-minus-fodd", "d-lambda-bound",
-        "convolve-inverse-roundtrip", "inverse-of-ones-is-mu",
-        "completely-multiplicative-inverse-is-F-mu", "inverse-sweep-equals-alternating",
-        "binomial-identity", "inverse-closed-form",
-        "psi-reconstruction",
-    ]
-    assert [line.split(":")[0] for line in out.splitlines()] == [f"[PASS] {name}" for name in names]
+    match = re.fullmatch(re.escape(VERIFY_ALL_2000).replace("RESIDUAL", r"(\d\.\d\de-\d\d)"), out)
+    assert match, out
+    assert all(float(residual) <= 1e-9 for residual in match.groups())
 
 
 def test_verify_unknown_suite(capsys):
@@ -428,6 +441,17 @@ def test_cli_runs_without_scipy():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_python_dash_m_runs_the_command_line(capsys):
+    assert main(["beta-z", "--z", "1"]) == 0
+    expected = capsys.readouterr().out
+    src = str(Path(factorbench.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "factorbench", "beta-z", "--z", "1"],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected
 
 
 def strict_json(text):

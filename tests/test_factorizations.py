@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from factorbench import (
     CapacityError,
     PartitionMultiset,
     build_factorisation_tables,
+    build_sieve,
     d_lambda,
     d_lambda_bound,
     enumerate_partitions,
@@ -279,6 +281,33 @@ def test_f_entries_share_one_int_per_signature(ftables_small):
     for n in range(1, ft.limit + 1):
         assert ft.f[n] is firsts.setdefault(int(ft.ids[n]), ft.f[n])
     assert len(firsts) == len(ft.signatures)
+
+
+def test_f_entries_share_one_int_per_signature_across_the_fill_chunks(chunk_tables):
+    _, ft = chunk_tables
+    shared = [ft.f[rep] for rep in ft.reps]
+    assert len(ft.f) == ft.limit + 1 and ft.f[0] == 0
+    assert all(ft.f[n] is shared[i] for n, i in enumerate(ft.ids.tolist()) if n)
+
+
+def peak_over_retained_mib(build):
+    """tracemalloc's peak while build() runs, less what its result keeps."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        kept = build()  # held until the memory is read
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return (peak - retained) / 2**20
+
+
+def test_table_builds_hold_one_chunk_of_temporaries(chunk_tables):
+    # at 2^21 + 5, blocks of 2^20 held 8 MiB (the sieve) and a full-length
+    # gather 16 MiB (the f list); a 2^16 chunk's temporaries take 512 KiB each
+    tables, _ = chunk_tables
+    assert peak_over_retained_mib(lambda: build_sieve(tables.limit)) <= 1.5
+    assert peak_over_retained_mib(lambda: build_factorisation_tables(tables.limit, tables)) <= 1.5
 
 
 def test_ids_decode_to_the_factorization(ftables_parity, sieve_big):

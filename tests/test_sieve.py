@@ -14,7 +14,7 @@ from factorbench import (
     is_kappa_free,
     iterated_log,
 )
-from factorbench.sieve import _big_omega, _divisors, _halving_blocks
+from factorbench.sieve import _COUNT_CHUNK, _big_omega, _divisors, _halving_blocks
 from factorbench.verify import _omega_inequality
 
 
@@ -316,7 +316,7 @@ def test_halving_blocks_visit_each_k_once_after_its_m(n):
     visits = np.zeros(n, dtype=np.int64)
     for block, m, rep in _halving_blocks(spf, n):
         k = np.arange(block.start, block.stop)
-        assert len(k) <= 2**20 and (m < block.start).all()
+        assert len(k) <= _COUNT_CHUNK and (m < block.start).all()
         assert (m * spf[block] == k).all()
         assert np.array_equal(rep, m % spf[block] == 0)
         visits[block] += 1

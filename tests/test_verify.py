@@ -28,6 +28,13 @@ def closed_form_off_at_2_cubed_times_3(real):
     return broken
 
 
+def closed_form_scaled_at_2_cubed_times_3(real):
+    def broken(z, alpha, n, p, ftables):
+        value = real(z, alpha, n, p, ftables)
+        return value * (1 + 1e-6) if (p, alpha, n) == (2, 3, 3) else value
+    return broken
+
+
 def bound_plus_one(real):
     return lambda lam: real(lam) + 1  # d_lambda then falls short of it on squarefree n
 
@@ -58,6 +65,8 @@ CASES = {
                           zfamily, "inverse_at_prime_power", closed_form_off_at_2_cubed_times_3),
     "closed-form-complex-z": (closed_form_passes(0.6 + 0.8j),
                               zfamily, "inverse_at_prime_power", closed_form_off_at_2_cubed_times_3),
+    "closed-form-complex-z-relative": (closed_form_passes(0.6 + 0.8j),
+                                       zfamily, "inverse_at_prime_power", closed_form_scaled_at_2_cubed_times_3),
     "d-lambda-bound": (lambda t: verify._d_lambda_bound(t, 100, None)[1],
                        factorizations, "d_lambda_bound", bound_plus_one),
     "binomial-identity": (lambda t: verify._binomial_identity(t, None, None)[1],
