@@ -25,7 +25,7 @@ from .factorizations import (
     d_lambda_bound,
 )
 from .reproduce import reproduce_report
-from .sieve import SieveTables, _x_cutoff, build_sieve, factorize
+from .sieve import _x_cutoff, build_sieve, factorize
 from .zfamily import beta_for_z, build_context
 
 
@@ -61,13 +61,6 @@ def _parse_z(text: str) -> complex:
     if not cmath.isfinite(z):
         raise ValueError(f"z must be finite, got {text!r}")
     return z
-
-
-def _x_sieve(args) -> tuple[int, SieveTables]:
-    """The cutoff floor(--x) and a sieve to max(x, 2); a non-finite x or one
-    below 1 is a user error."""
-    x = _x_cutoff(args.x, 1)
-    return x, build_sieve(max(x, 2))
 
 
 def _z_context(args):
@@ -172,7 +165,7 @@ def cmd_convolve(args) -> int:
 
 
 def cmd_hr_count(args) -> int:
-    _, tables = _x_sieve(args)
+    tables = build_sieve(max(_x_cutoff(args.x, 1), 2))
     profile = counting.profile_N_kappa(args.x, args.kappa, tables)
     rows = sorted(profile.per_ell.items())
     if args.format == "csv":
@@ -190,10 +183,10 @@ def cmd_psi(args) -> int:
 
 
 def cmd_coffeeshop(args) -> int:
-    x, tables = _x_sieve(args)
-    ftables = build_factorisation_tables(x, tables)
+    x = _x_cutoff(args.x, 1)
+    ftables = build_factorisation_tables(x)
     c = int(args.c) if float(args.c).is_integer() else float(args.c)
-    total = counting.coffeeshop_sum(x, c, args.kappa, ftables, tables)
+    total = counting.coffeeshop_sum(x, c, args.kappa, ftables)
     _emit_json({"x": x, "C": c, "kappa": args.kappa, "sum": total}, args.out)
     return 0
 
@@ -242,8 +235,8 @@ def cmd_zeta(args) -> int:
 
 
 def cmd_kalmar(args) -> int:
-    x, tables = _x_sieve(args)
-    ftables = build_factorisation_tables(x, tables)
+    x = _x_cutoff(args.x, 1)
+    ftables = build_factorisation_tables(x)
     beta = zeta.kalmar_beta()
     _emit_json(
         {
@@ -258,9 +251,9 @@ def cmd_kalmar(args) -> int:
 
 
 def cmd_sarnak(args) -> int:
-    x, tables = _x_sieve(args)
-    ftables = build_factorisation_tables(x, tables)
-    rep = zeta.sarnak_correlation(x, args.xi, ftables, tables)
+    x = _x_cutoff(args.x, 1)
+    ftables = build_factorisation_tables(x)
+    rep = zeta.sarnak_correlation(x, args.xi, ftables)
     _emit_json(
         {
             "x": x,

@@ -211,15 +211,10 @@ def fit_counting_constants(
     return c1 * (1 + 1e-9), c2
 
 
-def coffeeshop_sum(
-    x: float,
-    c,
-    kappa: int,
-    ftables: FactorisationTables,
-    tables: SieveTables,
-):
-    """sum_{n<=x} c^Omega(n) f(n) over kappa-free n, once per signature: exact
-    for an int c; for any other finite c, summed over Fraction(c) and rounded once.
+def coffeeshop_sum(x: float, c, kappa: int, ftables: FactorisationTables):
+    """sum_{n<=x} c^Omega(n) f(n) over kappa-free n, once per signature, with
+    the signature's Omega from ftables.big_omega: exact for an int c; for any
+    other finite c, summed over Fraction(c) and rounded once.
 
     For kappa = 2 and any fixed c > 0 the sum is x^{1+o(1)}: on squarefree
     n with k prime factors f(n) is the Fubini number sum_{m>=0} m^k/2^{m+1},
@@ -228,7 +223,7 @@ def coffeeshop_sum(
     for every sigma > 1. The unrestricted sum of f grows like x^beta with
     beta = kalmar_beta() = 1.7286.
     """
-    cutoff = _x_cutoff(x, 0, ftables, tables)
+    cutoff = _x_cutoff(x, 0, ftables)
     exact = isinstance(c, int)
     if not exact and not math.isfinite(c):
         raise ValueError(f"c must be finite, got {c}")
@@ -236,8 +231,8 @@ def coffeeshop_sum(
         raise ValueError(f"kappa must be >= 2, got {kappa}")
     base = c if exact else Fraction(c)
     total = sum_by_signature(ftables, [
-        k * base ** int(tables.big_omega[rep]) if k and (not sig or sig[0] < kappa) else 0
-        for k, rep, sig in zip(count_by_signature(ftables, cutoff), ftables.reps, ftables.signatures)])
+        k * base**omega if k and (not sig or sig[0] < kappa) else 0
+        for k, omega, sig in zip(count_by_signature(ftables, cutoff), ftables.big_omega, ftables.signatures)])
     if exact:
         return total
     try:
@@ -246,14 +241,9 @@ def coffeeshop_sum(
         return math.inf if total > 0 else -math.inf
 
 
-def growth_exponents(
-    xs,
-    c,
-    kappa: int,
-    ftables: FactorisationTables,
-    tables: SieveTables,
-) -> list[tuple[float, float]]:
-    """(x, log S(x)/log x) for the restricted power-weighted sum S.
+def growth_exponents(xs, c, kappa: int, ftables: FactorisationTables) -> list[tuple[float, float]]:
+    """(x, log S(x)/log x) for the restricted power-weighted sum S, at each
+    x of xs, which must be finite and > 1, where log x > 0.
 
     The exponent is descriptive, not a bound. For kappa = 2 it tends to 1
     (see coffeeshop_sum), but slowly: with c = 2 it is 1.4901 at x = 10^6
@@ -261,6 +251,8 @@ def growth_exponents(
     """
     out = []
     for x in xs:
-        s = coffeeshop_sum(x, c, kappa, ftables, tables)
+        if not 1 < x < math.inf:
+            raise ValueError(f"x must be finite and > 1, got {x}")
+        s = coffeeshop_sum(x, c, kappa, ftables)
         out.append((x, math.log(abs(s)) / math.log(x)))
     return out

@@ -6,8 +6,9 @@ counts those of length exactly k, and f_even/f_odd split by length parity
 signature, the multiset of its exponents, so the tables are computed once
 per signature by MacMahon's formula and read per n through a signature id,
 which n takes from n / spf(n) along the sieve's walk.  Sums over n <= x run
-once per signature, on count_by_signature and sum_by_signature.  All counts
-are exact Python integers; the sieve budget caps the table limit.
+once per signature, on count_by_signature and sum_by_signature, and read mu
+and Omega from the tables' per-signature columns, not from a sieve.  All
+counts are exact Python integers; the sieve budget caps the table limit.
 
 Also houses integer partitions stored by part multiplicities, the tuple
 counter d_lambda grouped by the multiset of Omega-values, and its
@@ -145,14 +146,17 @@ class _BySignature:
 class FactorisationTables:
     """f, f_k (k <= k_max = max Omega(n); f_0 is the unit), f_even and f_odd
     over 1..limit.  signatures[ids[n]] is n's exponent multiset, decreasing,
-    and reps[ids[n]] the smallest n with it; f is a per-n list of shared
-    ints, the others read through ids."""
+    reps[ids[n]] the smallest n with it, and mu[ids[n]] and big_omega[ids[n]]
+    the sieve's mu and Omega at that n, which the sums over n <= x read; f
+    is a per-n list of shared ints, the others read through ids."""
 
     limit: int
     k_max: int
     ids: np.ndarray
     signatures: list[tuple[int, ...]]
     reps: list[int]
+    mu: list[int]
+    big_omega: list[int]
     f: list[int]
     fk: list[_BySignature]
     f_even: _BySignature
@@ -208,7 +212,9 @@ def build_factorisation_tables(
     limit: int, tables: SieveTables | None = None
 ) -> FactorisationTables:
     """The tables over 1..limit, from the sieve tables, or from a sieve to
-    limit (capped like any sieve) when tables is None."""
+    limit (capped like any sieve) when tables is None.  The sieve is read
+    only by the signature-id walk and the gathers of mu and Omega at the
+    reps; a sieve built here is freed before the f list fills."""
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     if tables is None:
@@ -216,6 +222,8 @@ def build_factorisation_tables(
     elif tables.limit < limit:
         raise ValueError(f"sieve limit {tables.limit} is below table limit {limit}")
     ids, signatures, reps = _signature_ids(limit, tables)
+    mu, big_omega = tables.mu[reps].tolist(), tables.big_omega[reps].tolist()
+    del tables
     rows = [_fk_of_signature(sig) for sig in signatures]
     k_max = limit.bit_length() - 1
     fk = [_BySignature([r[k] if k < len(r) else 0 for r in rows], ids) for k in range(k_max + 1)]
@@ -224,7 +232,7 @@ def build_factorisation_tables(
         f.extend(f_of_id[ids[lo : lo + _COUNT_CHUNK]])
     f_even = _BySignature([sum(r[0::2]) for r in rows], ids)
     f_odd = _BySignature([sum(r[1::2]) for r in rows], ids)
-    return FactorisationTables(limit, k_max, ids, signatures, reps, f, fk, f_even, f_odd)
+    return FactorisationTables(limit, k_max, ids, signatures, reps, mu, big_omega, f, fk, f_even, f_odd)
 
 
 def count_by_signature(ftables: FactorisationTables, cutoff: int) -> list[int]:

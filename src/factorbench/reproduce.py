@@ -76,7 +76,7 @@ def reproduce_report(sieve_limit: int = 1_000_000, seed: int = 12345) -> dict:
     sarnak_rows = []
     for x in checkpoints:
         for sel in ("f", "fmu2"):
-            rep = zeta.sarnak_correlation(x, sel, ftables, tables)
+            rep = zeta.sarnak_correlation(x, sel, ftables)
             sarnak_rows.append(
                 {"x": x, "xi": sel, "numerator": rep.numerator,
                  "denominator": rep.denominator, "ratio": rep.ratio}
@@ -88,7 +88,7 @@ def reproduce_report(sieve_limit: int = 1_000_000, seed: int = 12345) -> dict:
         "rows": [
             {"x": x, "exponent": e}
             for x, e in counting.growth_exponents(
-                [x for x in checkpoints if x >= 1000], 2, 2, ftables, tables
+                [x for x in checkpoints if x >= 1000], 2, 2, ftables
             )
         ],
     }

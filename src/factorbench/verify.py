@@ -238,6 +238,8 @@ def run_suite(name: str, limit: int, seed: int = 12345) -> list[Check]:
         names = [name]
     else:
         raise ValueError(f"unknown suite {name!r}; pick from {['all', *SUITES]}")
+    if limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
     tables = build_sieve(max(limit, 100))
     rng = random.Random(seed)  # only _roundtrip and _cm_support draw from it
     return [check(tables, min(limit, _CAP.get(check, limit)), rng)

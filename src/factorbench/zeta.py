@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .factorizations import FactorisationTables, count_by_signature, sum_by_signature
-from .sieve import SieveTables, _x_cutoff
+from .sieve import _x_cutoff
 
 SIGMA_FLOOR = 1.0 + 1e-6
 _N, _K = 10, 10  # terms summed directly, Bernoulli corrections
@@ -163,23 +163,18 @@ class CorrelationReport:
         return self.numerator / self.denominator if self.denominator else math.nan
 
 
-def sarnak_correlation(
-    x: float,
-    selector: str,
-    ftables: FactorisationTables,
-    tables: SieveTables,
-) -> CorrelationReport:
+def sarnak_correlation(x: float, selector: str, ftables: FactorisationTables) -> CorrelationReport:
     """Correlation of mu against xi: sum mu(n) xi(n) vs sum |xi(n)|, n <= x.
 
     selector "f" uses xi = f; "fmu2" uses xi = f mu^2 (reported without a
-    pass/fail verdict). Both sums run once per signature, with the signature's
-    mu read from the sieve at its smallest n.
+    pass/fail verdict). Both sums run once per signature, with the
+    signature's mu from ftables.mu, the sieve's mu at its smallest n.
     """
     if selector not in ("f", "fmu2"):
         raise ValueError(f"selector must be 'f' or 'fmu2', got {selector!r}")
-    cutoff = _x_cutoff(x, 0, ftables, tables)
+    cutoff = _x_cutoff(x, 0, ftables)
     counts = count_by_signature(ftables, cutoff)
-    mu_counts = [k and k * int(tables.mu[rep]) for k, rep in zip(counts, ftables.reps)]
+    mu_counts = [k * m for k, m in zip(counts, ftables.mu)]
     num = sum_by_signature(ftables, mu_counts)
     den = sum_by_signature(ftables, counts if selector == "f" else [abs(w) for w in mu_counts])
     return CorrelationReport(x=x, selector=selector, numerator=num, denominator=den)

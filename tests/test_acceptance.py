@@ -168,16 +168,16 @@ def _squarefree_weighted_sum_by_factorint(x):
     return total
 
 
-def test_accept_10_weighted_squarefree_growth(ftables_big, sieve_big):
+def test_accept_10_weighted_squarefree_growth(ftables_big):
     # log S(x)/log x tends to 1 for kappa = 2 (the Dirichlet series of
     # mu^2 2^omega f converges for every sigma > 1), but slowly: the oracle
     # above gives 1.4794 at 10^7 and 1.4358 at 10^12. So the gate checks the
     # exact sums and 1 < exponent < beta, not a fixed target exponent.
     t0 = time.perf_counter()
     xs = [10**3, 10**4, 10**5, 10**6]
-    sums = [coffeeshop_sum(x, 2, 2, ftables_big, sieve_big) for x in xs]
+    sums = [coffeeshop_sum(x, 2, 2, ftables_big) for x in xs]
     live = [_squarefree_weighted_sum_by_factorint(x) for x in xs[:2]]
-    exps = [e for _, e in growth_exponents(xs, 2, 2, ftables_big, sieve_big)]
+    exps = [e for _, e in growth_exponents(xs, 2, 2, ftables_big)]
     beta = kalmar_beta()
     exact = sums == [ACCEPT_10_ORACLE[x] for x in xs] and live == sums[:2]
     ok = (
@@ -209,13 +209,13 @@ def test_accept_11_counting_inequality(sieve_big):
     )
 
 
-def test_accept_12_correlation_decay(ftables_big, sieve_big):
+def test_accept_12_correlation_decay(ftables_big):
     t0 = time.perf_counter()
     ratios = [
-        abs(sarnak_correlation(10**e, "f", ftables_big, sieve_big).ratio)
+        abs(sarnak_correlation(10**e, "f", ftables_big).ratio)
         for e in range(3, 7)
     ]
-    reported = sarnak_correlation(10**6, "fmu2", ftables_big, sieve_big).ratio
+    reported = sarnak_correlation(10**6, "fmu2", ftables_big).ratio
     ok = ratios == sorted(ratios, reverse=True)
     report(
         12, ok, 120.0, time.perf_counter() - t0,

@@ -14,6 +14,7 @@ import pytest
 import factorbench
 from factorbench.cli import main
 from factorbench.dirichlet import ArithFn
+from factorbench.verify import SUITES
 
 
 def run(capsys, *argv):
@@ -253,6 +254,13 @@ def test_verify_suite(capsys):
     match = re.fullmatch(re.escape(VERIFY_ALL_2000).replace("RESIDUAL", r"(\d\.\d\de-\d\d)"), out)
     assert match, out
     assert all(float(residual) <= 1e-9 for residual in match.groups())
+
+
+@pytest.mark.parametrize("suite", ["all", *SUITES])
+@pytest.mark.parametrize("limit", ["0", "-5"])
+def test_verify_limit_below_one_is_a_user_error(capsys, suite, limit):
+    line = user_error(capsys, "verify", "--suite", suite, "--limit", limit)
+    assert line == f"factorbench: error: limit must be >= 1, got {limit}"
 
 
 def test_verify_unknown_suite(capsys):

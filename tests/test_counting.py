@@ -24,7 +24,6 @@ from factorbench.counting import (
     psi_tuple,
     tilde_p,
 )
-from factorbench.factorizations import build_factorisation_tables
 from factorbench.sieve import build_sieve, iterated_log
 
 
@@ -296,17 +295,17 @@ def test_prime_sum_fact_up_to_1e8(sieve_big):
 
 def test_coffeeshop_hand_example(ftables_small, sieve_small):
     # squarefree n <= 10: f(1)+f(2)+f(3)+f(5)+f(6)+f(7)+f(10) = 11
-    assert coffeeshop_sum(10, 1, 2, ftables_small, sieve_small) == 11
+    assert coffeeshop_sum(10, 1, 2, ftables_small) == 11
 
 
 def test_coffeeshop_unrestricted_for_large_kappa(ftables_small, sieve_small):
     x = 50
     unrestricted = sum(ftables_small.f[n] for n in range(1, x + 1))
-    assert coffeeshop_sum(x, 1, 7, ftables_small, sieve_small) == unrestricted
+    assert coffeeshop_sum(x, 1, 7, ftables_small) == unrestricted
 
 
 def test_coffeeshop_exact_integer(ftables_small, sieve_small):
-    total = coffeeshop_sum(100, 2, 2, ftables_small, sieve_small)
+    total = coffeeshop_sum(100, 2, 2, ftables_small)
     assert isinstance(total, int)
     brute = sum(
         2 ** int(sieve_small.big_omega[n]) * ftables_small.f[n]
@@ -316,8 +315,8 @@ def test_coffeeshop_exact_integer(ftables_small, sieve_small):
     assert total == brute
 
 
-def test_growth_exponents_trend(ftables_big, sieve_big):
-    rows = growth_exponents([10**3, 10**4, 10**5, 10**6], 2, 2, ftables_big, sieve_big)
+def test_growth_exponents_trend(ftables_big):
+    rows = growth_exponents([10**3, 10**4, 10**5, 10**6], 2, 2, ftables_big)
     exps = [e for _, e in rows]
     print(f"C=2 kappa=2 exponents: {exps}")
     assert exps == sorted(exps, reverse=True)
@@ -329,13 +328,13 @@ def test_counting_profile_type(sieve_small):
     assert all(c > 0 for c in profile.per_ell.values())
 
 
-def sum_calls(x, ftables, tables):
+def sum_calls(x, ftables):
     """The sums over n <= x: kalmar_ratio, sarnak_correlation with both
     selectors, and coffeeshop_sum."""
     return [lambda: zeta.kalmar_ratio(x, ftables),
-            lambda: zeta.sarnak_correlation(x, "f", ftables, tables),
-            lambda: zeta.sarnak_correlation(x, "fmu2", ftables, tables),
-            lambda: coffeeshop_sum(x, 2, 2, ftables, tables)]
+            lambda: zeta.sarnak_correlation(x, "f", ftables),
+            lambda: zeta.sarnak_correlation(x, "fmu2", ftables),
+            lambda: coffeeshop_sum(x, 2, 2, ftables)]
 
 
 @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
@@ -344,31 +343,29 @@ def test_non_finite_x_is_a_value_error_that_names_x(ftables_small, sieve_small, 
                  lambda: N_kappa_ell(x, 2, 1, sieve_small),
                  lambda: count_bigomega(x, 1, sieve_small),
                  lambda: fit_counting_constants([100, x], [2], sieve_small),
-                 *sum_calls(x, ftables_small, sieve_small)):
+                 *sum_calls(x, ftables_small)):
         with pytest.raises(ValueError, match=f"^x must be finite, got {x}$"):
             call()
 
 
 @pytest.mark.parametrize("x", [0, -3, 0.0, -0.5])
-def test_sums_reject_x_at_most_zero_and_name_it(ftables_small, sieve_small, x):
-    for call in sum_calls(x, ftables_small, sieve_small):
+def test_sums_reject_x_at_most_zero_and_name_it(ftables_small, x):
+    for call in sum_calls(x, ftables_small):
         with pytest.raises(ValueError, match=f"^{re.escape(f'x={x} must be > 0')}$"):
             call()
 
 
-def test_sums_below_one_are_empty(ftables_small, sieve_small):
-    kalmar, sarnak_f, sarnak_fmu2, coffeeshop = (call() for call in sum_calls(0.5, ftables_small, sieve_small))
+def test_sums_below_one_are_empty(ftables_small):
+    kalmar, sarnak_f, sarnak_fmu2, coffeeshop = (call() for call in sum_calls(0.5, ftables_small))
     assert (kalmar, coffeeshop) == (0.0, 0)
     assert (sarnak_f.numerator, sarnak_f.denominator, sarnak_fmu2.denominator) == (0, 0, 0)
 
 
 @pytest.mark.parametrize("x", [3001, 10**400], ids=["3001", "10**400"])
-def test_sums_name_the_table_x_is_beyond(ftables_small, sieve_small, x):
-    for call in sum_calls(x, ftables_small, sieve_small):
+def test_sums_name_the_table_x_is_beyond(ftables_small, x):
+    for call in sum_calls(x, ftables_small):
         with pytest.raises(ValueError, match=f"^x={x} beyond table limit 3000$"):
             call()
-    with pytest.raises(ValueError, match="^x=5000 beyond sieve limit 1000$"):
-        coffeeshop_sum(5000, 2, 2, build_factorisation_tables(5000), build_sieve(1000))
 
 
 @pytest.mark.parametrize("x", [1, 1.0, 0.5, 0, -3, math.nan, math.inf])
@@ -377,6 +374,12 @@ def test_counting_bound_rejects_x_at_most_one_or_not_finite(sieve_small, x):
         counting.hr_free_rhs(x, 2, 1, 1.0, 0.1)
     with pytest.raises(ValueError, match=f"x must be finite and > 1, got {x}"):
         check_counting_bound(x, 2, 1, 1.0, 0.1, sieve_small)
+
+
+@pytest.mark.parametrize("x", [1, 0.5, 0, math.nan, math.inf])
+def test_growth_exponents_reject_x_at_most_one_or_not_finite(ftables_small, x):
+    with pytest.raises(ValueError, match=f"^x must be finite and > 1, got {x}$"):
+        growth_exponents([100, x], 2, 2, ftables_small)
 
 
 def test_counting_bound_just_above_one_is_positive():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from factorbench import (
     d_lambda,
     d_lambda_bound,
     enumerate_partitions,
+    factorizations,
     factorize,
     iterated_log,
     mu_via_parity,
@@ -310,10 +312,31 @@ def test_table_builds_hold_one_chunk_of_temporaries(chunk_tables):
     assert peak_over_retained_mib(lambda: build_factorisation_tables(tables.limit, tables)) <= 1.5
 
 
+def test_a_sieve_built_for_the_tables_is_freed_before_the_f_fill(monkeypatch):
+    built, alive = [], []
+
+    def sieve(limit):
+        tables = build_sieve(limit)
+        built.append(weakref.ref(tables))
+        return tables
+
+    def fk_of_signature(sig, real=factorizations._fk_of_signature):
+        alive.append(built[0]() is not None)
+        return real(sig)
+
+    monkeypatch.setattr(factorizations, "build_sieve", sieve)
+    monkeypatch.setattr(factorizations, "_fk_of_signature", fk_of_signature)
+    ft = build_factorisation_tables(1000)
+    assert len(built) == 1 and len(alive) == len(ft.signatures)
+    assert not any(alive)
+
+
 def test_ids_decode_to_the_factorization(ftables_parity, sieve_big):
     sigs, ids = ftables_parity.signatures, ftables_parity.ids
     assert ids.dtype == np.int16
     assert len(set(sigs)) == len(sigs)
+    assert ftables_parity.big_omega == [sum(sig) for sig in sigs]
+    assert ftables_parity.mu == [(-1) ** len(sig) if set(sig) <= {1} else 0 for sig in sigs]
     assert set(sigs) == set(_signatures_up_to(100_000, [2, 3, 5, 7, 11, 13, 17]))
     for n in range(1, 100_001):
         exps = sorted((e for _, e in factorize(n, sieve_big).factors), reverse=True)

@@ -1,8 +1,10 @@
 """The report's sums per prime signature against the per-n loops they replaced.
 
 kalmar_ratio, sarnak_correlation, coffeeshop_sum and mu_parity_failures sum
-over signatures with count_by_signature and sum_by_signature; the loops below
-visit every n and are the reference. Equal means equal in value and in type.
+over signatures with count_by_signature and sum_by_signature, reading mu and
+Omega from the f tables' per-signature columns; the loops below visit every n,
+read mu and Omega per n from a sieve, and are the reference. Equal means equal
+in value and in type.
 """
 
 import math
@@ -85,10 +87,10 @@ def assert_same(got, want):
 def assert_sums_match(x, ftables, tables, kappas=(2, 3, 7), c=2):
     assert_same(zeta.kalmar_ratio(x, ftables), kalmar_ratio_reference(x, ftables))
     for sel in ("f", "fmu2"):
-        assert_same(zeta.sarnak_correlation(x, sel, ftables, tables),
+        assert_same(zeta.sarnak_correlation(x, sel, ftables),
                     sarnak_reference(x, sel, ftables, tables))
     for kappa in kappas:
-        assert_same(counting.coffeeshop_sum(x, c, kappa, ftables, tables),
+        assert_same(counting.coffeeshop_sum(x, c, kappa, ftables),
                     coffeeshop_reference(x, c, kappa, ftables, tables))
 
 
@@ -106,27 +108,32 @@ def test_sums_across_bincount_chunks(x, chunk_tables):
     assert_sums_match(x, ft, tables)
 
 
-def test_sums_with_f_tables_past_the_sieve():
-    # mu and Omega are read only at the smallest n of the signatures up to x
-    tables, ft = build_sieve(1000), build_factorisation_tables(10**4)
-    assert max(ft.reps) > tables.limit
-    assert_sums_match(500, ft, tables)
-    assert counting.coffeeshop_sum(500, 2, 2, ft, tables) == 13075
-
-
-def test_sarnak_reads_mu_from_the_sieve_it_is_given(sieve_small, ftables_small):
-    flipped = build_sieve(sieve_small.limit)
+def test_sarnak_reads_mu_from_the_sieve_it_is_given(ftables_small):
+    # the f tables store the sieve's mu at each signature's smallest n; 30 is
+    # that of (1, 1, 1), so a flip there moves every numerator from x = 30 on
+    flipped = build_sieve(3000)
     flipped.mu[30] = -flipped.mu[30]
+    ft = build_factorisation_tables(3000, flipped)
     for x in (29, 30, 31, 3000):
-        real = zeta.sarnak_correlation(x, "f", ftables_small, sieve_small)
-        got = zeta.sarnak_correlation(x, "f", ftables_small, flipped)
+        real = zeta.sarnak_correlation(x, "f", ftables_small)
+        got = zeta.sarnak_correlation(x, "f", ft)
         assert (got.numerator != real.numerator) == (x >= 30)
         assert got.denominator == real.denominator
 
 
-def test_coffeeshop_rejects_kappa_below_two(ftables_small, sieve_small):
+def test_coffeeshop_reads_omega_from_the_sieve_it_is_given(ftables_small):
+    # 6 is the smallest n of (1, 1): one more Omega there doubles c^Omega from x = 6 on
+    wrong = build_sieve(3000)
+    wrong.big_omega[6] += 1
+    ft = build_factorisation_tables(3000, wrong)
+    for x in (5, 6, 7, 3000):
+        real = counting.coffeeshop_sum(x, 2, 2, ftables_small)
+        assert (counting.coffeeshop_sum(x, 2, 2, ft) != real) == (x >= 6)
+
+
+def test_coffeeshop_rejects_kappa_below_two(ftables_small):
     with pytest.raises(ValueError, match="kappa must be >= 2, got 1"):
-        counting.coffeeshop_sum(10, 1, 1, ftables_small, sieve_small)
+        counting.coffeeshop_sum(10, 1, 1, ftables_small)
 
 
 @settings(max_examples=25, deadline=None)
@@ -141,15 +148,15 @@ def test_coffeeshop_rejects_kappa_below_two(ftables_small, sieve_small):
 def test_sums_equal_the_loops_below_1e5(x, selector, kappa, c, ftables_parity, sieve_big):
     ft = ftables_parity
     assert_same(zeta.kalmar_ratio(x, ft), kalmar_ratio_reference(x, ft))
-    assert_same(zeta.sarnak_correlation(x, selector, ft, sieve_big),
+    assert_same(zeta.sarnak_correlation(x, selector, ft),
                 sarnak_reference(x, selector, ft, sieve_big))
-    assert_same(counting.coffeeshop_sum(x, c, kappa, ft, sieve_big),
+    assert_same(counting.coffeeshop_sum(x, c, kappa, ft),
                 coffeeshop_reference(x, c, kappa, ft, sieve_big))
 
 
 def test_coffeeshop_with_a_float_c_is_the_exact_sum_rounded_once(ftables_big, sieve_big):
     x = 10**5
-    got = counting.coffeeshop_sum(x, 1.5, 2, ftables_big, sieve_big)
+    got = counting.coffeeshop_sum(x, 1.5, 2, ftables_big)
     assert_same(got, coffeeshop_reference(x, 1.5, 2, ftables_big, sieve_big))
     # a sum of floats in n order lands within rounding of it
     mask, omega, f = sieve_big.kappa_free_mask(2, x), sieve_big.big_omega, ftables_big.f
@@ -158,18 +165,18 @@ def test_coffeeshop_with_a_float_c_is_the_exact_sum_rounded_once(ftables_big, si
 
 
 def test_coffeeshop_rounds_a_sum_beyond_the_float_range_to_infinity(chunk_tables):
-    tables, ft = chunk_tables
+    _, ft = chunk_tables
     c = 2.0**52 - 0.5  # the largest float below 2^52 that is not an integer
     # n = 2^21 alone is past the range, and its c^21 outweighs every other term
     assert ft.f[2**21] * Fraction(c) ** 21 > 2**1024
     for sign in (1, -1):
-        assert counting.coffeeshop_sum(2**21 + 5, sign * c, 22, ft, tables) == sign * math.inf
+        assert counting.coffeeshop_sum(2**21 + 5, sign * c, 22, ft) == sign * math.inf
 
 
 @pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan])
-def test_coffeeshop_rejects_a_non_finite_c(c, ftables_small, sieve_small):
+def test_coffeeshop_rejects_a_non_finite_c(c, ftables_small):
     with pytest.raises(ValueError, match="c must be finite"):
-        counting.coffeeshop_sum(10, c, 2, ftables_small, sieve_small)
+        counting.coffeeshop_sum(10, c, 2, ftables_small)
 
 
 def test_mu_parity_failures_equal_the_loop(ftables_parity, sieve_big):
@@ -191,17 +198,18 @@ def test_mu_parity_failures_equal_the_loop(ftables_parity, sieve_big):
 
 def test_report_equals_the_report_with_the_loops(monkeypatch):
     real = reproduce.reproduce_report(20_000)
+    tables = build_sieve(20_000)
     calls = []
 
-    def counted(fn):
+    def counted(fn, *sieve):
         def wrapper(*args):
             calls.append(fn.__name__)
-            return fn(*args)
+            return fn(*args, *sieve)
         return wrapper
 
     monkeypatch.setattr(zeta, "kalmar_ratio", counted(kalmar_ratio_reference))
-    monkeypatch.setattr(zeta, "sarnak_correlation", counted(sarnak_reference))
-    monkeypatch.setattr(counting, "coffeeshop_sum", counted(coffeeshop_reference))
+    monkeypatch.setattr(zeta, "sarnak_correlation", counted(sarnak_reference, tables))
+    monkeypatch.setattr(counting, "coffeeshop_sum", counted(coffeeshop_reference, tables))
     monkeypatch.setattr(reproduce, "mu_parity_failures", counted(mu_parity_reference))
     looped = reproduce.reproduce_report(20_000)
     assert set(calls) == {"kalmar_ratio_reference", "sarnak_reference",
@@ -209,7 +217,6 @@ def test_report_equals_the_report_with_the_loops(monkeypatch):
     del real["elapsed_seconds"], looped["elapsed_seconds"]
     assert real == looped
     # fitted_constants reads the profiles it fits; check_counting_bound recounts each
-    tables = build_sieve(20_000)
     fc = real["fitted_constants"]
     assert fc["bound_holds_on_grid"] == all(
         counting.check_counting_bound(x, kappa, ell, fc["C1"], fc["C2"], tables).passes

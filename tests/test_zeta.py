@@ -160,22 +160,22 @@ def test_summatory_log_slope_approaches_beta(ftables_big):
     assert abs(slope - kalmar_beta()) < 0.01
 
 
-def test_sarnak_example_x10(ftables_small, sieve_small):
+def test_sarnak_example_x10(ftables_small):
     # mu f at n <= 10: 1 -1 -1 0 -1 +3 -1 0 0 +3 -> numerator 3
-    rep = sarnak_correlation(10, "f", ftables_small, sieve_small)
+    rep = sarnak_correlation(10, "f", ftables_small)
     assert rep.numerator == 3
     assert rep.denominator == sum(ftables_small.f[1:11])
     assert rep.ratio == pytest.approx(3 / rep.denominator)
 
 
-def test_sarnak_selector_validation(ftables_small, sieve_small):
+def test_sarnak_selector_validation(ftables_small):
     with pytest.raises(ValueError):
-        sarnak_correlation(10, "g", ftables_small, sieve_small)
+        sarnak_correlation(10, "g", ftables_small)
 
 
-def test_sarnak_ratio_decays(ftables_big, sieve_big):
+def test_sarnak_ratio_decays(ftables_big):
     ratios = [
-        abs(sarnak_correlation(10**e, "f", ftables_big, sieve_big).ratio)
+        abs(sarnak_correlation(10**e, "f", ftables_big).ratio)
         for e in range(3, 7)
     ]
     print(f"|mu-f correlation ratios| at 10^3..10^6: {ratios}")
@@ -183,8 +183,8 @@ def test_sarnak_ratio_decays(ftables_big, sieve_big):
     assert ratios[-1] < 1e-4
 
 
-def test_sarnak_fmu2_reported(ftables_big, sieve_big):
-    rep = sarnak_correlation(10**5, "fmu2", ftables_big, sieve_big)
+def test_sarnak_fmu2_reported(ftables_big):
+    rep = sarnak_correlation(10**5, "fmu2", ftables_big)
     # squarefree restriction: denominator only sums over mu(n) != 0
     assert rep.denominator < sum(ftables_big.f[1 : 10**5 + 1])
     assert math.isfinite(rep.ratio)
