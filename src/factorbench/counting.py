@@ -21,6 +21,10 @@ import numpy as np
 from .factorizations import FactorisationTables, count_by_signature, sum_by_signature
 from .sieve import _COUNT_CHUNK, SieveTables, _x_cutoff, factorize, iterated_log
 
+# profile_grid's levels come 2^20 entries (1 MiB of int8) at a time: each block
+# costs one numpy call per prime power, so 2^16 blocks made a grid at 10^7 over twice as slow
+_LEVEL_BLOCK = 1 << 20
+
 
 @dataclass(frozen=True)
 class CountingProfile:
@@ -58,28 +62,35 @@ def profile_grid(xs, kappas, tables: SieveTables) -> list[CountingProfile]:
     callers' order (repeats allowed), from one pass over 1..max x.
 
     SieveTables.kappa_levels gives each n its level for the sorted distinct
-    kappas k_1 < k_2 < ...: n is k_i-free iff its level is below i. One
-    bincount of Omega(n) * (top level + 1) + level per _COUNT_CHUNK chunk
-    fills an (Omega, level) histogram, and at each cutoff the cumulative sum
-    over levels gives N_{k_i,ell}(x) for every kappa at once.
+    kappas k_1 < k_2 < ...: n is k_i-free iff its level is below i. The levels
+    are built one _LEVEL_BLOCK block at a time, and inside a block one bincount
+    of Omega(n) * width + level per _COUNT_CHUNK chunk fills an (Omega, level)
+    histogram, where width is one more than the number of kappas with
+    2^kappa <= max x, the top level. At each cutoff the cumulative sum over
+    levels gives N_{k_i,ell}(x) for every kappa at once.
     """
     xs, kappas = list(xs), list(kappas)
     if not xs or not kappas:  # no (x, kappa) pair to count or to check
         return []
     cutoffs = [_x_cutoff(x, 1, tables) for x in xs]
     ks = sorted(set(kappas))
-    level = tables.kappa_levels(ks, max(cutoffs))
-    width = int(level.max()) + 1  # a column past the top level would count every n, as the top one does
+    top = max(cutoffs)
+    # a column past the top level would count every n, as the top one does
+    width = 1 + sum(k < top.bit_length() for k in ks)
     hist = np.zeros(32 * width, dtype=np.int64)  # Omega(n) <= 30 below the sieve's 2^31 bound
     free_at = {}  # cutoff -> free[ell, j], the n <= cutoff with Omega = ell and level <= j
-    start = 1  # hist counts 1..start - 1
+    lo = block_lo = block_hi = 1  # hist counts 1..lo - 1; level covers block_lo..block_hi - 1
     for cutoff in sorted(set(cutoffs)):
-        for lo in range(start, cutoff + 1, _COUNT_CHUNK):
-            chunk = slice(lo, min(lo + _COUNT_CHUNK, cutoff + 1))
-            key = tables.big_omega[chunk] * np.int16(width)
-            key += level[chunk]
+        while lo <= cutoff:
+            if lo == block_hi:
+                level = None  # the last block is freed before the next is built
+                block_lo, block_hi = lo, min(lo + _LEVEL_BLOCK, top + 1)
+                level = tables.kappa_levels(ks, block_lo, block_hi)
+            hi = min(lo + _COUNT_CHUNK, cutoff + 1, block_hi)
+            key = tables.big_omega[lo:hi] * np.int16(width)
+            key += level[lo - block_lo : hi - block_lo]
             hist += np.bincount(key, minlength=hist.size)
-        start = cutoff + 1
+            lo = hi
         free_at[cutoff] = hist.reshape(-1, width).cumsum(axis=1)
     return [
         CountingProfile(x=x, kappa=kappa, per_ell={
@@ -254,5 +265,7 @@ def growth_exponents(xs, c, kappa: int, ftables: FactorisationTables) -> list[tu
         if not 1 < x < math.inf:
             raise ValueError(f"x must be finite and > 1, got {x}")
         s = coffeeshop_sum(x, c, kappa, ftables)
+        if not s:  # a negative c can cancel the sum; log 0 has no exponent
+            raise ValueError(f"the sum at x={x}, c={c} is 0 and has no growth exponent")
         out.append((x, math.log(abs(s)) / math.log(x)))
     return out

@@ -52,38 +52,43 @@ class SieveTables:
     limit: int
     spf: np.ndarray        # spf[n] = smallest prime factor of n (n >= 2), int32
     mu: np.ndarray         # Mobius function, int8
-    big_omega: np.ndarray  # Omega(n), prime factors with multiplicity, int16
-    primes: np.ndarray
+    big_omega: np.ndarray  # Omega(n), prime factors with multiplicity, int8: Omega(n) <= 30 below 2^31
+    primes: np.ndarray     # the primes <= limit in increasing order, int32 like spf
 
     def kappa_free_mask(self, kappa: int, cutoff: int) -> np.ndarray:
         """Boolean mask over 0..cutoff; mask[n] iff n is kappa-free (n >= 1):
-        the n at level 0 of kappa_levels([kappa], cutoff). Built on each call,
-        a fresh array each caller owns; inside the package only verify calls
-        it, at kappa 2, 3 and 5."""
-        mask = self.kappa_levels([kappa], cutoff) == 0
+        the n at level 0 of kappa_levels([kappa], 0, cutoff + 1). Built on each
+        call, a fresh array each caller owns; inside the package only verify
+        calls it, at kappa 2, 3 and 5."""
+        mask = self.kappa_levels([kappa], 0, cutoff + 1) == 0
         mask[0] = False
         return mask
 
-    def kappa_levels(self, kappas, cutoff: int) -> np.ndarray:
-        """int8 levels over 0..cutoff for increasing kappas k_1 < k_2 < ...:
-        level[n] is the largest i with p^k_i | n for a prime p, or 0, so n is
-        k_i-free iff level[n] < i. The one place that strikes p^kappa, for
-        kappa_free_mask and counting.profile_grid. The first kappa with
-        2^kappa > cutoff, and every later one, strikes nothing: the strikes
-        stop there, where building int(p) ** kappa would grow with kappa."""
-        if kappas and kappas[0] < 2:
-            raise ValueError(f"kappa must be >= 2, got {kappas[0]}")
-        if not 0 <= cutoff <= self.limit:
-            raise ValueError(f"cutoff {cutoff} outside the sieve range [0, {self.limit}]")
-        level = np.zeros(cutoff + 1, dtype=np.int8)
+    def kappa_levels(self, kappas, lo: int, hi: int) -> np.ndarray:
+        """int8 levels over lo..hi - 1 for kappas k_1 < k_2 < ..., all >= 2:
+        level[n - lo] is the largest i with p^k_i | n for a prime p, or 0, so
+        n is k_i-free iff its level is below i; n = 0 stays at level 0. The one
+        place that strikes p^kappa, for kappa_free_mask and, one block at a
+        time, counting.profile_grid. The first kappa with 2^kappa > hi - 1,
+        and every later one, strikes nothing: the strikes stop there, where
+        building int(p) ** kappa would grow with kappa."""
+        kappas = list(kappas)
+        if kappas and min(kappas) < 2:
+            raise ValueError(f"kappa must be >= 2, got {min(kappas)}")
+        if any(a >= b for a, b in zip(kappas, kappas[1:])):
+            raise ValueError(f"kappas must be strictly increasing, got {kappas}")
+        if not 0 <= lo <= hi <= self.limit + 1:
+            raise ValueError(f"levels [{lo}, {hi}) outside the sieve range [0, {self.limit}]")
+        level = np.zeros(hi - lo, dtype=np.int8)
+        top = max(hi - 1, 0)
         for i, kappa in enumerate(kappas, start=1):  # p^k_i | n implies p^k_(i-1) | n
-            if kappa >= int(cutoff).bit_length():  # 2^kappa > cutoff: no p^kappa to strike
+            if kappa >= top.bit_length():  # 2^kappa > hi - 1: no p^kappa to strike
                 break
             for p in self.primes:
                 pk = int(p) ** kappa
-                if pk > cutoff:
+                if pk > top:
                     break
-                level[pk::pk] = i
+                level[max(pk, -(-lo // pk) * pk) - lo :: pk] = i  # the first multiple >= max(lo, pk)
         return level
 
     def prime_index(self, p: int) -> int:
@@ -115,8 +120,8 @@ def build_sieve(limit: int) -> SieveTables:
     except ValueError:
         raise ValueError(f"FACTORBENCH_MAX_SIEVE must be an integer, got {raw!r}") from None
     if limit > cap:
-        # 4 + 2 + 1 bytes per n for spf, Omega and mu, 8 per prime, pi(x) < 1.25506 x / log x
-        need = 7 * (limit + 1) + 8 * math.ceil(1.25506 * limit / math.log(limit))
+        # 4 + 1 + 1 bytes per n for spf, Omega and mu, 4 per prime, pi(x) < 1.25506 x / log x
+        need = 6 * (limit + 1) + 4 * math.ceil(1.25506 * limit / math.log(limit))
         raise CapacityError(f"sieve limit {limit} exceeds budget {cap}: its arrays "
                             f"would take {need} bytes ({need / 2**20:.1f} MiB)")
 
@@ -132,10 +137,10 @@ def build_sieve(limit: int) -> SieveTables:
     spf[4::2] = 2
     for p in small_primes[:0:-1]:  # odd multiples only: the even ones keep 2
         spf[p * p :: 2 * p] = p
-    primes = np.flatnonzero(spf == 0)[2:]  # untouched entries >= 2 are prime
+    primes = np.flatnonzero(spf == 0)[2:].astype(np.int32)  # untouched entries >= 2 are prime
     spf[primes] = primes
 
-    big_omega = np.zeros(n, dtype=np.int16)
+    big_omega = np.zeros(n, dtype=np.int8)
     lo = 2
     while lo < n:  # blocks [lo, 2 lo) read only m = k / spf(k) < lo; _COUNT_CHUNK caps them
         hi = min(2 * lo, lo + _COUNT_CHUNK, n)

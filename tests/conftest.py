@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import pytest
 
@@ -51,3 +52,18 @@ def chunk_tables():
     # count_by_signature and profile_grid
     tables = build_sieve(2**21 + 5)
     return tables, build_factorisation_tables(2**21 + 5, tables)
+
+
+@pytest.fixture
+def peak_over_retained_mib():
+    def peak(build):
+        """tracemalloc's peak while build() runs, less what its result keeps."""
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            kept = build()  # held until the memory is read
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return (peak - retained) / 2**20
+    return peak

@@ -10,6 +10,7 @@ import pytest
 
 from factorbench import cli, counting, zeta
 from factorbench.counting import (
+    _LEVEL_BLOCK,
     CountingProfile,
     N_kappa_ell,
     check_counting_bound,
@@ -24,7 +25,7 @@ from factorbench.counting import (
     psi_tuple,
     tilde_p,
 )
-from factorbench.sieve import build_sieve, iterated_log
+from factorbench.sieve import build_sieve, is_kappa_free, iterated_log
 
 
 def profile_reference(x, kappa, tables):
@@ -99,10 +100,48 @@ def test_profile_across_bincount_chunks_equals_one_bincount(chunk_tables):
 
 
 @pytest.mark.parametrize("kappa", [2, 3, 4, 5, 7])
-@pytest.mark.parametrize("x", [1, 1.5, 2, 2**16, 2**16 + 1, 2**20, 2**20 + 1, 2**21 + 5])
+@pytest.mark.parametrize("x", [1, 1.5, 2, 2**16, 2**16 + 1, 2**20, 2**20 + 1, 2**20 + 2,
+                               2**21, 2**21 + 1, 2**21 + 2, 2**21 + 5])  # level blocks start at 2^20 + 1, 2^21 + 1
 def test_profile_matches_the_reference_kernel(chunk_tables, x, kappa):
     tables, _ = chunk_tables
     assert profile_N_kappa(x, kappa, tables) == profile_reference(x, kappa, tables)
+
+
+def test_level_block_edges_count_each_n_once_pointwise(chunk_tables):
+    # cutoffs at each level-block start b and at b - 1, b + 1: the profile at n
+    # less the one at n - 1 is n alone, at Omega(n), iff n is kappa-free;
+    # 9 | 2^21 + 1, so 3^2's first multiple in the third block is its first entry
+    tables, _ = chunk_tables
+    kappas = [2, 3, 4]
+    edges = [b + d for b in range(1 + _LEVEL_BLOCK, tables.limit + 1, _LEVEL_BLOCK) for d in (-1, 0, 1)]
+    assert edges == [2**20, 2**20 + 1, 2**20 + 2, 2**21, 2**21 + 1, 2**21 + 2]
+    xs = sorted({x for n in edges for x in (n - 1, n)})
+    grid = dict(zip(product(xs, kappas), profile_grid(xs, kappas, tables)))
+    for n, kappa in product(edges, kappas):
+        want = dict(grid[n - 1, kappa].per_ell)
+        if is_kappa_free(n, kappa, tables):
+            want[int(tables.big_omega[n])] = want.get(int(tables.big_omega[n]), 0) + 1
+        assert grid[n, kappa].per_ell == want, (n, kappa)
+    assert not is_kappa_free(2**21 + 1, 2, tables)
+
+
+def test_grid_whose_top_kappa_strikes_only_in_the_last_block(chunk_tables):
+    # at x = 2^21 the level blocks are 1..2^20 and 2^20 + 1..2^21: 2^21 is the
+    # one 21st power, in the last block, and 2^20 the first block's last entry
+    tables, _ = chunk_tables
+    xs, kappas = [2**21, 2**21 - 1], [21, 2, 20, 22]
+    got = profile_grid(xs, kappas, tables)
+    assert got == [profile_reference(x, kappa, tables) for x in xs for kappa in kappas]
+    at, below = dict(zip(kappas, got[:4])), dict(zip(kappas, got[4:]))
+    assert at[21].per_ell == below[21].per_ell  # 2^21 is not 21-free
+    assert at[22].per_ell[21] == below[22].per_ell.get(21, 0) + 1 == 1
+
+
+def test_grid_holds_one_level_block_and_chunk_temporaries(peak_over_retained_mib):
+    # a full-length int8 level array took 5 MiB at 5 * 2^20; a level block takes
+    # 1 MiB, a chunk's int16 key and bincount's intp copy of it 640 KiB
+    tables = build_sieve(5 * 2**20)
+    assert peak_over_retained_mib(lambda: profile_grid([tables.limit, 10**6], [3, 2], tables)) <= 2
 
 
 def test_grid_answers_unsorted_repeated_points_in_the_callers_order(chunk_tables):
@@ -380,6 +419,12 @@ def test_counting_bound_rejects_x_at_most_one_or_not_finite(sieve_small, x):
 def test_growth_exponents_reject_x_at_most_one_or_not_finite(ftables_small, x):
     with pytest.raises(ValueError, match=f"^x must be finite and > 1, got {x}$"):
         growth_exponents([100, x], 2, 2, ftables_small)
+
+
+def test_growth_exponent_of_a_zero_sum_names_x_and_c(ftables_small):
+    assert coffeeshop_sum(2, -1, 2, ftables_small) == 0  # f(1) - f(2)
+    with pytest.raises(ValueError, match=r"^the sum at x=2, c=-1 is 0 and has no growth exponent$"):
+        growth_exponents([2], -1, 2, ftables_small)
 
 
 def test_counting_bound_just_above_one_is_positive():

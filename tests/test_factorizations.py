@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -292,19 +291,7 @@ def test_f_entries_share_one_int_per_signature_across_the_fill_chunks(chunk_tabl
     assert all(ft.f[n] is shared[i] for n, i in enumerate(ft.ids.tolist()) if n)
 
 
-def peak_over_retained_mib(build):
-    """tracemalloc's peak while build() runs, less what its result keeps."""
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
-        kept = build()  # held until the memory is read
-        retained, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return (peak - retained) / 2**20
-
-
-def test_table_builds_hold_one_chunk_of_temporaries(chunk_tables):
+def test_table_builds_hold_one_chunk_of_temporaries(chunk_tables, peak_over_retained_mib):
     # at 2^21 + 5, blocks of 2^20 held 8 MiB (the sieve) and a full-length
     # gather 16 MiB (the f list); a 2^16 chunk's temporaries take 512 KiB each
     tables, _ = chunk_tables
