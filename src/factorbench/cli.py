@@ -99,6 +99,8 @@ def cmd_sieve(args) -> int:
     col = {"mu": tables.mu, "omega": tables.big_omega, "spf": tables.spf}[key]
     lo = 2 if key == "spf" else 1
     rows = list(zip(range(lo, args.limit + 1), col[lo:].tolist()))
+    if key == "spf":  # 0 at the primes >= 2^16
+        rows = [(n, p or n) for n, p in rows]
     if args.format == "csv":
         _emit(_rows_to_csv(["n", key], rows), args.out)
     else:

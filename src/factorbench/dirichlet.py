@@ -139,7 +139,7 @@ class ArithFn:
         vals = [0] * (limit + 1)
         vals[1] = 1
         for n in range(2, limit + 1):
-            p = spf[n]
+            p = spf[n] or n  # 0 at the primes >= 2^16
             vals[n] = vals[n // p] * prime_values[p]
         return cls(limit=limit, values=vals)
 

@@ -175,6 +175,7 @@ def _signature_ids(limit: int, tables: SieveTables) -> tuple[np.ndarray, list, l
     e - 1 raised to e (e = 1 appends a 1), or -1.  On the sieve's walk, with
     p = spf(n) and m = n / p, p's exponent in n is one more than in m if p
     divides m and 1 if not, and ids[n] = raised[ids[m], that exponent].
+    At the primes the sieve stores as 0, m = 0 reads exps and ids of 1.
     """
     signatures, reps = [()], [1]
     for sig, rep in zip(signatures, reps):  # both grow as read, one prime longer

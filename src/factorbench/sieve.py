@@ -5,11 +5,16 @@ counting) consumes these tables in bulk, so Omega and mu are filled in during
 sieve construction rather than recomputed per query: Omega by a recurrence on
 n / spf(n), and mu as (-1)^Omega off the multiples of the squares of primes.
 omega, which no table needs, comes from factorize.
+
+spf is uint16: no composite n < 2^31 has spf(n) >= 2^16, so the entry is 0
+at the primes >= 2^16, as at 0 and 1, and spf(n) = spf[n] or n. The vector
+walks divide by the entry as it is: n // 0 = 0, and entry 0 stands in for 1.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import os
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -50,10 +55,10 @@ class SieveTables:
     """
 
     limit: int
-    spf: np.ndarray        # spf[n] = smallest prime factor of n (n >= 2), int32
+    spf: np.ndarray        # uint16: spf(n) = spf[n] or n for n >= 2; 0 at 0, 1 and the primes >= 2^16
     mu: np.ndarray         # Mobius function, int8
     big_omega: np.ndarray  # Omega(n), prime factors with multiplicity, int8: Omega(n) <= 30 below 2^31
-    primes: np.ndarray     # the primes <= limit in increasing order, int32 like spf
+    primes: np.ndarray     # the primes <= limit in increasing order, int32
 
     def kappa_free_mask(self, kappa: int, cutoff: int) -> np.ndarray:
         """Boolean mask over 0..cutoff; mask[n] iff n is kappa-free (n >= 1):
@@ -108,20 +113,22 @@ def build_sieve(limit: int) -> SieveTables:
     on the multiples of p^2.
 
     The limit is capped by FACTORBENCH_MAX_SIEVE (default 50,000,000), read
-    at call time, and must be below 2^31 so that spf fits int32.
+    at call time, and must be below 2^31 so that the primes fit int32 and
+    Omega int8.
     """
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
     if limit >= 2**31:
-        raise CapacityError(f"sieve limit {Decimal(limit):.3e} is not below 2^31, the bound of int32 spf")
+        raise CapacityError(f"sieve limit {Decimal(limit):.3e} is not below 2^31, "
+                            "the bound of int32 primes and int8 Omega")
     raw = os.environ.get("FACTORBENCH_MAX_SIEVE", "50000000")
     try:
         cap = int(raw)
     except ValueError:
         raise ValueError(f"FACTORBENCH_MAX_SIEVE must be an integer, got {raw!r}") from None
     if limit > cap:
-        # 4 + 1 + 1 bytes per n for spf, Omega and mu, 4 per prime, pi(x) < 1.25506 x / log x
-        need = 6 * (limit + 1) + 4 * math.ceil(1.25506 * limit / math.log(limit))
+        # 2 + 1 + 1 bytes per n for spf, Omega and mu, 4 per prime, pi(x) < 1.25506 x / log x
+        need = 4 * (limit + 1) + 4 * math.ceil(1.25506 * limit / math.log(limit))
         raise CapacityError(f"sieve limit {limit} exceeds budget {cap}: its arrays "
                             f"would take {need} bytes ({need / 2**20:.1f} MiB)")
 
@@ -133,18 +140,23 @@ def build_sieve(limit: int) -> SieveTables:
         if small[i]:
             small[i * i :: i] = False
     small_primes = np.flatnonzero(small).tolist()
-    spf = np.zeros(n, dtype=np.int32)
+    # Anonymous pages go back to the OS when spf is freed; from malloc, under
+    # glibc's sliding mmap threshold, a freed spf stayed on the heap (kalmar 10^7: +20 MB).
+    spf = np.frombuffer(mmap.mmap(-1, 2 * n), dtype=np.uint16)
     spf[4::2] = 2
     for p in small_primes[:0:-1]:  # odd multiples only: the even ones keep 2
         spf[p * p :: 2 * p] = p
     primes = np.flatnonzero(spf == 0)[2:].astype(np.int32)  # untouched entries >= 2 are prime
-    spf[primes] = primes
+    small_p = primes[: np.searchsorted(primes, 1 << 16)]
+    spf[small_p] = small_p
 
     big_omega = np.zeros(n, dtype=np.int8)
     lo = 2
     while lo < n:  # blocks [lo, 2 lo) read only m = k / spf(k) < lo; _COUNT_CHUNK caps them
         hi = min(2 * lo, lo + _COUNT_CHUNK, n)
-        big_omega[lo:hi] = big_omega[np.arange(lo, hi) // spf[lo:hi]] + 1
+        with np.errstate(divide="ignore"):
+            m = np.arange(lo, hi) // spf[lo:hi]
+        big_omega[lo:hi] = big_omega[m] + 1
         lo = hi
     mu = np.bitwise_and(big_omega, 1, dtype=np.int8)  # Omega mod 2, then in place 1 - 2 (Omega mod 2)
     mu *= -2
@@ -178,20 +190,23 @@ def _x_cutoff(x: float, least: int, *tables) -> int:
 def _halving_blocks(spf: np.ndarray, n: int):
     """2..n - 1 in blocks [lo, 2 lo) of at most _COUNT_CHUNK entries: the
     slice, m = k / spf(k), and whether spf(k) repeats in k, i.e. spf(m) = spf(k)
-    (spf(1) = 0 matches no prime).  m < lo: a recurrence reads finished entries.
-    Only factorizations._signature_ids walks these: build_sieve's Omega
+    (spf[1] = 0 matches no prime).  m < lo: a recurrence reads finished entries.
+    At the primes stored as 0, m = 0 and the repeat test is true.  Only
+    factorizations._signature_ids walks these: build_sieve's Omega
     recurrence needs no repeat test and runs the same blocks inline."""
     lo = 2
     while lo < n:
         hi = min(2 * lo, lo + _COUNT_CHUNK, n)
         p = spf[lo:hi]
-        m = np.arange(lo, hi) // p
+        with np.errstate(divide="ignore"):
+            m = np.arange(lo, hi) // p
         yield slice(lo, hi), m, spf[m] == p
         lo = hi
 
 
 def factorize(n: int, tables: SieveTables) -> FactoredInt:
-    """n's prime factorization, read from the live spf array one entry at a time."""
+    """n's prime factorization, read from the live spf array one entry at a
+    time, spf(m) = spf[m] or m."""
     if not 1 <= n <= tables.limit:
         raise ValueError(f"n={n} out of sieve range [1, {tables.limit}]")
     spf = tables.spf.item  # a Python int, without a numpy scalar in between
@@ -199,7 +214,7 @@ def factorize(n: int, tables: SieveTables) -> FactoredInt:
     big = 0
     m = n
     while m > 1:
-        p = spf(m)
+        p = spf(m) or m
         m //= p
         e = 1
         while m % p == 0:

@@ -104,6 +104,18 @@ def test_csv_tables_are_the_bytes_csv_writer_writes(monkeypatch, capsys, argv):
     assert code == 0 and len(rows) > 1 and out == buf.getvalue()
 
 
+def test_sieve_emits_sympys_smallest_prime_factor_across_2_16(capsys):
+    # 65521 < 2^16 < 65537, 65539: the primes above 2^16 are stored as 0 and printed as themselves
+    sympy = pytest.importorskip("sympy")
+    want = [(n, min(sympy.factorint(n))) for n in range(2, 70_001)]
+    code, out = run(capsys, "sieve", "--limit", "70000", "--emit", "spf")
+    header, rows = parse_csv(out)
+    assert code == 0 and header == ["n", "spf"]
+    assert [(int(n), int(p)) for n, p in rows] == want
+    code, out = run(capsys, "sieve", "--limit", "70000", "--emit", "spf", "--format", "json")
+    assert code == 0 and json.loads(out) == {"spf": {str(n): p for n, p in want}}
+
+
 def test_factorisatio_k_below_one_is_a_user_error(capsys):
     assert "--k must be >= 1" in user_error(capsys, "factorisatio", "--limit", "10", "--k", "0")
 

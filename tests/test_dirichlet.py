@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from factorbench import (
     ArithFn,
+    build_sieve,
     convolve,
     dirichlet,
     dirichlet_inverse,
@@ -454,6 +455,19 @@ def test_f_k_F_completely_multiplicative(sieve_small):
         for k in range(1, 5):
             expect = F.values[n] * len([t for t in tuples if len(t) == k])
             assert cmath.isclose(f_k_F(F, n, k), expect, abs_tol=1e-12)
+
+
+def test_completely_multiplicative_across_2_16_is_the_product_over_each_factorization():
+    # F(p) = the index of p, so a prime read wrongly above 2^16 changes F
+    sympy = pytest.importorskip("sympy")
+    tables = build_sieve(70_000)
+    for p in (65521, 65537, 65539, 69997):
+        assert factorize(p, tables).factors == ((p, 1),)
+    assert factorize(65536, tables).factors == ((2, 16),)
+    index = {p: i for i, p in enumerate(tables.primes.tolist(), start=1)}
+    F = ArithFn.completely_multiplicative(70_000, tables, index)
+    for n in range(1, 70_001):
+        assert F.values[n] == math.prod(index[p] ** e for p, e in sympy.factorint(n).items()), n
 
 
 def test_alternating_inverse_examples(sieve_small):

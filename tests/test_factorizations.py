@@ -343,6 +343,18 @@ def _signatures_up_to(limit, primes, most=None, i=0, value=1):
         a, pa = a + 1, pa * primes[i]
 
 
+def test_signature_ids_at_the_square_of_the_largest_prime_and_past_2_16():
+    limit = 70_000
+    tables = build_sieve(limit)
+    ids, signatures, _ = factorizations._signature_ids(limit, tables)
+    primes = tables.primes
+    p = int(primes[np.searchsorted(primes, math.isqrt(limit), side="right") - 1])
+    assert p == 263 and signatures[ids[p * p]] == (2,)
+    assert {signatures[i] for i in ids[primes].tolist()} == {(1,)}  # 65537 and up are stored as 0
+    assert signatures[ids[0]] == signatures[ids[1]] == ()
+    assert signatures[ids[65536]] == (16,)
+
+
 def test_signatures_below_2_31_fit_int16_ids():
     # 2^31 bounds every sieve limit; the product of the first ten primes is above it
     sigs = list(_signatures_up_to(2**31 - 1, [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]))

@@ -19,7 +19,9 @@ from factorbench.verify import _omega_inequality
 
 
 def sieve_reference(limit):
-    """The per-prime loop build_sieve used before its recurrence; spf is int64 here."""
+    """The per-prime loop build_sieve used before its recurrence. spf is found
+    as int64 and stored as the sieve stores it: uint16, with 0 at the primes
+    >= 2^16 as at 0 and 1."""
     n = limit + 1
     spf = np.zeros(n, dtype=np.int64)
     for i in range(2, math.isqrt(limit) + 1):
@@ -28,6 +30,8 @@ def sieve_reference(limit):
             sl[sl == 0] = i
     primes = np.nonzero(spf == 0)[0][2:].astype(np.int32)
     spf[primes] = primes
+    spf[spf >= 2**16] = 0
+    spf = spf.astype(np.uint16)
 
     big_omega = np.zeros(n, dtype=np.int8)
     mu = np.ones(n, dtype=np.int8)
@@ -52,9 +56,10 @@ def assert_sieve_equals_reference(limit):
         got = getattr(tables, name)
         assert got.shape == want.shape, (limit, name)
         assert np.array_equal(got, want), (limit, name, np.flatnonzero(got != want)[:5])
-        if name != "spf":
-            assert got.dtype == want.dtype, (limit, name)
-    assert tables.spf.dtype == np.int32
+        assert got.dtype == want.dtype, (limit, name)
+    assert tables.spf.dtype == np.uint16
+    primes = tables.primes
+    assert np.flatnonzero(tables.spf == 0).tolist() == [0, 1, *primes[primes >= 2**16].tolist()]
 
 
 def test_sieve_equals_reference_at_every_small_limit():
@@ -283,21 +288,32 @@ def sieve_1e5():
     return build_sieve(10**5)
 
 
+@pytest.fixture(scope="module")
+def sieve_2e17():
+    return build_sieve(2**17)
+
+
 @settings(max_examples=300, deadline=None)
-@given(n=st.integers(min_value=1, max_value=10**5))
+@given(n=st.integers(min_value=1, max_value=2**17))
 @example(n=1)
+@example(n=65521)  # the largest prime below 2^16, stored as itself
 @example(n=2**16)
+@example(n=65537)  # the smallest prime above 2^16, stored as 0
 @example(n=99991)  # the largest prime below 10^5
 @example(n=10**5)
-def test_sieve_tables_match_sympy(sieve_1e5, n):
+@example(n=2**17 - 1)  # a prime
+def test_sieve_tables_match_sympy(sieve_2e17, n):
     sympy = pytest.importorskip("sympy")
     factors = sympy.factorint(n)
-    assert sieve_1e5.mu[n] == sympy.mobius(n)
-    assert sieve_1e5.big_omega[n] == sympy.primeomega(n)
-    assert bool(np.isin(n, sieve_1e5.primes)) == sympy.isprime(n)
+    tables = sieve_2e17
+    assert tables.mu[n] == sympy.mobius(n)
+    assert tables.big_omega[n] == sympy.primeomega(n)
+    assert bool(np.isin(n, tables.primes)) == sympy.isprime(n)
     if n >= 2:
-        assert sieve_1e5.spf[n] == min(factors)
-    fi = factorize(n, sieve_1e5)
+        p = min(factors)
+        assert tables.spf[n] == (p if p < 2**16 else 0)
+        assert (int(tables.spf[n]) or n) == p
+    fi = factorize(n, tables)
     assert fi.factors == tuple(sorted(factors.items()))
     assert fi.big_omega == sympy.primeomega(n)
     assert fi.small_omega == sympy.primenu(n)
@@ -326,12 +342,20 @@ def test_capacity_error_states_the_bytes_of_the_arrays(monkeypatch, limit):
     assert nbytes <= stated <= 1.1 * nbytes
 
 
+def test_sieve_arrays_take_4_bytes_per_n_and_4_per_prime():
+    sympy = pytest.importorskip("sympy")
+    limit = 2**21 + 5
+    tables = build_sieve(limit)
+    nbytes = sum(getattr(tables, f).nbytes for f in ("spf", "mu", "big_omega", "primes"))
+    assert nbytes == 4 * (limit + 1) + 4 * int(sympy.primepi(limit))
+
+
 @pytest.mark.parametrize("limit, short", [(2**31, "2.147e+9"), (int(1e300), "1.000e+300"), (10**5000, "1.000e+5000")],
                          ids=["2^31", "1e300", "10^5000"])  # 10^5000 is past str(int)'s digit limit
 def test_a_limit_past_int32_is_stated_in_short_form(limit, short):
     with pytest.raises(CapacityError) as err:
         build_sieve(limit)
-    assert str(err.value) == f"sieve limit {short} is not below 2^31, the bound of int32 spf"
+    assert str(err.value) == f"sieve limit {short} is not below 2^31, the bound of int32 primes and int8 Omega"
 
 
 @pytest.mark.parametrize("n", [3, 2**20 + 1, 2**21 + 5])
@@ -341,7 +365,10 @@ def test_halving_blocks_visit_each_k_once_after_its_m(n):
     for block, m, rep in _halving_blocks(spf, n):
         k = np.arange(block.start, block.stop)
         assert len(k) <= _COUNT_CHUNK and (m < block.start).all()
-        assert (m * spf[block] == k).all()
-        assert np.array_equal(rep, m % spf[block] == 0)
+        big = spf[block] == 0  # the primes >= 2^16, where m = 0 stands in for 1
+        p = np.where(big, k, spf[block])  # spf(k) = spf[k] or k
+        assert np.array_equal(m == 0, big)
+        assert (np.where(big, 1, m) * p == k).all()
+        assert np.array_equal(rep, m % p == 0)
         visits[block] += 1
     assert visits[:2].tolist() == [0, 0] and (visits[2:] == 1).all()
