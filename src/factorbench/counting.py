@@ -12,18 +12,14 @@ minimal values that make the inequality hold on the scanned grid.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .factorizations import FactorisationTables, count_by_signature, sum_by_signature
-from .sieve import _COUNT_CHUNK, SieveTables, _x_cutoff, factorize, iterated_log
-
-# profile_grid's levels come 2^20 entries (1 MiB of int8) at a time: each block
-# costs one numpy call per prime power, so 2^16 blocks made a grid at 10^7 over twice as slow
-_LEVEL_BLOCK = 1 << 20
+from .factorizations import (FactorisationTables, _signatures, count_by_signature, signature_census,
+                             sum_by_signature)
+from .sieve import SieveTables, _x_cutoff, factorize, iterated_log
 
 
 @dataclass(frozen=True)
@@ -53,50 +49,31 @@ def N_kappa_ell(x: float, kappa: int, ell: int, tables: SieveTables) -> int:
 
 
 def profile_N_kappa(x: float, kappa: int, tables: SieveTables) -> CountingProfile:
-    """All N_{kappa,ell}(x) in one pass over the sieve: profile_grid at one point."""
+    """All N_{kappa,ell}(x) from one signature census: profile_grid at one point."""
     return profile_grid([x], [kappa], tables)[0]
 
 
 def profile_grid(xs, kappas, tables: SieveTables) -> list[CountingProfile]:
     """profile_N_kappa at every (x, kappa), x outer and kappa inner, in the
-    callers' order (repeats allowed), from one pass over 1..max x.
+    callers' order (repeats allowed), from one signature_census per distinct x.
 
-    SieveTables.kappa_levels gives each n its level for the sorted distinct
-    kappas k_1 < k_2 < ...: n is k_i-free iff its level is below i. The levels
-    are built one _LEVEL_BLOCK block at a time, and inside a block one bincount
-    of Omega(n) * width + level per _COUNT_CHUNK chunk fills an (Omega, level)
-    histogram, where width is one more than the number of kappas with
-    2^kappa <= max x, the top level. At each cutoff the cumulative sum over
-    levels gives N_{k_i,ell}(x) for every kappa at once.
+    n is kappa-free iff its signature's largest exponent is below kappa, and
+    Omega(n) is the sieve's Omega at the signature's smallest n. So
+    N_{kappa,ell}(x) is the sum of N_sigma(x) over the signatures with both.
     """
     xs, kappas = list(xs), list(kappas)
-    if not xs or not kappas:  # no (x, kappa) pair to count or to check
-        return []
+    if kappas and min(kappas) < 2:
+        raise ValueError(f"kappa must be >= 2, got {min(kappas)}")
     cutoffs = [_x_cutoff(x, 1, tables) for x in xs]
-    ks = sorted(set(kappas))
-    top = max(cutoffs)
-    # a column past the top level would count every n, as the top one does
-    width = 1 + sum(k < top.bit_length() for k in ks)
-    hist = np.zeros(32 * width, dtype=np.int64)  # Omega(n) <= 30 below the sieve's 2^31 bound
-    free_at = {}  # cutoff -> free[ell, j], the n <= cutoff with Omega = ell and level <= j
-    lo = block_lo = block_hi = 1  # hist counts 1..lo - 1; level covers block_lo..block_hi - 1
-    for cutoff in sorted(set(cutoffs)):
-        while lo <= cutoff:
-            if lo == block_hi:
-                level = None  # the last block is freed before the next is built
-                block_lo, block_hi = lo, min(lo + _LEVEL_BLOCK, top + 1)
-                level = tables.kappa_levels(ks, block_lo, block_hi)
-            hi = min(lo + _COUNT_CHUNK, cutoff + 1, block_hi)
-            key = tables.big_omega[lo:hi] * np.int16(width)
-            key += level[lo - block_lo : hi - block_lo]
-            hist += np.bincount(key, minlength=hist.size)
-            lo = hi
-        free_at[cutoff] = hist.reshape(-1, width).cumsum(axis=1)
-    return [
-        CountingProfile(x=x, kappa=kappa, per_ell={
-            ell: int(c) for ell, c in enumerate(free_at[cutoff][:, min(bisect_left(ks, kappa), width - 1)]) if c})
-        for x, cutoff in zip(xs, cutoffs) for kappa in kappas
-    ]
+    if not cutoffs or not kappas:  # no (x, kappa) pair to count
+        return []
+    signatures, reps, raised = _signatures(max(cutoffs))
+    largest = np.array([sig[0] if sig else 0 for sig in signatures])  # signatures decrease
+    census = {cutoff: signature_census(cutoff, tables.primes, raised) for cutoff in set(cutoffs)}
+    # float64 bincounts of the counts, exact: each is at most x < 2^31
+    return [CountingProfile(x=x, kappa=kappa, per_ell={ell: int(c) for ell, c in enumerate(
+                np.bincount(tables.big_omega[reps], np.where(largest < kappa, census[cutoff], 0))) if c})
+            for x, cutoff in zip(xs, cutoffs) for kappa in kappas]
 
 
 def tilde_p(j: int, kappa: int, tables: SieveTables) -> int:
@@ -204,7 +181,7 @@ def fit_counting_constants(
     minimal C1 making the N_{kappa,ell} bound hold over the whole grid.
 
     profiles, when given, are profile_N_kappa at every (x, kappa) of the grid;
-    without them, one profile_grid pass counts the whole grid.
+    without them, profile_grid counts the whole grid.
     """
     for x in xs:  # before the prime sum, which cannot name a bad x
         _x_cutoff(x, 1, tables)

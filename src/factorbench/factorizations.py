@@ -7,8 +7,11 @@ signature, the multiset of its exponents, so the tables are computed once
 per signature by MacMahon's formula and read per n through a signature id,
 which n takes from n / spf(n) along the sieve's walk.  Sums over n <= x run
 once per signature, on count_by_signature and sum_by_signature, and read mu
-and Omega from the tables' per-signature columns, not from a sieve.  All
-counts are exact Python integers; the sieve budget caps the table limit.
+and Omega from the tables' per-signature columns, not from a sieve.
+signature_census gives the same counts with no per-n array, from a walk
+over products of prime powers and the sieve's primes; the kappa-free Omega
+profiles of counting read it.  All counts are exact Python integers; the
+sieve budget caps the table limit.
 
 Also houses integer partitions stored by part multiplicities, the tuple
 counter d_lambda grouped by the multiset of Omega-values, and its
@@ -166,17 +169,12 @@ class FactorisationTables:
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)  # product > 2^31 > any sieve limit
 
 
-def _signature_ids(limit: int, tables: SieveTables) -> tuple[np.ndarray, list, list[int]]:
-    """int16 ids over 0..limit (n = 0 shares n = 1's), each id's exponent
-    multiset and its smallest n.
-
-    The signatures are the decreasing (a_1, a_2, ...) with 2^a_1 3^a_2 ... <=
-    limit, () first.  raised[i, e] is the id of signatures[i] with its first
-    e - 1 raised to e (e = 1 appends a 1), or -1.  On the sieve's walk, with
-    p = spf(n) and m = n / p, p's exponent in n is one more than in m if p
-    divides m and 1 if not, and ids[n] = raised[ids[m], that exponent].
-    At the primes the sieve stores as 0, m = 0 reads exps and ids of 1.
-    """
+def _signatures(limit: int) -> tuple[list[tuple[int, ...]], list[int], np.ndarray]:
+    """The decreasing exponent multisets (a_1, a_2, ...) with 2^a_1 3^a_2 ...
+    <= limit, () first, each with its smallest n, and raised: raised[i, e] is
+    the id of signatures[i] with its first e - 1 raised to e (e = 1 appends
+    a 1), or -1. Raising the new prime's exponent from 1 to e steps through
+    raised[., 2], ..., raised[., e]."""
     signatures, reps = [()], [1]
     for sig, rep in zip(signatures, reps):  # both grow as read, one prime longer
         p, a = _PRIMES[len(sig)], 1
@@ -190,6 +188,19 @@ def _signature_ids(limit: int, tables: SieveTables) -> tuple[np.ndarray, list, l
         for e in {1, *(a + 1 for a in sig)}:
             j = (sig + (0,)).index(e - 1)  # e = 1 raises a 0 past the end
             raised[i, e] = index.get(sig[:j] + (e,) + sig[j + 1 :], -1)
+    return signatures, reps, raised
+
+
+def _signature_ids(limit: int, tables: SieveTables) -> tuple[np.ndarray, list, list[int]]:
+    """int16 ids over 0..limit (n = 0 shares n = 1's), each id's exponent
+    multiset and its smallest n, from _signatures(limit).
+
+    On the sieve's walk, with p = spf(n) and m = n / p, p's exponent in n is
+    one more than in m if p divides m and 1 if not, and ids[n] = raised[ids[m],
+    that exponent]. At the primes the sieve stores as 0, m = 0 reads exps and
+    ids of 1.
+    """
+    signatures, reps, raised = _signatures(limit)
     ids = np.zeros(limit + 1, dtype=np.int16)
     exps = np.zeros(limit + 1, dtype=np.int8)  # exponent of spf(n) in n
     for block, m, rep in _halving_blocks(tables.spf, limit + 1):
@@ -238,11 +249,48 @@ def build_factorisation_tables(
 
 def count_by_signature(ftables: FactorisationTables, cutoff: int) -> list[int]:
     """Per signature id, how many n in 1..cutoff have it: one np.bincount of
-    the ids per _COUNT_CHUNK chunk."""
+    the ids per _COUNT_CHUNK chunk. The per-n oracle of signature_census."""
     counts = np.zeros(len(ftables.reps), np.int64)
     for lo in range(1, cutoff + 1, _COUNT_CHUNK):
         counts += np.bincount(ftables.ids[lo : min(lo + _COUNT_CHUNK, cutoff + 1)], minlength=len(counts))
     return [int(c) for c in counts]
+
+
+def signature_census(x: int, primes: np.ndarray, raised: np.ndarray) -> np.ndarray:
+    """Per signature id, how many n in 1..x have it, as int64, from a walk
+    over the products P of prime powers, not over n. primes holds every prime
+    <= x, and raised comes from _signatures(limit) with limit >= x.
+
+    A node (v, i, sid) stands for a P whose primes lie below primes[i], with
+    signature id sid and v = x // P. It counts the n = P q, q a prime >=
+    primes[i], as pi(v) - i. Each p = primes[j], j >= i, with p^2 <= v then
+    steps e = 1, 2, ... on v // p^e = x // (P p^e): while p <= v // p^e it
+    counts n = P p^(e+1), and while primes[j + 1] <= v // p^e, P p^e is a
+    node of the next level. So every n > 1 is counted once, from the node of
+    its part below its largest prime.
+    """
+    counts = np.zeros(len(raised), np.int64)
+    counts[0] = x >= 1  # n = 1
+    # v and the searchsorted keys take the primes' dtype: any other makes numpy copy the primes
+    squares = primes[: np.searchsorted(primes, primes.dtype.type(math.isqrt(x)), "right")].astype(np.int64) ** 2
+    v, i, sid = np.full(1, x, primes.dtype), np.zeros(1, np.int64), np.zeros(1, np.int16)  # the root, P = 1
+    while len(v):
+        one = raised[sid, 1]
+        leaves = np.searchsorted(primes, v, "right") - i
+        np.add.at(counts, one[leaves > 0], leaves[leaves > 0])  # only the root at x < 2 has none
+        width = np.maximum(np.searchsorted(squares, v, "right") - i, 0)
+        j = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width - i, width)  # each node's i, i + 1, ...
+        p, q = primes[j], primes[j + 1]  # Bertrand: q < 2p <= p^2 <= x
+        v, s, e, children = np.repeat(v, width) // p, np.repeat(one, width), 1, [(v[:0], j[:0], one[:0])]
+        while len(v):  # v = x // (P p^e); children[0] is typed, so concatenate never gets an empty list
+            spawn = q <= v
+            children.append((v[spawn], j[spawn] + 1, s[spawn]))
+            up = p <= v
+            v, p, q, j, e = v[up] // p[up], p[up], q[up], j[up], e + 1
+            s = raised[s[up], e]
+            counts += np.bincount(s, minlength=len(counts))
+        v, i, sid = (np.concatenate(column) for column in zip(*children))
+    return counts
 
 
 def sum_by_signature(ftables: FactorisationTables, weights) -> int:

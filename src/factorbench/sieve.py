@@ -25,9 +25,9 @@ import numpy as np
 
 # The one chunk length of per-n work: build_sieve's Omega recurrence, the
 # signature-id walk (_halving_blocks), the f list of build_factorisation_tables
-# and the bincounts of count_by_signature and counting.profile_grid. Their int64
-# and intp temporaries are then 512 KiB, below the peak the returned arrays set,
-# where 2^20 entries made 8 MiB copies that raised the peak RSS of the tables.
+# and the bincounts of count_by_signature. Their int64 and intp temporaries
+# are then 512 KiB, below the peak the returned arrays set, where 2^20
+# entries made 8 MiB copies that raised the peak RSS of the tables.
 _COUNT_CHUNK = 1 << 16
 
 
@@ -62,39 +62,21 @@ class SieveTables:
 
     def kappa_free_mask(self, kappa: int, cutoff: int) -> np.ndarray:
         """Boolean mask over 0..cutoff; mask[n] iff n is kappa-free (n >= 1):
-        the n at level 0 of kappa_levels([kappa], 0, cutoff + 1). Built on each
-        call, a fresh array each caller owns; inside the package only verify
-        calls it, at kappa 2, 3 and 5."""
-        mask = self.kappa_levels([kappa], 0, cutoff + 1) == 0
+        each p^kappa <= cutoff strikes its multiples, and 2^kappa > cutoff
+        strikes none, so int(p) ** kappa is never built for a huge kappa.
+        Built on each call, a fresh array each caller owns; inside the
+        package only verify calls it, at kappa 2, 3 and 5."""
+        if kappa < 2:
+            raise ValueError(f"kappa must be >= 2, got {kappa}")
+        if not 0 <= cutoff <= self.limit:
+            raise ValueError(f"cutoff {cutoff} outside the sieve range [0, {self.limit}]")
+        mask = np.ones(cutoff + 1, dtype=bool)
         mask[0] = False
-        return mask
-
-    def kappa_levels(self, kappas, lo: int, hi: int) -> np.ndarray:
-        """int8 levels over lo..hi - 1 for kappas k_1 < k_2 < ..., all >= 2:
-        level[n - lo] is the largest i with p^k_i | n for a prime p, or 0, so
-        n is k_i-free iff its level is below i; n = 0 stays at level 0. The one
-        place that strikes p^kappa, for kappa_free_mask and, one block at a
-        time, counting.profile_grid. The first kappa with 2^kappa > hi - 1,
-        and every later one, strikes nothing: the strikes stop there, where
-        building int(p) ** kappa would grow with kappa."""
-        kappas = list(kappas)
-        if kappas and min(kappas) < 2:
-            raise ValueError(f"kappa must be >= 2, got {min(kappas)}")
-        if any(a >= b for a, b in zip(kappas, kappas[1:])):
-            raise ValueError(f"kappas must be strictly increasing, got {kappas}")
-        if not 0 <= lo <= hi <= self.limit + 1:
-            raise ValueError(f"levels [{lo}, {hi}) outside the sieve range [0, {self.limit}]")
-        level = np.zeros(hi - lo, dtype=np.int8)
-        top = max(hi - 1, 0)
-        for i, kappa in enumerate(kappas, start=1):  # p^k_i | n implies p^k_(i-1) | n
-            if kappa >= top.bit_length():  # 2^kappa > hi - 1: no p^kappa to strike
+        for p in self.primes:
+            if kappa >= cutoff.bit_length() or (pk := int(p) ** kappa) > cutoff:  # 2^kappa > cutoff first
                 break
-            for p in self.primes:
-                pk = int(p) ** kappa
-                if pk > top:
-                    break
-                level[max(pk, -(-lo // pk) * pk) - lo :: pk] = i  # the first multiple >= max(lo, pk)
-        return level
+            mask[pk::pk] = False
+        return mask
 
     def prime_index(self, p: int) -> int:
         """1-based index of p in the prime sequence; raises if p is not prime.

@@ -14,6 +14,9 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance gate")
         for line in lines:
             terminalreporter.write_line(line)
+    api = sys.modules.get("test_api") or sys.modules.get("tests.test_api")
+    if api:  # the size of src/factorbench, as test_api.code_lines counts it
+        terminalreporter.write_line(f"src/factorbench code lines: {api.code_lines()}")
 
 
 @pytest.fixture(scope="session")
@@ -49,7 +52,7 @@ def ftables_big(sieve_big):
 def chunk_tables():
     # past 2^21: across many of the 2^16 chunks (_COUNT_CHUNK) that bound the
     # sieve's walks, the fill of the f list and the bincounts of
-    # count_by_signature and profile_grid
+    # count_by_signature, the per-n oracle of signature_census
     tables = build_sieve(2**21 + 5)
     return tables, build_factorisation_tables(2**21 + 5, tables)
 

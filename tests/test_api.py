@@ -58,6 +58,25 @@ def unreferenced_public_objects(package: Path = PACKAGE) -> set[str]:
     }
 
 
+def code_lines(package: Path = PACKAGE) -> int:
+    """The code lines of the package's modules: every line a statement spans,
+    less its docstrings and the blank and comment-only lines inside a
+    statement. Decorator lines are not counted."""
+    total = 0
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text()
+        lines, spanned, docstrings = text.splitlines(), set(), set()
+        for node in ast.walk(ast.parse(text, filename=str(path))):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and ast.get_docstring(node, clean=False) is not None:
+                docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+            if isinstance(node, ast.stmt):
+                spanned.update(range(node.lineno, node.end_lineno + 1))
+        code = [lines[n - 1].strip() for n in spanned - docstrings]
+        total += sum(1 for line in code if line and not line.startswith("#"))
+    return total
+
+
 def test_every_public_object_is_used_or_a_pinned_paper_object():
     dead = unreferenced_public_objects()
     unlisted, stale = sorted(dead - set(PAPER_OBJECTS)), sorted(set(PAPER_OBJECTS) - dead)
@@ -93,3 +112,23 @@ def test_a_dead_method_is_found(tmp_path):
         "VALUE = read(Table())\n"
     )
     assert unreferenced_public_objects(tmp_path) == {"Table.dead"}
+
+
+def test_code_lines_count_statements_less_docstrings_comments_and_blanks(tmp_path):
+    (tmp_path / "module.py").write_text(
+        '"""A module docstring,\n'
+        'over two lines."""\n'
+        "\n"
+        "import math  # a trailing comment counts with its line\n"
+        "\n"
+        "\n"
+        "@staticmethod\n"
+        "def area(r):\n"
+        '    """One line."""\n'
+        "    # a comment inside the function\n"
+        "    return (math.pi\n"
+        "\n"
+        "            * r ** 2)\n"
+    )
+    (tmp_path / "empty.py").write_text("# nothing but a comment\n")
+    assert code_lines(tmp_path) == 4  # import, def, and the return's two lines

@@ -10,7 +10,6 @@ import pytest
 
 from factorbench import cli, counting, zeta
 from factorbench.counting import (
-    _LEVEL_BLOCK,
     CountingProfile,
     N_kappa_ell,
     check_counting_bound,
@@ -101,20 +100,18 @@ def test_profile_across_bincount_chunks_equals_one_bincount(chunk_tables):
 
 @pytest.mark.parametrize("kappa", [2, 3, 4, 5, 7])
 @pytest.mark.parametrize("x", [1, 1.5, 2, 2**16, 2**16 + 1, 2**20, 2**20 + 1, 2**20 + 2,
-                               2**21, 2**21 + 1, 2**21 + 2, 2**21 + 5])  # level blocks start at 2^20 + 1, 2^21 + 1
+                               2**21, 2**21 + 1, 2**21 + 2, 2**21 + 5])
 def test_profile_matches_the_reference_kernel(chunk_tables, x, kappa):
     tables, _ = chunk_tables
     assert profile_N_kappa(x, kappa, tables) == profile_reference(x, kappa, tables)
 
 
 def test_level_block_edges_count_each_n_once_pointwise(chunk_tables):
-    # cutoffs at each level-block start b and at b - 1, b + 1: the profile at n
-    # less the one at n - 1 is n alone, at Omega(n), iff n is kappa-free;
-    # 9 | 2^21 + 1, so 3^2's first multiple in the third block is its first entry
+    # cutoffs at 2^20 and 2^21 and the two n past each: the profile at n less
+    # the one at n - 1 is n alone, at Omega(n), iff n is kappa-free; 9 | 2^21 + 1
     tables, _ = chunk_tables
     kappas = [2, 3, 4]
-    edges = [b + d for b in range(1 + _LEVEL_BLOCK, tables.limit + 1, _LEVEL_BLOCK) for d in (-1, 0, 1)]
-    assert edges == [2**20, 2**20 + 1, 2**20 + 2, 2**21, 2**21 + 1, 2**21 + 2]
+    edges = [2**20, 2**20 + 1, 2**20 + 2, 2**21, 2**21 + 1, 2**21 + 2]
     xs = sorted({x for n in edges for x in (n - 1, n)})
     grid = dict(zip(product(xs, kappas), profile_grid(xs, kappas, tables)))
     for n, kappa in product(edges, kappas):
@@ -126,8 +123,8 @@ def test_level_block_edges_count_each_n_once_pointwise(chunk_tables):
 
 
 def test_grid_whose_top_kappa_strikes_only_in_the_last_block(chunk_tables):
-    # at x = 2^21 the level blocks are 1..2^20 and 2^20 + 1..2^21: 2^21 is the
-    # one 21st power, in the last block, and 2^20 the first block's last entry
+    # 2^21 is the one 21st power up to 2^21 and 2^20 the one 20th power below
+    # it; the census counts both in the root's steps e = 19, 20 on p = 2
     tables, _ = chunk_tables
     xs, kappas = [2**21, 2**21 - 1], [21, 2, 20, 22]
     got = profile_grid(xs, kappas, tables)
@@ -137,9 +134,10 @@ def test_grid_whose_top_kappa_strikes_only_in_the_last_block(chunk_tables):
     assert at[22].per_ell[21] == below[22].per_ell.get(21, 0) + 1 == 1
 
 
-def test_grid_holds_one_level_block_and_chunk_temporaries(peak_over_retained_mib):
-    # a full-length int8 level array took 5 MiB at 5 * 2^20; a level block takes
-    # 1 MiB, a chunk's int16 key and bincount's intp copy of it 640 KiB
+def test_grid_holds_the_census_temporaries_within_2_mib(peak_over_retained_mib):
+    # a full-length int8 level array took 5 MiB at 5 * 2^20; the census holds
+    # one level of nodes and their (node, prime) pairs, and searchsorted keys
+    # of another dtype than the int32 primes would copy them to 2.6 MiB of int64
     tables = build_sieve(5 * 2**20)
     assert peak_over_retained_mib(lambda: profile_grid([tables.limit, 10**6], [3, 2], tables)) <= 2
 
@@ -169,9 +167,23 @@ def test_fit_on_an_empty_grid(sieve_small):
 def test_kappa_below_two_is_a_value_error(sieve_small):
     for call in (lambda: profile_N_kappa(100, 1, sieve_small),
                  lambda: profile_grid([100, 10], [3, 1], sieve_small),
-                 lambda: fit_counting_constants([100], [2, 1], sieve_small)):
+                 lambda: fit_counting_constants([100], [2, 1], sieve_small),
+                 lambda: profile_grid([], [1], sieve_small),
+                 lambda: fit_counting_constants([], [1], sieve_small)):
         with pytest.raises(ValueError, match=r"^kappa must be >= 2, got 1$"):
             call()
+
+
+def test_profiles_read_omega_from_the_sieve_at_each_signatures_smallest_n():
+    # 6 is the smallest n of signature (1, 1): a wrong Omega there moves every
+    # squarefree semiprime pq <= x from ell = 2 to ell = 3, as it moves the sums
+    tables, x = build_sieve(1000), 1000
+    want = profile_reference(x, 2, tables).per_ell
+    semiprimes = sum(1 for p, q in combinations(tables.primes.tolist(), 2) if p * q <= x)
+    assert want[2] == semiprimes
+    tables.big_omega[6] = 3
+    moved = {ell: c for ell, c in want.items() if ell != 2} | {3: want[3] + semiprimes}
+    assert profile_N_kappa(x, 2, tables).per_ell == moved
 
 
 @pytest.mark.parametrize("x, message", [

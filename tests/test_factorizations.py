@@ -370,3 +370,15 @@ def test_ids_decode_to_the_factorization_across_the_walk_blocks(chunk_tables):
         exps = sorted((e for _, e in factorize(n, tables).factors), reverse=True)
         assert ft.signatures[ft.ids[n]] == tuple(exps)
         assert ft.reps[ft.ids[n]] == math.prod(p**e for p, e in zip([2, 3, 5, 7, 11, 13, 17], exps))
+
+
+@pytest.mark.parametrize("xs", [range(3000), [2**16, 2**16 + 1, 99991, 2**20, 2**20 + 1, 2**21, 2**21 + 5]],
+                         ids=["every x below 3000", "chunk edges to 2^21 + 5"])
+def test_signature_census_equals_the_per_n_bincount(chunk_tables, xs):
+    tables, ft = chunk_tables
+    signatures, reps, raised = factorizations._signatures(ft.limit)
+    assert (signatures, reps) == (ft.signatures, ft.reps)
+    for x in xs:
+        census = factorizations.signature_census(x, tables.primes, raised)
+        assert census.dtype == np.int64 and census.sum() == x
+        assert census.tolist() == factorizations.count_by_signature(ft, x), x

@@ -207,30 +207,6 @@ def test_kappa_free_mask_matches_pointwise(sieve_small):
         assert bool(mask[n]) == is_kappa_free(n, 3, sieve_small)
 
 
-@pytest.mark.parametrize("lo, hi", [(0, 0), (0, 1), (0, 2000), (1, 2), (8, 9), (8, 300), (27, 28),
-                                    (26, 82), (100, 1000), (1000, 2001), (2000, 2001)])
-def test_kappa_levels_over_a_window_match_pointwise(sieve_small, lo, hi):
-    # a window starting at 8 = 2^3 or 27 = 3^3 strikes its first entry;
-    # level i means kappa_i is the largest kappa with a p^kappa | n
-    kappas = [2, 3, 5]
-    level = sieve_small.kappa_levels(kappas, lo, hi)
-    assert level.dtype == np.int8 and len(level) == hi - lo
-    for n in range(lo, hi):
-        want = sum(not is_kappa_free(n, kappa, sieve_small) for kappa in kappas) if n else 0
-        assert level[n - lo] == want, n
-    assert np.array_equal(level, sieve_small.kappa_levels(kappas, 0, hi)[lo:])
-
-
-@pytest.mark.parametrize("kappas, message", [
-    ([3, 2], "kappas must be strictly increasing, got [3, 2]"),
-    ([2, 2], "kappas must be strictly increasing, got [2, 2]"),
-    ([2, 1], "kappa must be >= 2, got 1"),
-])
-def test_kappa_levels_reject_kappas_not_increasing_from_two(sieve_small, kappas, message):
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        sieve_small.kappa_levels(kappas, 0, 17)
-
-
 def test_iterated_log():
     x = math.exp(math.exp(2.0))
     assert iterated_log(x, 1) == pytest.approx(math.exp(2.0))
