@@ -17,8 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .factorizations import (FactorisationTables, _signatures, count_by_signature, signature_census,
-                             sum_by_signature)
+from .factorizations import FactorisationTables, _signatures, signature_census, sum_by_signature
 from .sieve import SieveTables, _x_cutoff, factorize, iterated_log
 
 
@@ -67,7 +66,7 @@ def profile_grid(xs, kappas, tables: SieveTables) -> list[CountingProfile]:
     cutoffs = [_x_cutoff(x, 1, tables) for x in xs]
     if not cutoffs or not kappas:  # no (x, kappa) pair to count
         return []
-    signatures, reps, raised = _signatures(max(cutoffs))
+    signatures, reps, raised = _signatures(tables.limit)
     largest = np.array([sig[0] if sig else 0 for sig in signatures])  # signatures decrease
     census = {cutoff: signature_census(cutoff, tables.primes, raised) for cutoff in set(cutoffs)}
     # float64 bincounts of the counts, exact: each is at most x < 2^31
@@ -211,7 +210,7 @@ def coffeeshop_sum(x: float, c, kappa: int, ftables: FactorisationTables):
     for every sigma > 1. The unrestricted sum of f grows like x^beta with
     beta = kalmar_beta() = 1.7286.
     """
-    cutoff = _x_cutoff(x, 0, ftables)
+    counts = ftables.census(x)
     exact = isinstance(c, int)
     if not exact and not math.isfinite(c):
         raise ValueError(f"c must be finite, got {c}")
@@ -220,7 +219,7 @@ def coffeeshop_sum(x: float, c, kappa: int, ftables: FactorisationTables):
     base = c if exact else Fraction(c)
     total = sum_by_signature(ftables, [
         k * base**omega if k and (not sig or sig[0] < kappa) else 0
-        for k, omega, sig in zip(count_by_signature(ftables, cutoff), ftables.big_omega, ftables.signatures)])
+        for k, omega, sig in zip(counts, ftables.big_omega, ftables.signatures)])
     if exact:
         return total
     try:

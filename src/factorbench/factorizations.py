@@ -5,13 +5,14 @@ counts those of length exactly k, and f_even/f_odd split by length parity
 (the unit contributes to f_even at n=1).  All three depend only on n's prime
 signature, the multiset of its exponents, so the tables are computed once
 per signature by MacMahon's formula and read per n through a signature id,
-which n takes from n / spf(n) along the sieve's walk.  Sums over n <= x run
-once per signature, on count_by_signature and sum_by_signature, and read mu
-and Omega from the tables' per-signature columns, not from a sieve.
-signature_census gives the same counts with no per-n array, from a walk
-over products of prime powers and the sieve's primes; the kappa-free Omega
-profiles of counting read it.  All counts are exact Python integers; the
-sieve budget caps the table limit.
+which n takes from n / spf(n) along the sieve's walk.  Every sum over n <= x
+runs once per signature: signature_census counts the n <= x of each
+signature with no per-n array, from a walk over products of prime powers
+and the sieve's primes, and the sums weight those counts by f at each
+signature's smallest n (sum_by_signature) and by the per-signature mu and
+Omega columns.  The x-sums read the census through FactorisationTables.census,
+once per cutoff; the kappa-free Omega profiles of counting read it directly.
+All counts are exact Python integers; the sieve budget caps the table limit.
 
 Also houses integer partitions stored by part multiplicities, the tuple
 counter d_lambda grouped by the multiset of Omega-values, and its
@@ -21,12 +22,13 @@ factorial upper bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .sieve import _COUNT_CHUNK, FactoredInt, SieveTables, _big_omega, _divisors, _halving_blocks, build_sieve
+from .sieve import (_COUNT_CHUNK, FactoredInt, SieveTables, _big_omega, _divisors, _halving_blocks, _x_cutoff,
+                    build_sieve)
 
 MAX_PARTITION_ELL = 90
 
@@ -151,7 +153,9 @@ class FactorisationTables:
     over 1..limit.  signatures[ids[n]] is n's exponent multiset, decreasing,
     reps[ids[n]] the smallest n with it, and mu[ids[n]] and big_omega[ids[n]]
     the sieve's mu and Omega at that n, which the sums over n <= x read; f
-    is a per-n list of shared ints, the others read through ids."""
+    is a per-n list of shared ints, the others read through ids.  primes
+    (the sieve's, up to limit) and raised (from _signatures(limit)) are what
+    census needs to count the n <= x of each signature."""
 
     limit: int
     k_max: int
@@ -164,17 +168,30 @@ class FactorisationTables:
     fk: list[_BySignature]
     f_even: _BySignature
     f_odd: _BySignature
+    primes: np.ndarray
+    raised: np.ndarray
+    _censuses: dict[int, tuple[int, ...]] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def census(self, x: float) -> tuple[int, ...]:
+        """Per signature id, how many n in 1..floor(x) have it: one
+        signature_census per cutoff, kept for the next sum at that cutoff."""
+        cutoff = _x_cutoff(x, 0, self)
+        if cutoff not in self._censuses:
+            self._censuses[cutoff] = tuple(signature_census(cutoff, self.primes, self.raised).tolist())
+        return self._censuses[cutoff]
 
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)  # product > 2^31 > any sieve limit
 
 
+@lru_cache(maxsize=8)
 def _signatures(limit: int) -> tuple[list[tuple[int, ...]], list[int], np.ndarray]:
     """The decreasing exponent multisets (a_1, a_2, ...) with 2^a_1 3^a_2 ...
     <= limit, () first, each with its smallest n, and raised: raised[i, e] is
     the id of signatures[i] with its first e - 1 raised to e (e = 1 appends
     a 1), or -1. Raising the new prime's exponent from 1 to e steps through
-    raised[., 2], ..., raised[., e]."""
+    raised[., 2], ..., raised[., e]. Cached, so callers must not change the
+    lists; raised is read-only."""
     signatures, reps = [()], [1]
     for sig, rep in zip(signatures, reps):  # both grow as read, one prime longer
         p, a = _PRIMES[len(sig)], 1
@@ -188,19 +205,19 @@ def _signatures(limit: int) -> tuple[list[tuple[int, ...]], list[int], np.ndarra
         for e in {1, *(a + 1 for a in sig)}:
             j = (sig + (0,)).index(e - 1)  # e = 1 raises a 0 past the end
             raised[i, e] = index.get(sig[:j] + (e,) + sig[j + 1 :], -1)
+    raised.flags.writeable = False
     return signatures, reps, raised
 
 
-def _signature_ids(limit: int, tables: SieveTables) -> tuple[np.ndarray, list, list[int]]:
-    """int16 ids over 0..limit (n = 0 shares n = 1's), each id's exponent
-    multiset and its smallest n, from _signatures(limit).
+def _signature_ids(limit: int, tables: SieveTables, raised: np.ndarray) -> np.ndarray:
+    """int16 ids over 0..limit (n = 0 shares n = 1's) into _signatures(limit),
+    whose raised table is raised.
 
     On the sieve's walk, with p = spf(n) and m = n / p, p's exponent in n is
     one more than in m if p divides m and 1 if not, and ids[n] = raised[ids[m],
     that exponent]. At the primes the sieve stores as 0, m = 0 reads exps and
     ids of 1.
     """
-    signatures, reps, raised = _signatures(limit)
     ids = np.zeros(limit + 1, dtype=np.int16)
     exps = np.zeros(limit + 1, dtype=np.int8)  # exponent of spf(n) in n
     for block, m, rep in _halving_blocks(tables.spf, limit + 1):
@@ -208,7 +225,7 @@ def _signature_ids(limit: int, tables: SieveTables) -> tuple[np.ndarray, list, l
         ids[block] = raised[ids[m], exps[block]]
     if ids.min() < 0:
         raise AssertionError(f"n = {int(ids.argmin())} raised to no signature <= {limit}")
-    return ids, signatures, reps
+    return ids
 
 
 def _fk_of_signature(sig: tuple[int, ...]) -> list[int]:
@@ -225,16 +242,20 @@ def build_factorisation_tables(
 ) -> FactorisationTables:
     """The tables over 1..limit, from the sieve tables, or from a sieve to
     limit (capped like any sieve) when tables is None.  The sieve is read
-    only by the signature-id walk and the gathers of mu and Omega at the
-    reps; a sieve built here is freed before the f list fills."""
+    only by the signature-id walk, the gathers of mu and Omega at the reps
+    and the slice of its primes up to limit; a sieve built here is freed
+    before the f list fills."""
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     if tables is None:
         tables = build_sieve(max(limit, 2))
     elif tables.limit < limit:
         raise ValueError(f"sieve limit {tables.limit} is below table limit {limit}")
-    ids, signatures, reps = _signature_ids(limit, tables)
+    signatures, reps, raised = _signatures(limit)
+    ids = _signature_ids(limit, tables, raised)
     mu, big_omega = tables.mu[reps].tolist(), tables.big_omega[reps].tolist()
+    # a key of the primes' dtype: any other makes numpy copy the primes
+    primes = tables.primes[: np.searchsorted(tables.primes, tables.primes.dtype.type(limit), "right")]
     del tables
     rows = [_fk_of_signature(sig) for sig in signatures]
     k_max = limit.bit_length() - 1
@@ -244,16 +265,9 @@ def build_factorisation_tables(
         f.extend(f_of_id[ids[lo : lo + _COUNT_CHUNK]])
     f_even = _BySignature([sum(r[0::2]) for r in rows], ids)
     f_odd = _BySignature([sum(r[1::2]) for r in rows], ids)
-    return FactorisationTables(limit, k_max, ids, signatures, reps, mu, big_omega, f, fk, f_even, f_odd)
-
-
-def count_by_signature(ftables: FactorisationTables, cutoff: int) -> list[int]:
-    """Per signature id, how many n in 1..cutoff have it: one np.bincount of
-    the ids per _COUNT_CHUNK chunk. The per-n oracle of signature_census."""
-    counts = np.zeros(len(ftables.reps), np.int64)
-    for lo in range(1, cutoff + 1, _COUNT_CHUNK):
-        counts += np.bincount(ftables.ids[lo : min(lo + _COUNT_CHUNK, cutoff + 1)], minlength=len(counts))
-    return [int(c) for c in counts]
+    # the tables' lists are copies, so a write to them leaves the cached ones alone
+    return FactorisationTables(limit, k_max, ids, list(signatures), list(reps), mu, big_omega, f, fk,
+                               f_even, f_odd, primes, raised)
 
 
 def signature_census(x: int, primes: np.ndarray, raised: np.ndarray) -> np.ndarray:

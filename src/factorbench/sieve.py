@@ -24,10 +24,10 @@ from functools import lru_cache
 import numpy as np
 
 # The one chunk length of per-n work: build_sieve's Omega recurrence, the
-# signature-id walk (_halving_blocks), the f list of build_factorisation_tables
-# and the bincounts of count_by_signature. Their int64 and intp temporaries
-# are then 512 KiB, below the peak the returned arrays set, where 2^20
-# entries made 8 MiB copies that raised the peak RSS of the tables.
+# signature-id walk (_halving_blocks) and the f list of
+# build_factorisation_tables. Their int64 and intp temporaries are then
+# 512 KiB, below the peak the returned arrays set, where 2^20 entries made
+# 8 MiB copies that raised the peak RSS of the tables.
 _COUNT_CHUNK = 1 << 16
 
 
@@ -154,8 +154,8 @@ def _x_cutoff(x: float, least: int, *tables) -> int:
     """floor(x), the cutoff of a sum or count over n <= x: x must be finite,
     at least least and above 0, and floor(x) at most the limit of each table
     given; any other x is a ValueError that names it. The kappa-free profiles
-    take least = 1; the sums of zeta and coffeeshop_sum take 0, and are
-    empty for 0 < x < 1."""
+    take least = 1; FactorisationTables.census, behind the sums of zeta and
+    coffeeshop_sum, takes 0, and counts no n for 0 < x < 1."""
     try:
         cutoff = math.floor(x)
     except (OverflowError, ValueError):  # floor of +-inf and of nan

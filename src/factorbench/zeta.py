@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .factorizations import FactorisationTables, count_by_signature, sum_by_signature
-from .sieve import _x_cutoff
+from .factorizations import FactorisationTables, sum_by_signature
 
 SIGMA_FLOOR = 1.0 + 1e-6
 _N, _K = 10, 10  # terms summed directly, Bernoulli corrections
@@ -146,8 +145,7 @@ def kalmar_constant() -> float:
 
 def kalmar_ratio(x: float, ftables: FactorisationTables) -> float:
     """(sum of f(n) for n <= x) / (x^beta * kalmar_constant); tends to 1."""
-    cutoff = _x_cutoff(x, 0, ftables)
-    total = sum_by_signature(ftables, count_by_signature(ftables, cutoff))
+    total = sum_by_signature(ftables, ftables.census(x))
     return total / (x ** kalmar_beta() * kalmar_constant())
 
 
@@ -172,8 +170,7 @@ def sarnak_correlation(x: float, selector: str, ftables: FactorisationTables) ->
     """
     if selector not in ("f", "fmu2"):
         raise ValueError(f"selector must be 'f' or 'fmu2', got {selector!r}")
-    cutoff = _x_cutoff(x, 0, ftables)
-    counts = count_by_signature(ftables, cutoff)
+    counts = ftables.census(x)
     mu_counts = [k * m for k, m in zip(counts, ftables.mu)]
     num = sum_by_signature(ftables, mu_counts)
     den = sum_by_signature(ftables, counts if selector == "f" else [abs(w) for w in mu_counts])

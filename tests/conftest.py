@@ -51,8 +51,8 @@ def ftables_big(sieve_big):
 @pytest.fixture(scope="session")
 def chunk_tables():
     # past 2^21: across many of the 2^16 chunks (_COUNT_CHUNK) that bound the
-    # sieve's walks, the fill of the f list and the bincounts of
-    # count_by_signature, the per-n oracle of signature_census
+    # sieve's walks and the fill of the f list; the signature census is
+    # checked here against one bincount of the per-n ids
     tables = build_sieve(2**21 + 5)
     return tables, build_factorisation_tables(2**21 + 5, tables)
 

@@ -1,12 +1,14 @@
 """The report's sums per prime signature against the per-n loops they replaced.
 
-kalmar_ratio, sarnak_correlation, coffeeshop_sum and mu_parity_failures sum
-over signatures with count_by_signature and sum_by_signature, reading mu and
-Omega from the f tables' per-signature columns; the loops below visit every n,
-read mu and Omega per n from a sieve, and are the reference. Equal means equal
-in value and in type.
+kalmar_ratio, sarnak_correlation and coffeeshop_sum sum over signatures: the
+counts come from the f tables' census, one signature_census per cutoff, and
+are weighted by f at each signature's smallest n (sum_by_signature) and by
+the tables' per-signature mu and Omega columns; mu_parity_failures checks
+per signature. The loops below visit every n, read mu and Omega per n from a
+sieve, and are the reference. Equal means equal in value and in type.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -15,12 +17,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from factorbench import counting, reproduce, zeta
-from factorbench.factorizations import (
-    build_factorisation_tables,
-    count_by_signature,
-    mu_via_parity,
-)
+from factorbench import counting, factorizations, reproduce, zeta
+from factorbench.factorizations import build_factorisation_tables, mu_via_parity
 from factorbench.sieve import build_sieve
 from factorbench.verify import mu_parity_failures
 
@@ -102,10 +100,33 @@ def test_sums_equal_the_loops_at_the_report_checkpoints(x, ftables_big, sieve_bi
 @pytest.mark.parametrize("x", [2**16 - 1, 2**16, 2**16 + 1, 2**20 - 1, 2**20, 2**20 + 1, 2**21 + 5])
 def test_sums_across_bincount_chunks(x, chunk_tables):
     tables, ft = chunk_tables
-    # the counts against one unchunked bincount
+    # the census the sums read against one unchunked bincount of the ids
     want = np.bincount(ft.ids[1 : x + 1], minlength=len(ft.signatures)).tolist()
-    assert count_by_signature(ft, x) == want
+    assert list(ft.census(x)) == want
     assert_sums_match(x, ft, tables)
+
+
+@pytest.mark.parametrize("x", [10**3, 10**5])
+def test_sums_read_no_per_n_ids(x, ftables_parity, sieve_big):
+    # the census counts the n <= x of each signature without the ids
+    assert_sums_match(x, dataclasses.replace(ftables_parity, ids=None), sieve_big)
+
+
+def test_one_census_per_cutoff(monkeypatch, ftables_small):
+    ft = dataclasses.replace(ftables_small)  # no census kept yet
+    calls = []
+
+    def counted(x, primes, raised, real=factorizations.signature_census):
+        calls.append(x)
+        return real(x, primes, raised)
+
+    monkeypatch.setattr(factorizations, "signature_census", counted)
+    for x in (1000, 1000.5, 2000):
+        zeta.kalmar_ratio(x, ft)
+        for sel in ("f", "fmu2"):
+            zeta.sarnak_correlation(x, sel, ft)
+        counting.coffeeshop_sum(x, 2, 2, ft)
+    assert calls == [1000, 2000]
 
 
 def test_sarnak_reads_mu_from_the_sieve_it_is_given(ftables_small):
