@@ -6,13 +6,13 @@ counts those of length exactly k, and f_even/f_odd split by length parity
 signature, the multiset of its exponents, so the tables are computed once
 per signature by MacMahon's formula and read per n through a signature id,
 which n takes from n / spf(n) along the sieve's walk.  Every sum over n <= x
-runs once per signature: signature_census counts the n <= x of each
-signature with no per-n array, from a walk over products of prime powers
-and the sieve's primes, and the sums weight those counts by f at each
-signature's smallest n (sum_by_signature) and by the per-signature mu and
-Omega columns.  The x-sums read the census through FactorisationTables.census,
-once per cutoff; the kappa-free Omega profiles of counting read it directly.
-All counts are exact Python integers; the sieve budget caps the table limit.
+runs once per signature: FactorisationTables.census reads N_sigma(x), the
+number of n <= x of each signature, from census.census_counts, and the sums
+weight those counts by f at each signature's smallest n (sum_by_signature)
+and by the per-signature mu and Omega columns.  The signature list and the
+census live in census.py; the kappa-free Omega profiles of counting read
+the same cached census.  All counts are exact Python integers; the sieve
+budget caps the table limit.
 
 Also houses integer partitions stored by part multiplicities, the tuple
 counter d_lambda grouped by the multiset of Omega-values, and its
@@ -22,11 +22,12 @@ factorial upper bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from .census import _signatures, census_counts
 from .sieve import (_COUNT_CHUNK, FactoredInt, SieveTables, _big_omega, _divisors, _halving_blocks, _x_cutoff,
                     build_sieve)
 
@@ -153,9 +154,9 @@ class FactorisationTables:
     over 1..limit.  signatures[ids[n]] is n's exponent multiset, decreasing,
     reps[ids[n]] the smallest n with it, and mu[ids[n]] and big_omega[ids[n]]
     the sieve's mu and Omega at that n, which the sums over n <= x read; f
-    is a per-n list of shared ints, the others read through ids.  primes
-    (the sieve's, up to limit) and raised (from _signatures(limit)) are what
-    census needs to count the n <= x of each signature."""
+    is a per-n list of shared ints, the others read through ids.  The ids
+    index census._signatures(limit), whose census counts the n <= x of
+    each signature."""
 
     limit: int
     k_max: int
@@ -168,45 +169,11 @@ class FactorisationTables:
     fk: list[_BySignature]
     f_even: _BySignature
     f_odd: _BySignature
-    primes: np.ndarray
-    raised: np.ndarray
-    _censuses: dict[int, tuple[int, ...]] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def census(self, x: float) -> tuple[int, ...]:
-        """Per signature id, how many n in 1..floor(x) have it: one
-        signature_census per cutoff, kept for the next sum at that cutoff."""
-        cutoff = _x_cutoff(x, 0, self)
-        if cutoff not in self._censuses:
-            self._censuses[cutoff] = tuple(signature_census(cutoff, self.primes, self.raised).tolist())
-        return self._censuses[cutoff]
-
-
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)  # product > 2^31 > any sieve limit
-
-
-@lru_cache(maxsize=8)
-def _signatures(limit: int) -> tuple[list[tuple[int, ...]], list[int], np.ndarray]:
-    """The decreasing exponent multisets (a_1, a_2, ...) with 2^a_1 3^a_2 ...
-    <= limit, () first, each with its smallest n, and raised: raised[i, e] is
-    the id of signatures[i] with its first e - 1 raised to e (e = 1 appends
-    a 1), or -1. Raising the new prime's exponent from 1 to e steps through
-    raised[., 2], ..., raised[., e]. Cached, so callers must not change the
-    lists; raised is read-only."""
-    signatures, reps = [()], [1]
-    for sig, rep in zip(signatures, reps):  # both grow as read, one prime longer
-        p, a = _PRIMES[len(sig)], 1
-        while a <= (sig[-1] if sig else a) and rep * p**a <= limit:
-            signatures.append(sig + (a,))
-            reps.append(rep * p**a)
-            a += 1
-    index = {sig: i for i, sig in enumerate(signatures)}
-    raised = np.full((len(signatures), limit.bit_length() + 1), -1, dtype=np.int16)
-    for i, sig in enumerate(signatures):
-        for e in {1, *(a + 1 for a in sig)}:
-            j = (sig + (0,)).index(e - 1)  # e = 1 raises a 0 past the end
-            raised[i, e] = index.get(sig[:j] + (e,) + sig[j + 1 :], -1)
-    raised.flags.writeable = False
-    return signatures, reps, raised
+        """Per signature id, how many n in 1..floor(x) have it: the cached
+        census_counts, shared with every other caller at that cutoff."""
+        return census_counts(_x_cutoff(x, 0, self), self.limit)
 
 
 def _signature_ids(limit: int, tables: SieveTables, raised: np.ndarray) -> np.ndarray:
@@ -214,14 +181,14 @@ def _signature_ids(limit: int, tables: SieveTables, raised: np.ndarray) -> np.nd
     whose raised table is raised.
 
     On the sieve's walk, with p = spf(n) and m = n / p, p's exponent in n is
-    one more than in m if p divides m and 1 if not, and ids[n] = raised[ids[m],
-    that exponent]. At the primes the sieve stores as 0, m = 0 reads exps and
-    ids of 1.
+    one more than in m if spf(m) = p and 1 if not (spf[1] = 0 matches no
+    prime), and ids[n] = raised[ids[m], that exponent]. At the primes the
+    sieve stores as 0, m = 0 reads exps and ids of 1, and the test is true.
     """
     ids = np.zeros(limit + 1, dtype=np.int16)
     exps = np.zeros(limit + 1, dtype=np.int8)  # exponent of spf(n) in n
-    for block, m, rep in _halving_blocks(tables.spf, limit + 1):
-        exps[block] = np.where(rep, exps[m] + 1, 1)
+    for block, m in _halving_blocks(tables.spf, limit + 1):
+        exps[block] = np.where(tables.spf[m] == tables.spf[block], exps[m] + 1, 1)
         ids[block] = raised[ids[m], exps[block]]
     if ids.min() < 0:
         raise AssertionError(f"n = {int(ids.argmin())} raised to no signature <= {limit}")
@@ -242,9 +209,8 @@ def build_factorisation_tables(
 ) -> FactorisationTables:
     """The tables over 1..limit, from the sieve tables, or from a sieve to
     limit (capped like any sieve) when tables is None.  The sieve is read
-    only by the signature-id walk, the gathers of mu and Omega at the reps
-    and the slice of its primes up to limit; a sieve built here is freed
-    before the f list fills."""
+    only by the signature-id walk and the gathers of mu and Omega at the
+    reps; a sieve built here is freed before the f list fills."""
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     if tables is None:
@@ -254,8 +220,6 @@ def build_factorisation_tables(
     signatures, reps, raised = _signatures(limit)
     ids = _signature_ids(limit, tables, raised)
     mu, big_omega = tables.mu[reps].tolist(), tables.big_omega[reps].tolist()
-    # a key of the primes' dtype: any other makes numpy copy the primes
-    primes = tables.primes[: np.searchsorted(tables.primes, tables.primes.dtype.type(limit), "right")]
     del tables
     rows = [_fk_of_signature(sig) for sig in signatures]
     k_max = limit.bit_length() - 1
@@ -267,44 +231,7 @@ def build_factorisation_tables(
     f_odd = _BySignature([sum(r[1::2]) for r in rows], ids)
     # the tables' lists are copies, so a write to them leaves the cached ones alone
     return FactorisationTables(limit, k_max, ids, list(signatures), list(reps), mu, big_omega, f, fk,
-                               f_even, f_odd, primes, raised)
-
-
-def signature_census(x: int, primes: np.ndarray, raised: np.ndarray) -> np.ndarray:
-    """Per signature id, how many n in 1..x have it, as int64, from a walk
-    over the products P of prime powers, not over n. primes holds every prime
-    <= x, and raised comes from _signatures(limit) with limit >= x.
-
-    A node (v, i, sid) stands for a P whose primes lie below primes[i], with
-    signature id sid and v = x // P. It counts the n = P q, q a prime >=
-    primes[i], as pi(v) - i. Each p = primes[j], j >= i, with p^2 <= v then
-    steps e = 1, 2, ... on v // p^e = x // (P p^e): while p <= v // p^e it
-    counts n = P p^(e+1), and while primes[j + 1] <= v // p^e, P p^e is a
-    node of the next level. So every n > 1 is counted once, from the node of
-    its part below its largest prime.
-    """
-    counts = np.zeros(len(raised), np.int64)
-    counts[0] = x >= 1  # n = 1
-    # v and the searchsorted keys take the primes' dtype: any other makes numpy copy the primes
-    squares = primes[: np.searchsorted(primes, primes.dtype.type(math.isqrt(x)), "right")].astype(np.int64) ** 2
-    v, i, sid = np.full(1, x, primes.dtype), np.zeros(1, np.int64), np.zeros(1, np.int16)  # the root, P = 1
-    while len(v):
-        one = raised[sid, 1]
-        leaves = np.searchsorted(primes, v, "right") - i
-        np.add.at(counts, one[leaves > 0], leaves[leaves > 0])  # only the root at x < 2 has none
-        width = np.maximum(np.searchsorted(squares, v, "right") - i, 0)
-        j = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width - i, width)  # each node's i, i + 1, ...
-        p, q = primes[j], primes[j + 1]  # Bertrand: q < 2p <= p^2 <= x
-        v, s, e, children = np.repeat(v, width) // p, np.repeat(one, width), 1, [(v[:0], j[:0], one[:0])]
-        while len(v):  # v = x // (P p^e); children[0] is typed, so concatenate never gets an empty list
-            spawn = q <= v
-            children.append((v[spawn], j[spawn] + 1, s[spawn]))
-            up = p <= v
-            v, p, q, j, e = v[up] // p[up], p[up], q[up], j[up], e + 1
-            s = raised[s[up], e]
-            counts += np.bincount(s, minlength=len(counts))
-        v, i, sid = (np.concatenate(column) for column in zip(*children))
-    return counts
+                               f_even, f_odd)
 
 
 def sum_by_signature(ftables: FactorisationTables, weights) -> int:

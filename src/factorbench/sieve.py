@@ -23,11 +23,12 @@ from functools import lru_cache
 
 import numpy as np
 
-# The one chunk length of per-n work: build_sieve's Omega recurrence, the
-# signature-id walk (_halving_blocks) and the f list of
-# build_factorisation_tables. Their int64 and intp temporaries are then
-# 512 KiB, below the peak the returned arrays set, where 2^20 entries made
-# 8 MiB copies that raised the peak RSS of the tables.
+# The one chunk length of per-n work: the blocks of _halving_blocks, which
+# build_sieve's Omega recurrence and the signature-id walk both take, and the
+# f list of build_factorisation_tables. Their int64 and intp temporaries are
+# then 512 KiB, below the peak the returned arrays set, where 2^20 entries
+# made 8 MiB copies that raised the peak RSS of the tables. The signature
+# census (census.py) walks no n and takes no chunk.
 _COUNT_CHUNK = 1 << 16
 
 
@@ -133,13 +134,8 @@ def build_sieve(limit: int) -> SieveTables:
     spf[small_p] = small_p
 
     big_omega = np.zeros(n, dtype=np.int8)
-    lo = 2
-    while lo < n:  # blocks [lo, 2 lo) read only m = k / spf(k) < lo; _COUNT_CHUNK caps them
-        hi = min(2 * lo, lo + _COUNT_CHUNK, n)
-        with np.errstate(divide="ignore"):
-            m = np.arange(lo, hi) // spf[lo:hi]
-        big_omega[lo:hi] = big_omega[m] + 1
-        lo = hi
+    for block, m in _halving_blocks(spf, n):
+        big_omega[block] = big_omega[m] + 1
     mu = np.bitwise_and(big_omega, 1, dtype=np.int8)  # Omega mod 2, then in place 1 - 2 (Omega mod 2)
     mu *= -2
     mu += 1
@@ -171,18 +167,15 @@ def _x_cutoff(x: float, least: int, *tables) -> int:
 
 def _halving_blocks(spf: np.ndarray, n: int):
     """2..n - 1 in blocks [lo, 2 lo) of at most _COUNT_CHUNK entries: the
-    slice, m = k / spf(k), and whether spf(k) repeats in k, i.e. spf(m) = spf(k)
-    (spf[1] = 0 matches no prime).  m < lo: a recurrence reads finished entries.
-    At the primes stored as 0, m = 0 and the repeat test is true.  Only
-    factorizations._signature_ids walks these: build_sieve's Omega
-    recurrence needs no repeat test and runs the same blocks inline."""
+    slice and m = k / spf(k), with m = 0 at the primes stored as 0.  m < lo,
+    so a recurrence on m reads finished entries: build_sieve's Omega and
+    factorizations._signature_ids walk these."""
     lo = 2
     while lo < n:
         hi = min(2 * lo, lo + _COUNT_CHUNK, n)
-        p = spf[lo:hi]
         with np.errstate(divide="ignore"):
-            m = np.arange(lo, hi) // p
-        yield slice(lo, hi), m, spf[m] == p
+            m = np.arange(lo, hi) // spf[lo:hi]
+        yield slice(lo, hi), m
         lo = hi
 
 

@@ -8,7 +8,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from factorbench import cli, counting, factorizations, zeta
+from factorbench import census, cli, counting, zeta
 from factorbench.counting import (
     CountingProfile,
     N_kappa_ell,
@@ -136,19 +136,19 @@ def test_grid_whose_top_kappa_strikes_only_in_the_last_block(chunk_tables):
 
 def test_grid_holds_the_census_temporaries_within_2_mib(peak_over_retained_mib):
     # a full-length int8 level array took 5 MiB at 5 * 2^20; the census holds
-    # one level of nodes and their (node, prime) pairs, and searchsorted keys
-    # of another dtype than the int32 primes would copy them to 2.6 MiB of int64
+    # one level of nodes and their (node, prime) pairs, and a pi table of
+    # 2 isqrt(x) entries, and reads no per-n array of the sieve
     tables = build_sieve(5 * 2**20)
     assert peak_over_retained_mib(lambda: profile_grid([tables.limit, 10**6], [3, 2], tables)) <= 2
 
 
 def test_profiles_on_one_sieve_build_the_signature_list_once(sieve_small):
-    factorizations._signatures.cache_clear()
+    census._signatures.cache_clear()
     for x, kappa in product([100, 1000, 10**4], [2, 3, 5]):
         profile_N_kappa(x, kappa, sieve_small)
     fit_counting_constants([100, 5000], [2, 3], sieve_small)
-    assert factorizations._signatures.cache_info().misses == 1
-    assert not factorizations._signatures(sieve_small.limit)[2].flags.writeable
+    assert census._signatures.cache_info().misses == 1
+    assert not census._signatures(sieve_small.limit)[2].flags.writeable
 
 
 def test_grid_answers_unsorted_repeated_points_in_the_callers_order(chunk_tables):

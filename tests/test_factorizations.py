@@ -11,6 +11,7 @@ from factorbench import (
     PartitionMultiset,
     build_factorisation_tables,
     build_sieve,
+    census,
     d_lambda,
     d_lambda_bound,
     enumerate_partitions,
@@ -300,12 +301,11 @@ def test_table_builds_hold_one_chunk_of_temporaries(chunk_tables, peak_over_reta
 
 
 def test_tables_keep_the_sieves_primes_to_their_limit_without_a_copy(chunk_tables, peak_over_retained_mib):
-    # 997 is prime, so the census at the limit needs it; a search key of
-    # another dtype than the int32 primes would copy all 155,000 to int64
+    # 997 is prime, so the census at the limit needs it; small tables from a
+    # large sieve copy none of its 155,000 primes
     tables, _ = chunk_tables
     assert peak_over_retained_mib(lambda: build_factorisation_tables(997, tables)) <= 0.5
     ft = build_factorisation_tables(997, tables)
-    assert ft.primes.tolist() == [p for p in tables.primes.tolist() if p <= 997]
     assert list(ft.census(997)) == count_by_signature(ft, 997)
 
 
@@ -356,7 +356,7 @@ def _signatures_up_to(limit, primes, most=None, i=0, value=1):
 def test_signature_ids_at_the_square_of_the_largest_prime_and_past_2_16():
     limit = 70_000
     tables = build_sieve(limit)
-    signatures, _, raised = factorizations._signatures(limit)
+    signatures, _, raised = census._signatures(limit)
     ids = factorizations._signature_ids(limit, tables, raised)
     primes = tables.primes
     p = int(primes[np.searchsorted(primes, math.isqrt(limit), side="right") - 1])
@@ -385,17 +385,17 @@ def test_ids_decode_to_the_factorization_across_the_walk_blocks(chunk_tables):
 
 def count_by_signature(ftables, cutoff):
     """Per signature id, how many n in 1..cutoff have it: one np.bincount of
-    the per-n ids. The per-n oracle of signature_census."""
+    the per-n ids. The per-n oracle of census_counts."""
     return np.bincount(ftables.ids[1 : cutoff + 1], minlength=len(ftables.signatures)).tolist()
 
 
 @pytest.mark.parametrize("xs", [range(3000), [2**16, 2**16 + 1, 99991, 2**20, 2**20 + 1, 2**21, 2**21 + 5]],
                          ids=["every x below 3000", "chunk edges to 2^21 + 5"])
 def test_signature_census_equals_the_per_n_bincount(chunk_tables, xs):
-    tables, ft = chunk_tables
-    signatures, reps, raised = factorizations._signatures(ft.limit)
+    _, ft = chunk_tables
+    signatures, reps, _ = census._signatures(ft.limit)
     assert (signatures, reps) == (ft.signatures, ft.reps)
     for x in xs:
-        census = factorizations.signature_census(x, tables.primes, raised)
-        assert census.dtype == np.int64 and census.sum() == x
-        assert census.tolist() == count_by_signature(ft, x), x
+        counts = census.census_counts(x, ft.limit)
+        assert type(counts) is tuple and {type(c) for c in counts} == {int} and sum(counts) == x
+        assert list(counts) == count_by_signature(ft, x), x

@@ -338,13 +338,14 @@ def test_a_limit_past_int32_is_stated_in_short_form(limit, short):
 def test_halving_blocks_visit_each_k_once_after_its_m(n):
     spf = build_sieve(n).spf
     visits = np.zeros(n, dtype=np.int64)
-    for block, m, rep in _halving_blocks(spf, n):
+    for block, m in _halving_blocks(spf, n):
         k = np.arange(block.start, block.stop)
         assert len(k) <= _COUNT_CHUNK and (m < block.start).all()
         big = spf[block] == 0  # the primes >= 2^16, where m = 0 stands in for 1
         p = np.where(big, k, spf[block])  # spf(k) = spf[k] or k
         assert np.array_equal(m == 0, big)
         assert (np.where(big, 1, m) * p == k).all()
+        rep = spf[m] == spf[block]  # the repeat test of the signature-id walk
         assert np.array_equal(rep, m % p == 0)
         visits[block] += 1
     assert visits[:2].tolist() == [0, 0] and (visits[2:] == 1).all()

@@ -1,8 +1,8 @@
 """The report's sums per prime signature against the per-n loops they replaced.
 
 kalmar_ratio, sarnak_correlation and coffeeshop_sum sum over signatures: the
-counts come from the f tables' census, one signature_census per cutoff, and
-are weighted by f at each signature's smallest n (sum_by_signature) and by
+counts come from the f tables' census, one cached census_counts per cutoff,
+and are weighted by f at each signature's smallest n (sum_by_signature) and by
 the tables' per-signature mu and Omega columns; mu_parity_failures checks
 per signature. The loops below visit every n, read mu and Omega per n from a
 sieve, and are the reference. Equal means equal in value and in type.
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from factorbench import counting, factorizations, reproduce, zeta
+from factorbench import census, counting, reproduce, zeta
 from factorbench.factorizations import build_factorisation_tables, mu_via_parity
 from factorbench.sieve import build_sieve
 from factorbench.verify import mu_parity_failures
@@ -112,21 +112,37 @@ def test_sums_read_no_per_n_ids(x, ftables_parity, sieve_big):
     assert_sums_match(x, dataclasses.replace(ftables_parity, ids=None), sieve_big)
 
 
-def test_one_census_per_cutoff(monkeypatch, ftables_small):
-    ft = dataclasses.replace(ftables_small)  # no census kept yet
+def test_one_census_per_cutoff(monkeypatch, ftables_small, sieve_big):
+    # every caller shares the one cache of census_counts: each cutoff misses
+    # once, and only a miss builds a pi table
     calls = []
 
-    def counted(x, primes, raised, real=factorizations.signature_census):
+    def counted(x, real=census._pi_table):
         calls.append(x)
-        return real(x, primes, raised)
+        return real(x)
 
-    monkeypatch.setattr(factorizations, "signature_census", counted)
+    monkeypatch.setattr(census, "_pi_table", counted)
+    census.census_counts.cache_clear()
     for x in (1000, 1000.5, 2000):
-        zeta.kalmar_ratio(x, ft)
+        zeta.kalmar_ratio(x, ftables_small)
         for sel in ("f", "fmu2"):
-            zeta.sarnak_correlation(x, sel, ft)
-        counting.coffeeshop_sum(x, 2, 2, ft)
-    assert calls == [1000, 2000]
+            zeta.sarnak_correlation(x, sel, ftables_small)
+        counting.coffeeshop_sum(x, 2, 2, ftables_small)
+    assert calls == [1000, 2000] and census.census_counts.cache_info().misses == 2
+    # the report's sums and its profiles at 10^2, 10^3 and 10^4
+    calls.clear()
+    census.census_counts.cache_clear()
+    reproduce.reproduce_report(10**4)
+    assert sorted(calls) == [100, 1000, 10**4] and census.census_counts.cache_info().misses == 3
+    # the counting workload's pattern: nine one-point profiles and a fit on their grid
+    calls.clear()
+    census.census_counts.cache_clear()
+    xs = [10**3, 10**4, 10**5]
+    for kappa in (2, 3, 4):
+        for x in xs:
+            counting.profile_N_kappa(x, kappa, sieve_big)
+    counting.fit_counting_constants(xs, [2, 3, 4], sieve_big)
+    assert calls == xs and census.census_counts.cache_info().misses == 3
 
 
 def test_sarnak_reads_mu_from_the_sieve_it_is_given(ftables_small):
