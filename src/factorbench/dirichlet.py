@@ -36,9 +36,14 @@ input exactly:
   differently.  An int enters a product or a sum as (float(v), +0.0), as
   in int * complex and int + complex, and an int times an int is the
   exact int product with a +0.0 zero.  The marks decide which results
-  come back as the ints 0 or +-1 and which as complex.  A table shorter
-  than N = 2^13 runs the object sweep, which is faster there, and so does
-  an interpreter that mixes an int into complex arithmetic in another way.
+  come back as the ints 0 or +-1 and which as complex.  The inverse's
+  plane sweep takes strided slices, as the int64 one does, and a leading
+  row axis: stack_tables puts tables of one length in the rows of one
+  stack, and dirichlet_inverse_stack inverts them all in one sweep, each
+  row to the bit as dirichlet_inverse inverts it alone.  A single table
+  shorter than N = 2^13, or a stack of at most 2^13 values, runs the
+  object sweep, which is faster there, and so does an interpreter that
+  mixes an int into complex arithmetic in another way.
 - dtype=object covers the rest: floats, other ints, ints past the bound,
   a complex or non-unit F(1).  Each element operation is the same Python
   +, -, * or / on the same operands as in the loop.  Each step touches at
@@ -56,6 +61,11 @@ the loop's:
   factor descending.
 - A term whose F(a) or Ft(m) compares equal to 0 is skipped, as the loop
   skips it; adding it would turn an int 0 into 0j or flip a zero's sign.
+  The inverse's plane steps take strided slices that hold every m of a
+  range in every row, so they pass over such a term (_Planes.push) just as
+  adding it as -0.0-0.0j, unmarked, would: x + -0.0 is x for every double
+  x, so every double, signed zero, int or complex type, inf and nan stays
+  as it was.
 
 The plane and object sweeps run under np.errstate(all="ignore"): a value
 that overflows becomes inf or nan, as in Python, and numpy warns of
@@ -76,7 +86,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .sieve import SieveTables, _big_omega, _divisors
+from .sieve import _COUNT_CHUNK, SieveTables, _big_omega, _divisors
 
 _CHUNK = 4096
 _INT64_SAFE = 2**62  # a bound below this proves int64 holds every sum, with 2x to spare
@@ -205,28 +215,26 @@ def _int64_or_none(values, later: set) -> np.ndarray | None:
         return None
 
 
-# Planes from this N up.  A plane step makes a dozen numpy calls where an
-# object step makes three, so below it the objects are faster: on a 2-vCPU
-# VM a complex inverse at N = 2000 took 3.9 ms on planes and 1.9 ms on
-# objects, the two cost about the same from 4096 to 8192, and at 2*10^5
-# planes are 3x faster.
+# Planes from this N up, for a table or, counting all its values, a stack.
+# A plane step makes a dozen numpy calls where an object step makes three,
+# so the objects are faster on short tables: on a 2-vCPU VM (CPU time, best
+# of 25) the sweep of one complex inverse at N = 2000 took 1.6 ms on planes
+# and 1.5 ms on objects, planes were 1.15x faster at 4096 and 1.6x at 8192,
+# and at 2*10^5 they took 44 ms against 194 ms.  convolve's plane sweep,
+# which gathers and scatters the nonzero terms, shares the threshold.
 _PLANES_MIN_N = 2**13
-
-# the marks of a product with a complex value: all complex, broadcast to its length
-_ALL_COMPLEX = np.ones(1, dtype=bool)
-_ALL_COMPLEX.flags.writeable = False
-
 
 class _Planes:
     """Python complex values and the ints 0, 1 and -1 as one complex128
     array c, whose float64 real and imaginary planes the arithmetic reads,
     and a bool array k that marks the complex ones.  An int v is held as
     (float(v), +0.0), the complex number CPython makes of it in int + complex
-    and int * complex.
+    and int * complex.  A table is a 1-D c and k; a stack of tables of one
+    length is 2-D, one table per row.
 
     The operators are the ones the sweeps use, and each gives per element
-    what the same Python operation gives.  An int index reads or writes one
-    Python value.
+    what the same Python operation gives.  Indexing gives a view, and
+    np.asarray gives c.
     """
 
     __slots__ = ("c", "k")
@@ -235,28 +243,33 @@ class _Planes:
         self.c, self.k = c, k
 
     @classmethod
-    def zeros(cls, n: int) -> "_Planes":
-        # c lives in anonymous pages, which go back to the OS when c is freed.
-        # glibc keeps a freed malloc block of this size on its heap, where
-        # the Python objects of the result list, made in arenas of their
-        # own, cannot reuse it: that raised the zfamily peak RSS by 3 to 5%.
-        c = np.frombuffer(mmap.mmap(-1, 16 * n), dtype=np.complex128)
-        return cls(c, np.zeros(n, dtype=bool))
+    def zeros(cls, *shape: int) -> "_Planes":
+        # A c of at most 512 KiB, the size of a _COUNT_CHUNK of int64, such as
+        # a stack of verify's draws, comes from the heap, where it reuses what
+        # the per-n chunks of the tables freed: in pages of its own, those
+        # stacks raised the report's peak RSS by 0.5 MB.  A longer c lives in
+        # anonymous pages, which go back to the OS when c is freed.  glibc
+        # keeps a freed malloc block of that size on its heap, where the
+        # Python objects of the result list, made in arenas of their own,
+        # cannot reuse it: that raised the zfamily peak RSS by 3 to 5%.
+        n = math.prod(shape)
+        if 2 * n <= _COUNT_CHUNK:
+            c = np.zeros(n, dtype=np.complex128)
+        else:
+            c = np.frombuffer(mmap.mmap(-1, 16 * n), dtype=np.complex128)
+        return cls(c.reshape(shape), np.zeros(shape, dtype=bool))
 
     def __len__(self) -> int:
         return len(self.c)
 
-    def __getitem__(self, key):
-        if isinstance(key, int):
-            v = self.c[key].item()
-            return v if self.k[key] else int(v.real)
+    def __getitem__(self, key) -> "_Planes":
         return _Planes(self.c[key], self.k[key])
 
-    def __setitem__(self, key, value) -> None:
-        if isinstance(value, _Planes):
-            self.c[key], self.k[key] = value.c, value.k
-        else:
-            self.c[key], self.k[key] = value, type(value) is complex
+    def __setitem__(self, key, value: "_Planes") -> None:
+        self.c[key], self.k[key] = value.c, value.k
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.c, dtype=dtype, copy=copy)
 
     def __eq__(self, other) -> np.ndarray:
         return self.c == other
@@ -267,16 +280,14 @@ class _Planes:
     def __mul__(self, other: "_Planes") -> "_Planes":
         # CPython's complex product (a c - b d, a d + b c), one float64 ufunc
         # per multiply and add, so that none is fused into a multiply-add.
-        # The sweeps multiply a vector by one value.
-        vec, one = (self, other) if len(other) == 1 else (other, self)
-        a, b = vec.c.real, vec.c.imag
-        c, d = one.c.view(np.float64).tolist()
-        prod = np.empty(len(vec), dtype=np.complex128)
-        np.subtract(a * c, b * d, out=prod.real)
+        # The sweeps multiply by one value, or by a column of one per row.
+        a, b = self.c.real, self.c.imag
+        c, d = other.c.real, other.c.imag
+        ac = a * c
+        prod = np.empty(ac.shape, dtype=np.complex128)
+        np.subtract(ac, b * d, out=prod.real)
         np.add(a * d, b * c, out=prod.imag)
-        if one.k[0]:
-            return _Planes(prod, _ALL_COMPLEX)
-        k = vec.k.copy()
+        k = self.k | other.k
         return _Planes(_exact_ints(prod, k), k)
 
     def __iadd__(self, other: "_Planes") -> "_Planes":
@@ -284,7 +295,20 @@ class _Planes:
         self.k |= other.k
         return self
 
+    def push(self, terms: "_Planes", keep: np.ndarray) -> None:
+        """self += terms where keep holds.  The inverse's push passes over a
+        term F(d) Ft(m) that the loop skips, where Ft(m) compares equal to
+        0, as adding it as -0.0-0.0j unmarked would: every double, signed
+        zero, inf, nan and mark of its cell stays as it was."""
+        if keep.all():
+            self.c += terms.c
+            self.k |= terms.k
+        else:
+            np.add(self.c, terms.c, out=self.c, where=keep)
+            np.logical_or(self.k, terms.k, out=self.k, where=keep)
+
     def tolist(self) -> list:
+        """A table's Python values: its marked entries as complex, the rest as ints."""
         values = self.c.tolist()
         for n in np.flatnonzero(~self.k).tolist():
             values[n] = int(values[n].real)
@@ -302,30 +326,37 @@ def _exact_ints(c: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 def _planes_or_none(values, later: set) -> _Planes | None:
-    """values as _Planes if N >= _PLANES_MIN_N, F(1) is the int 1 or -1,
-    every later value is a Python complex or the int 0, and one of them is
-    complex; else None.  later is _later_types(values).  The values are
-    read _CHUNK at a time, so that no full-length temporary is made."""
+    """values as _Planes if N >= _PLANES_MIN_N and _plane_row takes them,
+    else None; later is _later_types(values)."""
     if not _INT_ENTERS_AS_COMPLEX or len(values) <= _PLANES_MIN_N:
         return None
+    planes = _Planes.zeros(len(values))
+    return planes if _plane_row(values, later, planes) else None
+
+
+def _plane_row(values, later: set, row: _Planes) -> bool:
+    """Write values into row, 1-D zeros of their length, if F(1) is the int
+    1 or -1, every later value is a Python complex or the int 0, and one of
+    them is complex; return whether it could.  later is
+    _later_types(values).  The values are read _CHUNK at a time, so that no
+    full-length temporary is made."""
     f1 = values[1]
     if type(f1) is not int or f1 not in (1, -1) or not {complex} <= later <= {int, complex}:
-        return None
-    planes = _Planes.zeros(len(values))
-    planes.c[1] = f1
-    planes.k[2:] = True
+        return False
+    row.c[1] = f1
+    row.k[2:] = True
     for s in _chunks(2, len(values)):
         part = values[s]
         try:
-            planes.c[s] = part
+            row.c[s] = part
         except OverflowError:  # an int too large for a double, so not 0
-            return None
+            return False
         if int in later:
-            k = planes.k[s]
+            k = row.k[s]
             k[:] = np.fromiter(map(operator.is_, map(type, part), repeat(complex)), bool, len(part))
-            if planes.c[s][~k].any():  # an int other than 0
-                return None
-    return planes
+            if row.c[s][~k].any():  # an int other than 0
+                return False
+    return True
 
 
 def _zeros_like(a):
@@ -338,10 +369,10 @@ def _abs_max(a: np.ndarray) -> int:
     return max(int(a.max()), -int(a.min()))
 
 
-def _chunks(lo: int, hi: int):
-    """Slices that cover lo..hi-1 in increasing order, _CHUNK long at most."""
-    for start in range(lo, hi, _CHUNK):
-        yield slice(start, min(start + _CHUNK, hi))
+def _chunks(lo: int, hi: int, step: int = _CHUNK):
+    """Slices that cover lo..hi-1 in increasing order, step long at most."""
+    for start in range(lo, hi, step):
+        yield slice(start, min(start + step, hi))
 
 
 @contextmanager
@@ -429,8 +460,8 @@ def dirichlet_inverse(F: ArithFn) -> ArithFn:
     """The function Ft with F * Ft = I, by the forward-substitution sweep.
 
     O(N log N): once Ft(m) is final, its contributions F(d) Ft(m) are pushed
-    to all dm <= N; planes and objects skip the m with Ft(m) = 0.  Exact
-    when F is integer-valued with F(1) = +-1.
+    to all dm <= N; planes and objects skip the terms with Ft(m) = 0.
+    Exact when F is integer-valued with F(1) = +-1.
     """
     f1 = F.values[1]
     if f1 == 0:
@@ -454,17 +485,53 @@ def dirichlet_inverse(F: ArithFn) -> ArithFn:
     return ArithFn(limit=F.limit, values=out.tolist())
 
 
+def stack_tables(tables: Iterable[list], height: int):
+    """height tables of values of one length N + 1 (slot 0 unused), as the
+    rows of one 2-D stack.  Each table is written into its row before the
+    next is read, so the caller need keep none alive.
+
+    The stack is _Planes where it holds more than _PLANES_MIN_N values and
+    every table is one _plane_row takes; else it is an object array of the
+    tables.  Either way row i's tolist() is table i, and
+    np.asarray(stack, complex) holds the tables as complex doubles.
+    """
+    planes, rows = None, []
+    for i, values in enumerate(tables):
+        if i == 0 and _INT_ENTERS_AS_COMPLEX and height * len(values) > _PLANES_MIN_N:
+            planes = _Planes.zeros(height, len(values))
+        if planes is not None and not _plane_row(values, _later_types(values), planes[i]):
+            rows, planes = [planes[j].tolist() for j in range(i)], None
+        if planes is None:
+            rows.append(values)
+    return planes if planes is not None else np.array(rows, dtype=object)
+
+
+def dirichlet_inverse_stack(stack):
+    """The Dirichlet inverse of each row of a stack_tables stack, as a stack
+    of the same kind: row i's tolist() is dirichlet_inverse's values for
+    table i, to the bit.  _Planes are inverted by one sweep of the whole
+    stack; each row of an object stack goes through dirichlet_inverse."""
+    if isinstance(stack, _Planes):
+        with _sweeping():
+            return _inverse_sweep(stack)
+    inverses = [dirichlet_inverse(ArithFn(len(row) - 1, row.tolist())).values for row in stack]
+    return np.array(inverses, dtype=object)
+
+
 def _inverse_sweep(f):
-    """dirichlet_inverse on f, in f's representation.
+    """dirichlet_inverse on f, in f's representation: int64 and float64 go
+    to _strided_inverse, planes to _plane_inverse.
 
     Each m <= isqrt(N) is finalized and pushed on its own.  Above that, a
     block (M, 2M] hears only from m <= M, so it is finalized whole and
-    pushed for each d, in descending order on planes and objects.  A cell
-    holds the sum of its terms until it is finalized and the inverse from
-    then on: every push goes to a cell above the one that makes it.
+    pushed for each d, in descending order on objects.  A cell holds the
+    sum of its terms until it is finalized and the inverse from then on:
+    every push goes to a cell above the one that makes it.
     """
     if _order_free(f):
         return _strided_inverse(f)
+    if isinstance(f, _Planes):
+        return _plane_inverse(f)
     N = len(f) - 1
     f1 = f[1]
     exact_unit = f1 == 1 or f1 == -1
@@ -519,6 +586,45 @@ def _strided_inverse(f: np.ndarray) -> np.ndarray:
             hi = min(top, N // d)
             out[(M + 1) * d : hi * d + 1 : d] += f[d] * block[: hi - M]
         M = top
+    return out
+
+
+def _plane_inverse(f: _Planes) -> _Planes:
+    """_inverse_sweep on planes: a table, or a stack of tables along a
+    leading row axis, each row swept as on its own.
+
+    After m = 1, the m run in blocks (M, 2M], which hear only from m <= M,
+    and each block in chunks of at most _CHUNK values, as a plane step
+    makes a dozen temporaries.  A chunk is finalized whole and pushed along
+    its longer axis: each m's strided slice of d where the chunk has fewer m
+    than d, in increasing m, else each d's slice of its m, in decreasing d.
+    So every cell takes its terms in increasing m.  A term the loop skips,
+    where Ft(m) compares equal to 0 in its row, adds nothing
+    (_Planes.push)."""
+    *rows, width = f.c.shape
+    N = width - 1
+    step = max(1, _CHUNK // math.prod(rows))  # columns of a chunk
+    out = _Planes.zeros(*rows, width)
+    out[..., 1:2] = ft = f[..., 1:2]  # the inverse of F(1) = +-1 is F(1)
+    neg_inv1 = -ft
+    for s in _chunks(2, N + 1, step):
+        out[..., s].push(f[..., s] * ft, ft.c != 0)
+    M = 1
+    while M < N:
+        for s in _chunks(M + 1, min(2 * M, N) + 1, step):
+            out[..., s] = ft = neg_inv1 * out[..., s]
+            keep = ft.c != 0
+            if s.stop - s.start < N // s.start - 1:
+                for j, m in enumerate(range(s.start, s.stop)):
+                    for ds in _chunks(2, N // m + 1, step):
+                        cells = out[..., ds.start * m : ds.stop * m : m]
+                        cells.push(f[..., ds] * ft[..., j : j + 1], keep[..., j : j + 1])
+            else:
+                for d in range(N // s.start, 1, -1):
+                    k = min(s.stop, N // d + 1) - s.start  # the m in s with dm <= N
+                    cells = out[..., s.start * d : (s.start + k) * d : d]
+                    cells.push(f[..., d : d + 1] * ft[..., :k], keep[..., :k])
+        M = min(2 * M, N)
     return out
 
 

@@ -18,8 +18,9 @@ from typing import Iterable
 import numpy as np
 
 from . import counting, factorizations, zfamily
-from .dirichlet import ArithFn, convolve, dirichlet_inverse, inverse_via_alternating
-from .sieve import SieveTables, build_sieve, factorize
+from .dirichlet import (ArithFn, convolve, dirichlet_inverse, dirichlet_inverse_stack,
+                        inverse_via_alternating, stack_tables)
+from .sieve import _COUNT_CHUNK, SieveTables, build_sieve, factorize
 
 Check = tuple[str, bool, str]
 
@@ -91,16 +92,33 @@ def _d_lambda_bound(tables: SieveTables, limit: int, rng: random.Random) -> Chec
     return ("d-lambda-bound", not bad, f"n <= {limit}, failures {bad[:5]}")
 
 
+def _each_inverse(limit: int, draw, each) -> list:
+    """each(F, Ft) for the 20 tables F of length limit + 1 that draw() makes,
+    in order, and their inverses Ft, as rows (_Planes or object arrays).
+    The tables are inverted in stacks (stack_tables and
+    dirichlet_inverse_stack) of at most _COUNT_CHUNK // 2 values, so that a
+    stack's complex doubles take no more than one _COUNT_CHUNK of int64,
+    and each stack is freed before the next is drawn."""
+    height = max(1, _COUNT_CHUNK // 2 // (limit + 1))
+    results = []
+    for start in range(0, 20, height):
+        rows = min(height, 20 - start)
+        f = stack_tables((draw() for _ in range(rows)), rows)
+        results += [each(F, Ft) for F, Ft in zip(f, dirichlet_inverse_stack(f))]
+        del f
+    return results
+
+
 def _roundtrip(tables: SieveTables, limit: int, rng: random.Random) -> Check:
     """F * Ft = I on 1..limit for 20 random complex F with F(1) = 1."""
-    worst = 0.0
-    for _ in range(20):
-        vals = [1] + [
-            complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(limit - 1)
-        ]
-        F = ArithFn(limit, [0] + vals)
-        H = convolve(F, dirichlet_inverse(F))
-        worst = max(worst, max(abs(H.values[n] - (1 if n == 1 else 0)) for n in range(1, limit + 1)))
+    def draw():
+        return [0, 1] + [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(limit - 1)]
+
+    def residual(F, Ft):
+        H = convolve(ArithFn(limit, F.tolist()), ArithFn(limit, Ft.tolist()))
+        return max(abs(H.values[n] - (1 if n == 1 else 0)) for n in range(1, limit + 1))
+
+    worst = max([0.0, *_each_inverse(limit, draw, residual)])
     return ("convolve-inverse-roundtrip", worst <= 1e-9, f"worst residual {worst:.2e}")
 
 
@@ -133,20 +151,22 @@ def cm_inverse_residual(
     """The worst |Ft - F mu| and the worst |Ft - F mu| / max |Ft| over 20
     random completely multiplicative F on 1..limit (|F(p)| <= 1); zero off
     the squarefree n follows from either."""
-    worst_abs = worst_rel = 0.0
     primes = tables.primes[tables.primes <= limit].tolist()
     mu = tables.mu[1 : limit + 1]
-    for _ in range(20):
+
+    def draw():
         pv = {p: cmath.rect(rng.uniform(0, 1), rng.uniform(0, 2 * math.pi)) for p in primes}
-        F = ArithFn.completely_multiplicative(limit, tables, pv)
-        inv = np.array(dirichlet_inverse(F).values[1:], dtype=complex)
-        d = inv - np.array(F.values[1:], dtype=complex) * mu
+        return ArithFn.completely_multiplicative(limit, tables, pv).values
+
+    def residuals(F, Ft):
+        Ft = np.asarray(Ft, dtype=complex)[1:]
+        d = Ft - np.asarray(F, dtype=complex)[1:] * mu
         # np.hypot is the C hypot that abs(complex) calls, so this is abs to the bit
-        scale = np.hypot(inv.real, inv.imag).max() or 1.0
         residual = np.hypot(d.real, d.imag).max()
-        worst_abs = max(worst_abs, float(residual))
-        worst_rel = max(worst_rel, float(residual / scale))
-    return worst_abs, worst_rel
+        return float(residual), float(residual / (np.hypot(Ft.real, Ft.imag).max() or 1.0))
+
+    pairs = _each_inverse(limit, draw, residuals)
+    return max([0.0, *(a for a, _ in pairs)]), max([0.0, *(r for _, r in pairs)])
 
 
 def _cm_support(tables: SieveTables, limit: int, rng: random.Random) -> Check:

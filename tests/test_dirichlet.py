@@ -160,6 +160,63 @@ def test_plane_kernels_match_loops_exactly(limit, f1, g1, seed):
         assert typed(convolve(F, G).values) == typed(loop_convolve(F.values, G.values))
 
 
+def plane_stack_tables(limit, height, rng):
+    """height tables of random_plane_values with slot 0, each with its own
+    share of zeros: the rows' Ft(m) are 0 at different m."""
+    tables = []
+    for _ in range(height):
+        values = random_plane_values(limit, rng.choice([1, -1]), rng)
+        share = rng.choice([0.0, 0.5, 0.9])
+        for n in range(1, limit):
+            if rng.random() < share:
+                values[n] = rng.choice([0, 0j, complex(-0.0, -0.0)])
+        if limit > 1 and complex not in map(type, values):
+            values[-1] = 1j
+        tables.append([0] + values)
+    return tables
+
+
+def assert_stack_rows_match_the_loops(tables, stack):
+    inv = dirichlet.dirichlet_inverse_stack(stack)
+    assert len(stack) == len(inv) == len(tables)
+    for values, row, inv_row in zip(tables, stack, inv):
+        assert typed(row.tolist()) == typed(values)
+        assert typed(inv_row.tolist()) == typed(loop_inverse(values))
+
+
+@settings(max_examples=40, deadline=None)
+@given(KERNEL_SIZES, st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=2**32))
+def test_stacked_plane_inverse_matches_the_loops_row_by_row(limit, height, seed):
+    rng = random.Random(seed)
+    tables = plane_stack_tables(limit, height, rng)
+    with mock.patch.object(dirichlet, "_PLANES_MIN_N", 0):  # planes at every size
+        stack = dirichlet.stack_tables(iter(tables), height)
+    assert isinstance(stack, dirichlet._Planes) == (limit > 1)
+    assert_stack_rows_match_the_loops(tables, stack)
+
+
+@pytest.mark.parametrize("row", [0, 2])
+@pytest.mark.parametrize("spoil", ["float", "int", "interpreter"])
+def test_a_stack_planes_cannot_hold_matches_the_loops_row_by_row(row, spoil, monkeypatch):
+    monkeypatch.setattr(dirichlet, "_PLANES_MIN_N", 0)
+    tables = plane_stack_tables(60, 4, random.Random(11))
+    if spoil == "float":
+        tables[row][7] = 0.5
+    elif spoil == "int":
+        tables[row][7] = -2  # an int other than 0 after F(1)
+    else:
+        monkeypatch.setattr(dirichlet, "_INT_ENTERS_AS_COMPLEX", False)
+    stack = dirichlet.stack_tables(iter(tables), 4)
+    assert isinstance(stack, np.ndarray) and stack.dtype == object
+    assert_stack_rows_match_the_loops(tables, stack)
+
+
+def test_a_stack_takes_planes_past_2_13_values():
+    tables = plane_stack_tables(2048, 4, random.Random(3))  # 4 * 2049 values
+    assert isinstance(dirichlet.stack_tables(iter(tables), 4), dirichlet._Planes)
+    assert not isinstance(dirichlet.stack_tables(iter(tables[:3]), 3), dirichlet._Planes)
+
+
 @pytest.fixture
 def sweep_dtypes(monkeypatch):
     """The dtype of every array sweep the kernels run, in order, or the

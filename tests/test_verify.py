@@ -7,9 +7,11 @@ tests/test_signature_sums.py::test_mu_parity_failures_equal_the_loop.
 
 import random
 
+import numpy as np
 import pytest
 
 from factorbench import factorizations, verify, zfamily
+from factorbench.sieve import _COUNT_CHUNK
 from factorbench.zfamily import build_context
 
 
@@ -17,6 +19,14 @@ def inverse_off_at_7(real):
     def broken(F):
         inv = real(F)
         inv.values[7] += 1
+        return inv
+    return broken
+
+
+def stack_inverse_off_at_7(real):
+    def broken(stack):
+        inv = real(stack)
+        np.asarray(inv)[:, 7] += 1  # every row, on planes or objects
         return inv
     return broken
 
@@ -55,12 +65,14 @@ def closed_form_passes(z):
 CASES = {
     "inverse-of-ones": (lambda t: verify._inverse_of_ones(t, 100, None)[1],
                         verify, "dirichlet_inverse", inverse_off_at_7),
-    "cm-inverse-absolute": (lambda t: verify.cm_inverse_residual(t, 100, random.Random(1))[0] <= 1e-9,
-                            verify, "dirichlet_inverse", inverse_off_at_7),
-    "cm-inverse-relative": (lambda t: verify.cm_inverse_residual(t, 100, random.Random(1))[1] <= 1e-9,
-                            verify, "dirichlet_inverse", inverse_off_at_7),
-    "roundtrip": (lambda t: verify._roundtrip(t, 100, random.Random(1))[1],
-                  verify, "dirichlet_inverse", inverse_off_at_7),
+    # at limit 500 the 20 draws make one stack of 10020 values, which the
+    # planes take
+    "cm-inverse-absolute": (lambda t: verify.cm_inverse_residual(t, 500, random.Random(1))[0] <= 1e-9,
+                            verify, "dirichlet_inverse_stack", stack_inverse_off_at_7),
+    "cm-inverse-relative": (lambda t: verify.cm_inverse_residual(t, 500, random.Random(1))[1] <= 1e-9,
+                            verify, "dirichlet_inverse_stack", stack_inverse_off_at_7),
+    "roundtrip": (lambda t: verify._roundtrip(t, 500, random.Random(1))[1],
+                  verify, "dirichlet_inverse_stack", stack_inverse_off_at_7),
     "closed-form-int-z": (closed_form_passes(2),
                           zfamily, "inverse_at_prime_power", closed_form_off_at_2_cubed_times_3),
     "closed-form-complex-z": (closed_form_passes(0.6 + 0.8j),
@@ -80,3 +92,30 @@ def test_a_broken_kernel_fails_the_shared_check(case, monkeypatch, sieve_small):
     assert passes(sieve_small)
     monkeypatch.setattr(module, name, breaker(getattr(module, name)))
     assert not passes(sieve_small)
+
+
+# (limit, seed, residuals), to the bit: the residuals that inverting the 20
+# draws one at a time with dirichlet_inverse gives.  At 32768, N + 1
+# exceeds a stack's _COUNT_CHUNK // 2 values, so each stack holds one draw.
+CM_PINS = [(3000, 12345, (8.847022632715592e-16, 8.847022632715592e-16)),
+           (5000, 20240501, (5.83425055909089e-16, 5.83425055909089e-16)),
+           (32768, 7, (1.213225204642199e-15, 1.213225204642199e-15))]
+CM_PINS += [(limit, 1, (0.0, 0.0)) for limit in range(1, 5)]
+
+
+@pytest.mark.parametrize("limit, seed, residuals", CM_PINS)
+def test_cm_inverse_residual_equals_the_per_draw_inverses(limit, seed, residuals, sieve_big):
+    assert verify.cm_inverse_residual(sieve_big, limit, random.Random(seed)) == residuals
+
+
+def test_a_stack_past_the_budget_holds_one_draw(sieve_big, monkeypatch):
+    heights = []
+
+    def spy(tables, height):
+        heights.append(height)
+        return real(tables, height)
+
+    real = verify.stack_tables
+    monkeypatch.setattr(verify, "stack_tables", spy)
+    verify.cm_inverse_residual(sieve_big, _COUNT_CHUNK // 2, random.Random(7))
+    assert heights == [1] * 20
