@@ -16,15 +16,20 @@ input exactly:
   exact in any order, so the int64 sweep takes no care of order or of zero
   terms: each numpy step adds one strided slice of products, zeros
   included, and none scatters through an index array.  The inverse's bound
-  is the same sweep run in float64 on (1, -|F(2)|, -|F(3)|, ...): its
-  inverse B has B(n) = sum over d | n, d > 1, of |F(d)| B(n/d), so
-  B(n) >= |Ft(n)|.  A term |F(d) Ft(m)| is at most B(dm), and a partial sum
-  of cell dm, in whatever order its terms come, is a sum over a subset of
-  them, so it is at most B(dm) too.  The convolution's bound is
-  max|F| max|G| 2 isqrt(N), as n has at most 2 isqrt(n) divisors.  2^62 is
-  half of int64's range: the float64 sums, all of terms of one sign, round
-  by far less than that factor of 2.  tolist() turns int64 into Python
-  ints, so the result is the object sweep's in value and type.
+  is B, with B(1) = 1 and B(n) = sum over d | n, d > 1, of |F(d)| B(n/d),
+  so B(n) >= |Ft(n)|.  A term |F(d) Ft(m)| is at most B(dm), and a partial
+  sum of cell dm, in whatever order its terms come, is a sum over a subset
+  of them, so it is at most B(dm) too.  A certificate bounds B in one pass
+  over F (_int64_certified): with N^sigma = 2^61 and
+  S = sum over 2 <= d <= N of |F(d)| d^-sigma at most 1, induction gives
+  B(n) <= sum over d of |F(d)| (n/d)^sigma <= n^sigma S <= 2^61.  Where S,
+  summed in float64, is not at most 1 - 10^-6, B itself is computed, as
+  the same sweep run in float64 on (1, -|F(2)|, -|F(3)|, ...), whose
+  inverse it is.  The convolution's bound is max|F| max|G| 2 isqrt(N), as
+  n has at most 2 isqrt(n) divisors.  2^62 is half of int64's range: the
+  float64 sums, all of terms of one sign, round by far less than that
+  factor of 2.  tolist() turns int64 into Python ints, so the result is the
+  object sweep's in value and type.
 - Planes (_Planes) hold complex values as the float64 real and imaginary
   planes of one complex128 array, with a bool array that marks which
   values are Python complex numbers.  They are used where F(1) is the int
@@ -82,7 +87,7 @@ import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -468,7 +473,7 @@ def dirichlet_inverse(F: ArithFn) -> ArithFn:
         raise ValueError("F(1) = 0: Dirichlet inverse does not exist")
     later = _later_types(F.values)
     f = _int64_or_none(F.values, later) if f1 == 1 or f1 == -1 else None
-    if f is not None:
+    if f is not None and not _int64_certified(f):
         # the inverse of (1, -|F(2)|, -|F(3)|, ...) bounds every sum the sweep makes
         majorant = -np.abs(f.astype(np.float64))
         majorant[1] = 1.0
@@ -483,6 +488,26 @@ def dirichlet_inverse(F: ArithFn) -> ArithFn:
         out = _inverse_sweep(f)
     del f  # free the input before the result list is built
     return ArithFn(limit=F.limit, values=out.tolist())
+
+
+def _int64_certified(f: np.ndarray) -> bool:
+    """Whether S = sum over 2 <= d <= N of |F(d)| d^-sigma, with N^sigma =
+    2^61, is at most 1 - 10^-6, which proves the int64 inverse sweep safe
+    without the majorant's sweep (see the module docstring).  S is summed in
+    float64, _CHUNK values of d at a time; its relative rounding error,
+    about (_CHUNK + N / _CHUNK + 64) 2^-53, stays below the 10^-6 margin
+    for every N below 10^13."""
+    N = len(f) - 1
+    if N < 2:
+        return True
+    sigma = 61 * math.log(2) / math.log(N)
+    total = 0.0
+    for s in _chunks(2, N + 1):
+        weights = np.log(np.arange(s.start, s.stop, dtype=np.float64))
+        weights *= -sigma
+        size = np.abs(f[s].astype(np.float64))
+        total += float(size @ np.exp(weights, out=weights))
+    return total <= 1 - 1e-6
 
 
 def stack_tables(tables: Iterable[list], height: int):
@@ -628,58 +653,72 @@ def _plane_inverse(f: _Planes) -> _Planes:
     return out
 
 
-def _f_k_recursion(values) -> Callable:
-    """fk(m, j): the sum of values[n_1]...values[n_j] over ordered j-tuples
-    of integers >= 2 with product m, memoized over (first factor, rest)."""
-    memo: dict[tuple[int, int], complex] = {}
+def _f_k_rows(values, reach: list[int]) -> list[list]:
+    """rows[j][m] = f_j(F; m), F's values in values, for m < len(reach) and
+    1 <= j <= reach[m], and None at the other m of row j.
 
-    def fk(m: int, j: int):
-        if j == 1:
-            return values[m] if m >= 2 else 0
-        if m == 1:
-            return 0
-        key = (m, j)
-        if key not in memo:
-            memo[key] = sum(values[d] * fk(m // d, j - 1) for d in _divisors(m)[1:])
-        return memo[key]
-
-    return fk
+    Row 1 is F(m), 0 at m = 1.  Each later row j, built bottom-up, has 0 at
+    m = 1 and rows[j][m] = sum over d | m, d > 1, in increasing d, of
+    F(d) rows[j - 1][m/d], as one Python sum(): the f_j recursion over
+    (first factor, rest) makes each entry so, in value, type and signed
+    zero.  reach[m/d] must be at least reach[m] - 1, so that every entry
+    read has been made.
+    """
+    n = len(reach) - 1
+    divisors = [_divisors(m)[1:] for m in range(n + 1)]
+    rows = [[], [0, 0] + values[2 : n + 1]]
+    for j in range(2, max(reach) + 1):
+        prev = rows[-1]
+        row = [0, 0] + [None] * (n - 1)
+        for m in range(2, n + 1):
+            if reach[m] >= j:
+                row[m] = sum(values[d] * prev[m // d] for d in divisors[m])
+        rows.append(row)
+    return rows
 
 
 def f_k_F(F: ArithFn, n: int, k: int) -> complex:
     """f_k(F; n): the sum of F(n_1)...F(n_k) over ordered k-tuples of
     integers >= 2 with product n, the paper's f_k weighted by F.  Zero for
-    k > Omega(n).  Exponential-size object computed by memoized recursion
-    over (first factor, rest); oracle scale only.  Nothing in the package
-    calls it; the test_f_k_F_* tests in tests/test_dirichlet.py pin it to
-    the f_k tables, to Omega and to the completely multiplicative case.
+    k > Omega(n).  Read from _f_k_rows's first k rows over m <= n; oracle
+    scale only.  Nothing in the package calls it; the test_f_k_F_* tests in
+    tests/test_dirichlet.py pin it to the f_k tables, to Omega and to the
+    completely multiplicative case.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if n > F.limit:
         raise ValueError(f"n={n} beyond truncation limit {F.limit}")
-    return _f_k_recursion(F.values)(n, k)
+    return _f_k_rows(F.values, [k] * (n + 1))[k][n]
 
 
 def inverse_via_alternating(F: ArithFn) -> ArithFn:
     """Inverse through the alternating sum I(n) + sum_k (-1)^k f_k(F; n).
 
-    Independent of the forward-substitution sweep; cost grows quickly with
-    Omega(n), so keep the limit around 10^3.  F is normalized to F(1) = 1
-    internally and the normalization is undone on output.
+    Independent of the forward-substitution sweep.  The f_k(F; n) come from
+    one _f_k_rows table, which holds f_j(F; m) where j <= Omega(m) or, for
+    m <= N/2, j < Omega(m) + log2(N/m): the entries the alternating sums
+    read and the entries those are summed from, and no others.  Its cost
+    grows with N log N times the divisor counts, so keep the limit around
+    10^3.  F is normalized to F(1) = 1 internally and the normalization is
+    undone on output: a unit F(1), 1 or -1, is its own inverse, so it
+    multiplies, and an int F stays exact; any other F(1) divides.
     """
     N = F.limit
     f1 = F.values[1]
     if f1 == 0:
         raise ValueError("F(1) = 0: Dirichlet inverse does not exist")
-    G = F if f1 == 1 else F.scale(1 / f1)
-    fk = _f_k_recursion(G.values)
+    unit = f1 == 1 or f1 == -1
+    G = F if f1 == 1 else F.scale(f1 if unit else 1 / f1)
+    omega = [0] + [_big_omega(n) for n in range(1, N + 1)]
+    reach = [0] + [omega[m] + max(0, (N // m).bit_length() - 2) for m in range(1, N + 1)]
+    rows = _f_k_rows(G.values, reach)
     out = [0] * (N + 1)
     out[1] = 1
     for n in range(2, N + 1):
-        out[n] = sum((-1) ** k * fk(n, k) for k in range(1, _big_omega(n) + 1))
+        out[n] = sum((-1) ** k * rows[k][n] for k in range(1, omega[n] + 1))
     if f1 != 1:
-        out = [0] + [v / f1 for v in out[1:]]
+        out = [0] + [v * f1 if unit else v / f1 for v in out[1:]]
     return ArithFn(limit=N, values=out)
 
 
@@ -699,19 +738,71 @@ def series_eval(F: ArithFn, s) -> complex:
     """Truncated Dirichlet series sum F(n) n^{-s} at a number s, real or
     complex, with n^{-s} = exp(-s log n).
 
-    The terms are doubles, and math.fsum sums the real and the imaginary
-    parts; an exact integer F(n) too large for a double is a ValueError that
-    names n.  Zero terms are left out, as 0 * inf is NaN where n^{-s}
-    overflows.  The terms are made _CHUNK at a time, which keeps the
+    The terms are doubles, and their real and imaginary parts are each
+    summed exactly and rounded once, as math.fsum rounds them (_exact_sum);
+    an exact integer F(n) too large for a double is a ValueError that names
+    n.  Zero terms are left out, as 0 * inf is NaN where n^{-s} overflows.
+    Where a term is not finite, or a partial sum could pass the float
+    range, the terms go through _fsum instead, which gives inf or nan as
+    the doubles do.  The terms are made _CHUNK at a time, which keeps the
     temporaries small.
     """
-    terms = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for c in _chunks(1, F.limit + 1):
-            v = _doubles(F.values[c], c.start)
-            n = np.flatnonzero(v)
-            terms.append(v[n] * np.exp(-s * np.log(n + c.start)))
-        return complex(_fsum([t.real for t in terms]), _fsum([t.imag for t in terms]))
+        total = _exact_sum(_series_terms(F, s), F.limit)
+        if total is None:
+            terms = list(_series_terms(F, s))
+            total = complex(_fsum([t.real for t in terms]), _fsum([t.imag for t in terms]))
+        return total
+
+
+def _series_terms(F: ArithFn, s):
+    """The nonzero terms F(n) n^{-s} as complex128 arrays, one per _CHUNK values of n."""
+    for c in _chunks(1, F.limit + 1):
+        v = _doubles(F.values[c], c.start)
+        n = np.flatnonzero(v)
+        yield v[n] * np.exp(-s * np.log(n + c.start))
+
+
+_EXPONENTS = 2098  # np.frexp's exponents of the finite nonzero doubles: -1073..1024
+
+
+def _exact_sum(chunks: Iterable[np.ndarray], count: int) -> complex | None:
+    """The sum of the real parts and the sum of the imaginary parts of at
+    most count complex128 values, given in contiguous chunks of at most
+    _CHUNK, each sum exact and rounded once to the double math.fsum gives
+    (an exact 0 as +0.0).  None where a value is not finite, or where count
+    values as large as the largest could reach 2^1023, so that fsum might
+    overflow partway.
+
+    np.frexp writes each part x as M 2^(e - 53) with M an integer below
+    2^53, and M = hi 2^26 + lo splits it into a 27-bit and a 26-bit half.
+    np.bincount sums each half per exponent, real and imaginary parts in
+    bins of their own; a chunk's bin is below 2^39, so its float64 sum is
+    exact, and the int64 totals hold the halves of 2^36 values.  The bins
+    are folded into one Python int, and int true division rounds it once.
+    """
+    headroom = 1023 - count.bit_length()  # count values below 2^e sum below 2^1023
+    his = np.zeros(2 * _EXPONENTS, dtype=np.int64)
+    los = np.zeros(2 * _EXPONENTS, dtype=np.int64)
+    for t in chunks:
+        if not len(t):
+            continue
+        m, e = np.frexp(t.view(np.float64))  # the real and imaginary parts, interleaved
+        if not np.isfinite(m).all() or e.max() > headroom:
+            return None
+        hi = np.floor(m * 2.0**27)
+        lo = m * 2.0**53 - hi * 2.0**26
+        bins = e + 1073
+        bins[1::2] += _EXPONENTS
+        his += np.bincount(bins, hi, 2 * _EXPONENTS).astype(np.int64)
+        los += np.bincount(bins, lo, 2 * _EXPONENTS).astype(np.int64)
+    sums = []
+    for part in (slice(0, _EXPONENTS), slice(_EXPONENTS, None)):
+        hi, lo = his[part].tolist(), los[part].tolist()
+        bins = np.flatnonzero(his[part] | los[part]).tolist()
+        total = sum(((hi[b] << 26) + lo[b]) << b for b in bins)
+        sums.append(total / (1 << 1126))  # x = M 2^(b - 1126) in bin b
+    return complex(*sums)
 
 
 def _doubles(values: list, first: int) -> np.ndarray:

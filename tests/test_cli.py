@@ -495,6 +495,23 @@ def test_dz_eval_of_huge_z_is_strict_json_null(capsys):
     assert math.isfinite(data["reciprocal_series"]["re"])
 
 
+DZ_EVAL_NULL = (
+    '{\n  "z": 2,\n  "sigma": %s,\n  "t": %s,\n  "limit": %s,\n'
+    '  "reciprocal_series": {\n    "re": null,\n    "im": null\n  },\n'
+    '  "beta_z": 2.185285451787482\n}\n'
+)
+
+
+@pytest.mark.parametrize("limit, sigma, t, want", [
+    ("100", "-800", "0", DZ_EVAL_NULL % ("-800.0", "0.0", "100")),  # 2^800 overflows a double
+    ("10", "2", "1e308", DZ_EVAL_NULL % ("2.0", "1e+308", "10")),  # and so does 1e308 log 2
+])
+def test_dz_eval_past_the_float_range_is_null(capsys, limit, sigma, t, want):
+    code, out = run(capsys, "dz-eval", "--z", "2", "--limit", limit, "--sigma", sigma, "--t", t)
+    assert code == 0
+    assert out == want
+
+
 def test_coffeeshop_with_a_non_finite_c_is_a_user_error(capsys):
     for c in ("inf", "nan"):
         assert "c must be finite" in user_error(capsys, "coffeeshop", "--x", "10", "--c", c, "--kappa", "2")

@@ -23,6 +23,7 @@ from factorbench import (
     series_eval,
 )
 from factorbench.factorizations import enumerate_ordered_factorizations
+from factorbench.sieve import _big_omega, _divisors
 
 
 def loop_convolve(fv, gv):
@@ -68,6 +69,41 @@ def loop_series(fv, s):
             total += term
             size += abs(term)
     return total, size
+
+
+def f_k_recursion(values):
+    """Reference: fk(m, j), the sum of values[n_1]...values[n_j] over ordered
+    j-tuples of integers >= 2 with product m, memoized over (first factor,
+    rest) in fk.memo."""
+    memo = {}
+
+    def fk(m, j):
+        if j == 1:
+            return values[m] if m >= 2 else 0
+        if m == 1:
+            return 0
+        key = (m, j)
+        if key not in memo:
+            memo[key] = sum(values[d] * fk(m // d, j - 1) for d in _divisors(m)[1:])
+        return memo[key]
+
+    fk.memo = memo
+    return fk
+
+
+def alternating_by_recursion(fv):
+    """Reference: the alternating-series inverse I(n) + sum_k (-1)^k f_k(F; n)
+    on f_k_recursion, F normalized to F(1) = 1 as inverse_via_alternating
+    normalizes it, and the (m, j) the recursion memoized."""
+    N, f1 = len(fv) - 1, fv[1]
+    unit = f1 == 1 or f1 == -1
+    gv = fv if f1 == 1 else [0] + [(f1 if unit else 1 / f1) * v for v in fv[1:]]
+    fk = f_k_recursion(gv)
+    out = [0, 1] + [sum((-1) ** k * fk(n, k) for k in range(1, _big_omega(n) + 1))
+                    for n in range(2, N + 1)]
+    if f1 != 1:
+        out = [0] + [v * f1 if unit else v / f1 for v in out[1:]]
+    return out, set(fk.memo)
 
 
 def summatory(F, x):
@@ -245,8 +281,8 @@ def test_integer_f_z_runs_in_int64_and_equals_the_loops(z, sweep_dtypes):
     inv = dirichlet_inverse(fz)
     assert typed(inv.values) == typed(loop_inverse(fz.values))
     assert typed(convolve(fz, inv).values) == typed(loop_convolve(fz.values, inv.values))
-    # the float64 majorant, then the int64 sweeps
-    assert sweep_dtypes == [np.float64, np.int64, np.int64]
+    # the certificate holds, so the int64 sweeps run without the float64 majorant
+    assert sweep_dtypes == [np.int64, np.int64]
 
 
 def test_small_integers_run_in_int64_and_equal_the_loops(sweep_dtypes):
@@ -256,7 +292,43 @@ def test_small_integers_run_in_int64_and_equal_the_loops(sweep_dtypes):
     G = ArithFn.from_values([rng.randint(-99, 99) for _ in range(limit)])
     assert typed(dirichlet_inverse(F).values) == typed(loop_inverse(F.values))
     assert typed(convolve(F, G).values) == typed(loop_convolve(F.values, G.values))
-    assert sweep_dtypes == [np.float64, np.int64, np.int64]
+    assert sweep_dtypes == [np.int64, np.int64]
+
+
+def test_an_inverse_only_the_majorant_proves_runs_in_int64(sweep_dtypes):
+    # S = 30 (zeta(sigma) - 1) is about 1.14 at N = 5000, so the certificate
+    # fails, and the majorant's largest value, about 1.28e18, is below 2^62
+    limit = 5000
+    F = ArithFn.from_values([1] + [-30] * (limit - 1))
+    assert not dirichlet._int64_certified(np.array(F.values, dtype=np.int64))
+    inv = dirichlet_inverse(F)
+    assert 2**60 < max(inv.values) < 2**61
+    assert typed(inv.values) == typed(loop_inverse(F.values))
+    assert sweep_dtypes == [np.float64, np.int64]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=3000),
+    st.floats(min_value=0.5, max_value=1.2),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_a_certified_inverse_stays_below_n_to_the_sigma(limit, scale, seed):
+    # F(d) = +-w_d scale d^sigma at up to three d <= 12, the w_d summing to 1,
+    # and 0 elsewhere, so S is just below scale: about three draws in four
+    # pass the certificate, some with |Ft(n)| past 0.8 n^sigma
+    rng = random.Random(seed)
+    sigma = 61 * math.log(2) / math.log(limit)
+    values = [rng.choice([1, -1])] + [0] * (limit - 1)
+    ds = rng.sample(range(2, min(limit, 12) + 1), min(3, limit - 1))
+    weights = [rng.random() for _ in ds]
+    for d, w in zip(ds, weights):
+        values[d - 1] = rng.choice([1, -1]) * int(scale * w / sum(weights) * d**sigma)
+    F = ArithFn.from_values(values)
+    if dirichlet._int64_certified(np.array(F.values, dtype=np.int64)):
+        inv = dirichlet_inverse(F)
+        assert all(abs(v) <= n**sigma for n, v in enumerate(inv.values[1:], 1))
+        assert typed(inv.values) == typed(loop_inverse(F.values))
 
 
 def test_inverse_past_2_62_runs_on_objects(sweep_dtypes):
@@ -315,7 +387,7 @@ def test_int64_sweeps_match_the_loops_at_block_and_hyperbola_edges(limit, sweep_
         assert 0 in F.values[2:] and 0 in inv.values[2:]
     assert typed(inv.values) == typed(loop_inverse(F.values))
     assert typed(convolve(F, G).values) == typed(loop_convolve(F.values, G.values))
-    assert sweep_dtypes == [np.float64, np.int64, np.int64]
+    assert sweep_dtypes == [np.int64, np.int64]
     assert_int64_sweeps_match_the_loops(F.values, G.values)
 
 
@@ -559,6 +631,60 @@ def test_alternating_inverse_normalizes_internally():
         assert abs(direct.values[n] - alt.values[n]) <= 1e-9
 
 
+def alternating_inputs(kind, limit, rng):
+    if kind == "non-unit":
+        return [rng.choice([2, 0.5, 1j])] + random_values("mixed", limit, 0, rng)[1:]
+    return random_values(kind, limit, rng.choice([1, -1]), rng)
+
+
+@pytest.mark.parametrize("kind", ["int", "float", "complex", "non-unit"])
+def test_f_k_rows_equal_the_recursion(kind):
+    # complex values include 0j and signed zeros, which the sums must keep
+    rng = random.Random(kind)
+    limit = 1000
+    fv = [0] + alternating_inputs(kind, limit, rng)
+    fk = f_k_recursion(fv)
+    rows = dirichlet._f_k_rows(fv, [9] * (limit + 1))
+    for j in range(1, 10):
+        assert typed(rows[j][1:]) == typed([fk(m, j) for m in range(1, limit + 1)]), j
+    F = ArithFn(limit, fv)
+    assert typed(inverse_via_alternating(F).values) == typed(alternating_by_recursion(fv)[0])
+    for n in (720, 768, 997, 1000):
+        for k in (1, 3, _big_omega(n), _big_omega(n) + 1):
+            assert typed([f_k_F(F, n, k)]) == typed([fk(n, k)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=300),
+    st.sampled_from(["int", "float", "complex", "non-unit"]),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_alternating_inverse_equals_the_recursion(limit, kind, seed):
+    fv = [0] + alternating_inputs(kind, limit, random.Random(seed))
+    tables = []
+
+    def f_k_rows(values, reach):
+        tables.append(real_f_k_rows(values, reach))
+        return tables[-1]
+
+    real_f_k_rows = dirichlet._f_k_rows
+    with mock.patch.object(dirichlet, "_f_k_rows", f_k_rows):
+        alt = inverse_via_alternating(ArithFn(limit, fv))
+    want, memoized = alternating_by_recursion(fv)
+    assert typed(alt.values) == typed(want)
+    # the table makes the entries the recursion memoizes, and no others
+    [rows] = tables
+    assert {(m, j) for j in range(2, len(rows)) for m in range(2, limit + 1) if rows[j][m] is not None} == memoized
+
+
+def test_alternating_inverse_of_a_minus_one_unit_stays_exact():
+    F = ArithFn.from_values([-1] + [10**6] * 63)
+    alt = inverse_via_alternating(F)
+    assert alt.values[64] == -1000005000010000010000005000001000000
+    assert typed(alt.values) == typed(dirichlet_inverse(F).values)
+
+
 def test_restrict_support(sieve_small):
     kinds = [
         [n * (-1) ** n for n in range(1, 31)],
@@ -638,6 +764,51 @@ def test_series_eval_complex_point():
     s = complex(2.0, 1.0)
     direct = sum(n ** -s for n in range(1, 501))
     assert cmath.isclose(series_eval(F, s), direct, rel_tol=1e-12)
+
+
+def seeded_doubles(kind, length, rng):
+    """length doubles: 53-bit mantissas at exponents from -1074 to 1000,
+    subnormals alone, or pairs x, -x that cancel to 0 exactly, shuffled."""
+    def wide():
+        return math.ldexp(rng.choice([1, -1]) * rng.getrandbits(53), rng.randint(-1074, 1000) - 52)
+
+    if kind == "wide":
+        return [wide() for _ in range(length)]
+    if kind == "subnormal":
+        return [math.ldexp(rng.randint(-(2**52), 2**52), -1074) for _ in range(length)]
+    half = [wide() for _ in range(length // 2)]
+    xs = half + [-x for x in half] + [0.0] * (length % 2)
+    rng.shuffle(xs)
+    return xs
+
+
+def same_double(a, b):
+    return a.hex() == b.hex() and math.copysign(1, a) == math.copysign(1, b)
+
+
+@pytest.mark.parametrize("length", [4095, 4096, 4097])
+@pytest.mark.parametrize("kind", ["wide", "subnormal", "cancelling"])
+def test_exact_sum_is_fsum_bit_for_bit(kind, length):
+    rng = random.Random(f"{kind}:{length}")
+    re, im = seeded_doubles(kind, length, rng), seeded_doubles("wide", length, rng)
+    terms = np.array(re) + 0j
+    terms.imag = im
+    got = dirichlet._exact_sum((terms[s] for s in dirichlet._chunks(0, length)), length)
+    assert same_double(got.real, math.fsum(re)) and same_double(got.imag, math.fsum(im))
+    # at s = 0 the terms are the values themselves: -0.0 real parts sum to +0.0 as in fsum
+    values = [complex(-0.0 if kind == "cancelling" and x == 0 else x, y) for x, y in zip(re, im)]
+    total = series_eval(ArithFn.from_values(values), 0)
+    assert same_double(total.real, math.fsum(re)) and same_double(total.imag, math.fsum(im))
+    if kind == "cancelling":
+        assert same_double(got.real, 0.0)
+
+
+def test_exact_sum_leaves_non_finite_and_overflowing_terms_to_fsum():
+    assert dirichlet._exact_sum([np.array([1.0, math.inf + 0j])], 2) is None
+    assert dirichlet._exact_sum([np.array([complex(1.0, math.nan)])], 1) is None
+    # 3 values below 2^1021 sum below 2^1023, 4 need not
+    assert dirichlet._exact_sum([np.array([2.0**1020 + 0j] * 3)], 3) == 3 * 2.0**1020
+    assert dirichlet._exact_sum([np.array([2.0**1020 + 0j] * 3)], 4) is None
 
 
 # odd ints near +-2^53, where a double holds every other int and the ties
