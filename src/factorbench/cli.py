@@ -17,7 +17,8 @@ import math
 import sys
 
 from . import counting, verify, zeta
-from .dirichlet import ArithFn, _rows_to_csv, convolve, dirichlet_inverse, series_eval
+from .dirichlet import (ArithFn, _rows_to_csv, convolve, dirichlet_inverse, first_non_finite,
+                        series_eval)
 from .factorizations import (
     PartitionMultiset,
     build_factorisation_tables,
@@ -67,11 +68,10 @@ def _z_context(args):
     """The F_z context of --z and --limit, on a sieve to max(limit, 2); a
     non-finite Ft_z(n) is a user error that names the first such n."""
     ctx = build_context(_parse_z(args.z), args.limit, build_sieve(max(args.limit, 2)))
-    if not isinstance(ctx.z, int):  # an int z gives exact ints
-        for n, v in enumerate(ctx.fz_tilde.values):
-            if not cmath.isfinite(v):
-                raise ValueError(f"Ft_z({n}) = {v!r} is not finite: the powers "
-                                 f"of z = {ctx.z!r} overflow a double")
+    n = first_non_finite(ctx.fz_tilde)
+    if n is not None:
+        raise ValueError(f"Ft_z({n}) = {ctx.fz_tilde.values[n]!r} is not finite: the powers "
+                         f"of z = {ctx.z!r} overflow a double")
     return ctx
 
 

@@ -2,8 +2,12 @@
 
 Values are plain Python scalars (int, float or complex) in a list indexed
 1..N, so integer-valued inputs stay exact through convolution and inversion;
-mixed or complex inputs fall back to complex doubles.  Instances are treated as
-immutable: every operation returns a new ArithFn.
+mixed or complex inputs fall back to complex doubles.  Every operation
+returns a new ArithFn and leaves its inputs as they were.  A result the
+int64 or plane sweep made holds that table in place of the list, and the
+next kernel reads the table with no type scan and no conversion; the first
+read of values makes the list and drops the table, so a change to the list
+is seen by every later kernel (ArithFn).
 
 convolve and dirichlet_inverse sweep strided slices of numpy arrays, and
 every result equals the plain double loop's in value, type and signed zero.
@@ -28,8 +32,8 @@ input exactly:
   inverse it is.  The convolution's bound is max|F| max|G| 2 isqrt(N), as
   n has at most 2 isqrt(n) divisors.  2^62 is half of int64's range: the
   float64 sums, all of terms of one sign, round by far less than that
-  factor of 2.  tolist() turns int64 into Python ints, so the result is the
-  object sweep's in value and type.
+  factor of 2.  The result holds the int64 array, whose tolist() gives
+  Python ints, so its values are the object sweep's in value and type.
 - Planes (_Planes) hold complex values as the float64 real and imaginary
   planes of one complex128 array, with a bool array that marks which
   values are Python complex numbers.  They are used where F(1) is the int
@@ -80,12 +84,12 @@ value, Python raises OverflowError; the sweeps raise it as a ValueError.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import math
 import mmap
 import operator
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from typing import Iterable
 
@@ -114,21 +118,46 @@ def _rows_to_csv(header, rows) -> str:
     return "".join(parts)
 
 
-@dataclass
 class ArithFn:
     """A truncated arithmetic function: values[n] for 1 <= n <= limit.
 
     values[0] is an unused placeholder so indices match the mathematics.
+
+    A kernel's result holds the int64 array or the _Planes its sweep made
+    (an object sweep's result is a list), and the next kernel reads that
+    table as it is.  The first read of values makes the list by tolist()
+    and drops the table, so from then on the list is the only copy: a
+    change to it is seen by every later kernel.
     """
 
-    limit: int
-    values: list
+    __slots__ = ("limit", "_values", "_table")
+    __hash__ = None
 
-    def __post_init__(self):
-        if len(self.values) != self.limit + 1:
-            raise ValueError(
-                f"need {self.limit + 1} slots, got {len(self.values)}"
-            )
+    def __init__(self, limit: int, values: list):
+        if len(values) != limit + 1:
+            raise ValueError(f"need {limit + 1} slots, got {len(values)}")
+        self.limit, self._values, self._table = limit, values, None
+
+    @classmethod
+    def _holding(cls, table) -> "ArithFn":
+        """The function whose values are table's tolist(), held as table."""
+        F = cls.__new__(cls)
+        F.limit, F._values, F._table = len(table) - 1, None, table
+        return F
+
+    @property
+    def values(self) -> list:
+        if self._table is not None:
+            self._values, self._table = self._table.tolist(), None
+        return self._values
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.limit, self.values) == (other.limit, other.values)
+
+    def __repr__(self) -> str:
+        return f"ArithFn(limit={self.limit!r}, values={self.values!r})"
 
     @classmethod
     def from_values(cls, values_1_to_n: Iterable) -> "ArithFn":
@@ -166,8 +195,7 @@ class ArithFn:
         exactly (a bool as 0 or 1) with im 0, any other value as the reprs of
         its complex parts."""
         def rows():
-            for n in range(1, self.limit + 1):
-                v = self.values[n]
+            for n, v in enumerate(islice(self.values, 1, None), 1):
                 if isinstance(v, int):
                     yield n, int(v), 0
                 else:
@@ -209,6 +237,29 @@ def _later_types(values) -> set:
     return set(map(type, islice(values, 2, None)))
 
 
+class _Input:
+    """A kernel's input F in the representations its sweeps take.  A table
+    F holds is read as it is where the sweeps may read it (_held); else F's
+    list is converted, its later types scanned once for both checks."""
+
+    def __init__(self, F: ArithFn):
+        self.F, self.held = F, _held(F)
+        self.later = None if self.held is not None else _later_types(F.values)
+
+    def int64(self) -> np.ndarray | None:
+        if self.held is not None:
+            return self.held if isinstance(self.held, np.ndarray) else None
+        return _int64_or_none(self.F.values, self.later)
+
+    def planes(self) -> _Planes | None:
+        if self.held is not None:
+            return self.held if isinstance(self.held, _Planes) else None
+        return _planes_or_none(self.F.values, self.later)
+
+    def objects(self) -> np.ndarray:
+        return np.array(self.F.values, dtype=object)
+
+
 def _int64_or_none(values, later: set) -> np.ndarray | None:
     """values as an int64 array if every one is a Python int that fits, else
     None; later is _later_types(values)."""
@@ -218,6 +269,34 @@ def _int64_or_none(values, later: set) -> np.ndarray | None:
         return np.array(values, dtype=np.int64)
     except OverflowError:
         return None
+
+
+def _held(F: ArithFn):
+    """F's table where a kernel may read it as it is: an int64 array, or
+    planes longer than _PLANES_MIN_N whose values _plane_row would take,
+    so that every sweep on them is the one the list would get.  Else None,
+    and the kernel reads F's list."""
+    table = F._table
+    if isinstance(table, _Planes) and not (
+        _INT_ENTERS_AS_COMPLEX and len(table) > _PLANES_MIN_N and _plane_table_ok(table)
+    ):
+        return None
+    return table
+
+
+def _result(out) -> ArithFn:
+    """A sweep's result: an int64 array or _Planes held as it is, an object
+    array as its list."""
+    if isinstance(out, np.ndarray) and out.dtype == object:
+        return ArithFn(len(out) - 1, out.tolist())
+    return ArithFn._holding(out)
+
+
+def _value_at_1(F: ArithFn):
+    """F(1), read from F's table where it holds one; a ValueError at limit 0."""
+    if F.limit < 1:
+        raise ValueError(f"F has limit {F.limit}: the Dirichlet inverse needs F(1)")
+    return F.values[1] if F._table is None else F._table[1:2].tolist()[0]
 
 
 # Planes from this N up, for a table or, counting all its values, a stack.
@@ -339,6 +418,14 @@ def _planes_or_none(values, later: set) -> _Planes | None:
     return planes if _plane_row(values, later, planes) else None
 
 
+def _plane_table_ok(t: _Planes) -> bool:
+    """Whether _plane_row would take the values of t, a 1-D table: F(1) the
+    int 1 or -1, every later value a complex or the int 0, one a complex."""
+    ints = ~t.k[2:]
+    return (not t.k[1] and t.c[1] in (1, -1) and not ints.all()
+            and not np.any(t.c[2:], where=ints))
+
+
 def _plane_row(values, later: set, row: _Planes) -> bool:
     """Write values into row, 1-D zeros of their length, if F(1) is the int
     1 or -1, every later value is a Python complex or the int 0, and one of
@@ -409,20 +496,19 @@ def convolve(F: ArithFn, G: ArithFn) -> ArithFn:
     """
     if F.limit != G.limit:
         raise ValueError(f"limit mismatch: {F.limit} vs {G.limit}")
-    N = F.limit
-    f_later, g_later = _later_types(F.values), _later_types(G.values)
-    f = _int64_or_none(F.values, f_later)
-    g = None if f is None else _int64_or_none(G.values, g_later)
+    f_in, g_in = _Input(F), _Input(G)
+    f = f_in.int64()
+    g = None if f is None else g_in.int64()
     # n has at most 2 isqrt(n) divisors, so every sum is at most this bound
-    if g is None or _abs_max(f) * _abs_max(g) * 2 * math.isqrt(N) >= _INT64_SAFE:
-        f = _planes_or_none(F.values, f_later)
-        g = None if f is None else _planes_or_none(G.values, g_later)
+    if g is None or _abs_max(f) * _abs_max(g) * 2 * math.isqrt(F.limit) >= _INT64_SAFE:
+        f = f_in.planes()
+        g = None if f is None else g_in.planes()
     if g is None:
-        f, g = np.array(F.values, dtype=object), np.array(G.values, dtype=object)
+        f, g = f_in.objects(), g_in.objects()
     with _sweeping():
         out = _convolve_sweep(f, g)
-    del f, g  # free the inputs before the result list is built
-    return ArithFn(limit=N, values=out.tolist())
+    del f, g  # free the inputs before an object result's list is built
+    return _result(out)
 
 
 def _convolve_sweep(f, g):
@@ -468,11 +554,11 @@ def dirichlet_inverse(F: ArithFn) -> ArithFn:
     to all dm <= N; planes and objects skip the terms with Ft(m) = 0.
     Exact when F is integer-valued with F(1) = +-1.
     """
-    f1 = F.values[1]
+    f1 = _value_at_1(F)
     if f1 == 0:
         raise ValueError("F(1) = 0: Dirichlet inverse does not exist")
-    later = _later_types(F.values)
-    f = _int64_or_none(F.values, later) if f1 == 1 or f1 == -1 else None
+    f_in = _Input(F)
+    f = f_in.int64() if f1 == 1 or f1 == -1 else None
     if f is not None and not _int64_certified(f):
         # the inverse of (1, -|F(2)|, -|F(3)|, ...) bounds every sum the sweep makes
         majorant = -np.abs(f.astype(np.float64))
@@ -481,13 +567,13 @@ def dirichlet_inverse(F: ArithFn) -> ArithFn:
             if not _inverse_sweep(majorant).max() < _INT64_SAFE:  # also when NaN
                 f = None
     if f is None:
-        f = _planes_or_none(F.values, later)
+        f = f_in.planes()
     if f is None:
-        f = np.array(F.values, dtype=object)
+        f = f_in.objects()
     with _sweeping():
         out = _inverse_sweep(f)
-    del f  # free the input before the result list is built
-    return ArithFn(limit=F.limit, values=out.tolist())
+    del f  # free the input before an object result's list is built
+    return _result(out)
 
 
 def _int64_certified(f: np.ndarray) -> bool:
@@ -705,7 +791,7 @@ def inverse_via_alternating(F: ArithFn) -> ArithFn:
     multiplies, and an int F stays exact; any other F(1) divides.
     """
     N = F.limit
-    f1 = F.values[1]
+    f1 = _value_at_1(F)
     if f1 == 0:
         raise ValueError("F(1) = 0: Dirichlet inverse does not exist")
     unit = f1 == 1 or f1 == -1
@@ -725,13 +811,33 @@ def inverse_via_alternating(F: ArithFn) -> ArithFn:
 def restrict_support(F: ArithFn, support: np.ndarray) -> ArithFn:
     """F times the indicator of support, a boolean mask over 0..limit or
     longer such as tables.mu != 0: each value off the support becomes the
-    int 0, values[0] stays 0, and each kept value is the same object."""
+    int 0, and values[0] stays 0.  A table F holds is restricted as a held
+    table of its kind; else each kept value is the same object as in F's list."""
     if len(support) <= F.limit:
         raise ValueError(f"support covers 0..{len(support) - 1}, not 0..{F.limit}")
+    table = _held(F)
+    if table is not None:
+        kept = np.flatnonzero(support[: F.limit + 1])
+        out = _zeros_like(table)
+        out[kept] = table[kept]
+        return ArithFn._holding(out)
     values = F.values.copy()
     for n in np.flatnonzero(np.logical_not(support[: F.limit + 1])).tolist():
         values[n] = 0
     return ArithFn(F.limit, values)
+
+
+def first_non_finite(F: ArithFn) -> int | None:
+    """The first n whose F(n) is a float or complex that is not finite, or
+    None: an int is finite.  A table F holds is read as it is."""
+    table = _held(F)
+    if isinstance(table, np.ndarray):  # int64
+        return None
+    if table is not None:
+        bad = np.flatnonzero(~np.isfinite(table.c))
+        return int(bad[0]) if len(bad) else None
+    return next((n for n, v in enumerate(F.values)
+                 if not (isinstance(v, int) or cmath.isfinite(v))), None)
 
 
 def series_eval(F: ArithFn, s) -> complex:
@@ -757,8 +863,9 @@ def series_eval(F: ArithFn, s) -> complex:
 
 def _series_terms(F: ArithFn, s):
     """The nonzero terms F(n) n^{-s} as complex128 arrays, one per _CHUNK values of n."""
+    table = _held(F)
     for c in _chunks(1, F.limit + 1):
-        v = _doubles(F.values[c], c.start)
+        v = _doubles(F.values[c], c.start) if table is None else np.asarray(table[c], np.complex128)
         n = np.flatnonzero(v)
         yield v[n] * np.exp(-s * np.log(n + c.start))
 

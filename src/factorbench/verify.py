@@ -115,16 +115,16 @@ def _roundtrip(tables: SieveTables, limit: int, rng: random.Random) -> Check:
         return [0, 1] + [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(limit - 1)]
 
     def residual(F, Ft):
-        H = convolve(ArithFn(limit, F.tolist()), ArithFn(limit, Ft.tolist()))
-        return max(abs(H.values[n] - (1 if n == 1 else 0)) for n in range(1, limit + 1))
+        h = convolve(ArithFn(limit, F.tolist()), ArithFn(limit, Ft.tolist())).values
+        return max(abs(h[n] - (1 if n == 1 else 0)) for n in range(1, limit + 1))
 
     worst = max([0.0, *_each_inverse(limit, draw, residual)])
     return ("convolve-inverse-roundtrip", worst <= 1e-9, f"worst residual {worst:.2e}")
 
 
 def _inverse_of_ones(tables: SieveTables, limit: int, rng: random.Random) -> Check:
-    inv = dirichlet_inverse(ArithFn.ones(limit))
-    bad = [n for n in range(1, limit + 1) if inv.values[n] != int(tables.mu[n])]
+    inv = dirichlet_inverse(ArithFn.ones(limit)).values
+    bad = [n for n in range(1, limit + 1) if inv[n] != int(tables.mu[n])]
     return ("inverse-of-ones-is-mu", not bad, f"n <= {limit}, failures {bad[:5]}")
 
 

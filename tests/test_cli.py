@@ -597,6 +597,17 @@ def test_overflowing_inverse_is_a_user_error(capsys, command):
     assert line.startswith("factorbench: error: Ft_z(8) = (inf+nanj) is not finite")
 
 
+@pytest.mark.parametrize("command", ["dz", "dz-eval"])
+def test_overflowing_inverse_on_planes_is_the_same_user_error(capsys, command):
+    # past 2^13 the inverse of a complex F_z is held as planes
+    extra = ("--sigma", "3") if command == "dz-eval" else ()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        line = user_error(capsys, command, "--limit", "10000", "--z=1e150,1", *extra)
+    assert line == ("factorbench: error: Ft_z(8) = (inf+nanj) is not finite: the powers "
+                    "of z = (1e+150+1j) overflow a double")
+
+
 @pytest.mark.parametrize("z", ["", "abc", "1,2,3", "1,"])
 def test_malformed_z_is_a_user_error(capsys, z):
     line = user_error(capsys, "beta-z", "--z", z)

@@ -473,6 +473,142 @@ def test_an_interpreter_that_mixes_ints_into_complex_otherwise_runs_on_objects(s
     assert sweep_dtypes == [dirichlet._Planes] * 2 + [object] * 2
 
 
+def held_copy(R):
+    """An ArithFn of a fresh list of R's values that leaves R's table held."""
+    return ArithFn(R.limit, R._table.tolist() if R._table is not None else list(R.values))
+
+
+def held_inputs(kind, limit, rng):
+    """Two kernel results of one kind, made from random values with zeros,
+    signed zeros and F(1) = +-1: int64 and planes results hold their table."""
+    finite = rng.random() < 0.5  # planes without inf and nan parts, so that every series sum is finite
+
+    def values(f1):
+        if kind == "int64":
+            return [f1] + [rng.choice([0, 0, 1, -1, 2, -1]) for _ in range(limit - 1)]
+        if kind == "planes" and finite:
+            return [f1] + [rng.choice([0, 0j, complex(-0.0, 0.0), complex(0.0, -0.0),
+                                       complex(rng.uniform(-1, 1), rng.uniform(-1, 1))])
+                           for _ in range(limit - 2)] + [1j][: limit - 1]
+        if kind == "planes":
+            return random_plane_values(limit, f1, rng)
+        return random_values("float", limit, f1, rng)
+
+    F, G = (ArithFn.from_values(values(rng.choice([1, -1]))) for _ in range(2))
+    return dirichlet_inverse(F), convolve(F, G)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(KERNEL_SIZES, st.sampled_from([2**13, 2**13 + 1])),
+    st.sampled_from(["int64", "planes", "object"]),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_kernels_on_held_tables_equal_the_kernels_on_their_lists(limit, kind, seed):
+    rng = random.Random(seed)
+    support = np.array([n == 1 or rng.random() < 0.6 for n in range(limit + 1)])
+    kernels = [
+        lambda R, S: dirichlet_inverse(R),
+        lambda R, S: convolve(R, S),
+        lambda R, S: convolve(S, R),
+        lambda R, S: convolve(R, R),
+        lambda R, S: restrict_support(R, support),
+        lambda R, S: dirichlet_inverse(restrict_support(R, support)),
+        lambda R, S: series_eval(R, complex(1.5, -2.0)),
+    ]
+    # planes at every size below 2^13, and at 2^13 and 2^13 + 1 as they come
+    with mock.patch.object(dirichlet, "_PLANES_MIN_N", min(dirichlet._PLANES_MIN_N, limit - 1)):
+        R, S = held_inputs(kind, limit, rng)
+        held = kind != "object" or limit == 1  # F(1) alone is an int, so int64
+        assert (R._table is not None, S._table is not None) == (held, held)
+        for kernel in kernels:
+            want = kernel(held_copy(R), held_copy(S))
+            got = kernel(R, S)
+            if isinstance(got, ArithFn):
+                got, want = typed(got.values), typed(want.values)
+            assert (type(got), repr(got)) == (type(want), repr(want))
+            assert (R._table is not None, S._table is not None) == (held, held)  # read as tables
+        assert typed(R.values) == typed(held_copy(R).values) and R._table is None
+
+
+@pytest.mark.parametrize("spoil", ["an unmarked 1", "a marked F(1)", "no complex"])
+def test_held_planes_plane_row_would_refuse_take_the_list_path(spoil, sweep_dtypes):
+    limit = 2**13 + 1
+    values = [0, 1] + [complex(0.7, -1.1), 0] * (limit // 2)
+    if spoil == "an unmarked 1":
+        values[77] = 1
+    elif spoil == "a marked F(1)":
+        values[1] = 1j
+    else:
+        values[2::2] = [0] * len(values[2::2])
+    table = dirichlet._Planes.zeros(limit + 1)
+    table.c[:] = values
+    table.k[:] = [type(v) is complex for v in values]
+
+    def crafted():
+        F = ArithFn._holding(table)
+        assert typed(held_copy(F).values) == typed(values)
+        return F
+
+    support = np.array([n % 3 != 0 for n in range(limit + 1)])
+    assert typed(dirichlet_inverse(crafted()).values) == typed(loop_inverse(values))
+    assert typed(convolve(crafted(), crafted()).values) == typed(loop_convolve(values, values))
+    assert typed(restrict_support(crafted(), support).values) == typed(
+        [v if support[n] else 0 for n, v in enumerate(values)])
+    assert repr(series_eval(crafted(), 2)) == repr(series_eval(ArithFn(limit, values), 2))
+    # the list path: ints alone sweep in int64
+    assert sweep_dtypes == [np.int64 if spoil == "no complex" else object] * 2
+
+
+@pytest.mark.parametrize("z, limit", [(2, 2000), (complex(0.7, -1.1), 2**13 + 1)])
+def test_a_change_to_a_held_result_is_seen_by_every_later_kernel(z, limit, sieve_small, sweep_dtypes):
+    fz = ArithFn(limit, [0, 1] + [-z] * (limit - 1))
+    inv = dirichlet_inverse(fz)
+    assert inv._table is not None
+    inv.values[77] += 1
+    changed = inv.values.copy()
+    squarefree = [v if sieve_small.mu[n] != 0 else 0 for n, v in enumerate(changed)]
+    assert typed(convolve(fz, inv).values) == typed(loop_convolve(fz.values, changed))
+    restricted = restrict_support(inv, sieve_small.mu != 0)
+    assert typed(dirichlet_inverse(restricted).values) == typed(loop_inverse(squarefree))
+    assert repr(series_eval(inv, 3)) == repr(series_eval(ArithFn(limit, changed), 3))
+    assert series_eval(inv, 3) != series_eval(dirichlet_inverse(fz), 3)
+    # the changed list is no table a sweep made, yet it still sweeps as one
+    assert set(sweep_dtypes) == ({np.dtype(np.int64)} if z == 2 else {dirichlet._Planes})
+
+
+def test_inverses_of_a_limit_0_function_are_value_errors():
+    empty = ArithFn.from_values([])
+    held = convolve(empty, empty)  # an int64 table of length 1
+    assert held._table is not None
+    for F in (empty, held):
+        for inverse in (dirichlet_inverse, inverse_via_alternating):
+            with pytest.raises(ValueError, match="F has limit 0: the Dirichlet inverse needs F"):
+                inverse(F)
+
+
+def test_first_non_finite_reads_tables_and_lists():
+    assert dirichlet.first_non_finite(ArithFn.from_values([1, 2**80, -0.0, 3j])) is None
+    assert dirichlet.first_non_finite(ArithFn.from_values([1, 2, complex(1, math.inf), math.nan])) == 3
+    limit = 2**13 + 1
+    z = complex(1e150, 1)
+    held = dirichlet_inverse(ArithFn(limit, [0, 1] + [-z] * (limit - 1)))
+    assert isinstance(held._table, dirichlet._Planes)
+    n = dirichlet.first_non_finite(held)
+    assert held._table is not None and n == 8
+    values = held.values
+    assert all(cmath.isfinite(v) for v in values[:n]) and not cmath.isfinite(values[n])
+    assert dirichlet.first_non_finite(dirichlet_inverse(ArithFn.ones(limit))) is None
+
+
+def test_a_held_result_compares_and_prints_as_its_list():
+    inv = dirichlet_inverse(ArithFn.ones(30))
+    assert inv.limit == 30 and inv._table is not None
+    want = ArithFn(limit=30, values=inv._table.tolist())
+    assert inv == want and inv != ArithFn.ones(30) and repr(inv) == repr(want)
+    assert repr(want).startswith("ArithFn(limit=30, values=[0, 1, -1, -1, 0, -1, 1,")
+
+
 def test_inverse_of_ones_is_mu_at_a_million(sieve_big):
     assert dirichlet_inverse(ArithFn.ones(10**6)).values[1:] == sieve_big.mu[1:].tolist()
 

@@ -5,7 +5,7 @@ import random
 import mpmath
 import pytest
 
-from factorbench import build_factorisation_tables, kalmar_beta
+from factorbench import build_factorisation_tables, convolve, kalmar_beta, series_eval
 from factorbench.zfamily import (
     B_closed,
     B_sum,
@@ -37,6 +37,20 @@ def test_z_minus_one_gives_mu_and_zeta(sieve_small):
     assert all(ctx.fz_tilde.values[n] == int(sieve_small.mu[n]) for n in range(1, 2001))
     # G_{-1} inverts mu restricted to squarefree support, i.e. mu itself: all ones
     assert all(ctx.gz.values[n] == 1 for n in range(1, 2001))
+
+
+@pytest.mark.parametrize("z", [2, complex(0.7, -1.1)])
+def test_the_family_passes_its_tables_between_kernels_unconverted(z, sieve_small):
+    # F_z is a list; its inverse, the restriction and G_z hold their int64
+    # or plane tables, which convolve and series_eval read as they are
+    ctx = build_context(z, 2**13 + 1, sieve_small)
+    assert ctx.fz._table is None
+    assert ctx.fz_tilde._table is not None and ctx.gz._table is not None
+    product = convolve(ctx.fz, ctx.fz_tilde)
+    series_eval(ctx.fz_tilde, 3)
+    assert ctx.fz_tilde._table is not None and product._table is not None
+    if z == 2:
+        assert product.values == [0, 1] + [0] * 2**13
 
 
 def test_fz_tilde_is_power_series_in_fk(sieve_small, ftables_small):
