@@ -11,8 +11,9 @@ is seen by every later kernel (ArithFn).
 
 convolve and dirichlet_inverse sweep strided slices of numpy arrays, and
 every result equals the plain double loop's in value, type and signed zero.
-The sweep runs on one of three representations, the first that holds the
-input exactly:
+Each kernel has two sweeps: an order-free one for int64 (and the inverse's
+float64 bound), and one ordered sweep for planes and objects.  The input
+takes the first of three representations that holds it exactly:
 
 - int64 needs every value to be a Python int (type int, not bool or a
   numpy scalar), F(1) = +-1 for the inverse, and a bound below 2^62 on
@@ -45,14 +46,11 @@ input exactly:
   differently.  An int enters a product or a sum as (float(v), +0.0), as
   in int * complex and int + complex, and an int times an int is the
   exact int product with a +0.0 zero.  The marks decide which results
-  come back as the ints 0 or +-1 and which as complex.  The inverse's
-  plane sweep takes strided slices, as the int64 one does, and a leading
-  row axis: stack_tables puts tables of one length in the rows of one
-  stack, and dirichlet_inverse_stack inverts them all in one sweep, each
-  row to the bit as dirichlet_inverse inverts it alone.  A single table
-  shorter than N = 2^13, or a stack of at most 2^13 values, runs the
-  object sweep, which is faster there, and so does an interpreter that
-  mixes an int into complex arithmetic in another way.
+  come back as the ints 0 or +-1 and which as complex.  stack_tables puts
+  tables of one length in the rows of one stack, and
+  dirichlet_inverse_stack inverts them all in one sweep, each row to the
+  bit as dirichlet_inverse inverts it alone.  An interpreter that mixes an
+  int into complex arithmetic in another way runs the objects instead.
 - dtype=object covers the rest: floats, other ints, ints past the bound,
   a complex or non-unit F(1).  Each element operation is the same Python
   +, -, * or / on the same operands as in the loop.  Each step touches at
@@ -61,8 +59,8 @@ input exactly:
   and convolutions at N = 2*10^5 from 146 to 163 MB.
 
 Float rounding, signed zeros and the int or complex type of each value
-depend on the order of the operations, so the plane and object sweeps keep
-the loop's:
+depend on the order of the operations, so the ordered sweep keeps the
+loop's, on planes and objects alike:
 
 - Each cell takes its terms in increasing order of the first factor: a in
   (F*G)(ab), m in the push F(d) Ft(m) to dm.  Where one numpy step covers a
@@ -70,16 +68,15 @@ the loop's:
   factor descending.
 - A term whose F(a) or Ft(m) compares equal to 0 is skipped, as the loop
   skips it; adding it would turn an int 0 into 0j or flip a zero's sign.
-  The inverse's plane steps take strided slices that hold every m of a
-  range in every row, so they pass over such a term (_Planes.push) just as
-  adding it as -0.0-0.0j, unmarked, would: x + -0.0 is x for every double
-  x, so every double, signed zero, int or complex type, inf and nan stays
-  as it was.
+  A step's strided slice may hold such a term, and adds it to no cell
+  (_push), so every double, signed zero, int or complex type, inf and nan
+  stays as it was.  On objects the term is formed with the int 0 in place
+  of the zero (_kept): 0.0 * 10**400 raises, where the loop forms nothing.
 
-The plane and object sweeps run under np.errstate(all="ignore"): a value
-that overflows becomes inf or nan, as in Python, and numpy warns of
-nothing.  Where an int too large for a double meets a float or complex
-value, Python raises OverflowError; the sweeps raise it as a ValueError.
+The ordered sweep runs under np.errstate(all="ignore"): a value that
+overflows becomes inf or nan, as in Python, and numpy warns of nothing.
+Where an int too large for a double meets a float or complex value, Python
+raises OverflowError; the sweep raises it as a ValueError.
 """
 
 from __future__ import annotations
@@ -273,13 +270,11 @@ def _int64_or_none(values, later: set) -> np.ndarray | None:
 
 def _held(F: ArithFn):
     """F's table where a kernel may read it as it is: an int64 array, or
-    planes longer than _PLANES_MIN_N whose values _plane_row would take,
-    so that every sweep on them is the one the list would get.  Else None,
-    and the kernel reads F's list."""
+    planes whose values _plane_row would take, so that every sweep on them
+    is the one the list would get.  Else None, and the kernel reads F's
+    list."""
     table = F._table
-    if isinstance(table, _Planes) and not (
-        _INT_ENTERS_AS_COMPLEX and len(table) > _PLANES_MIN_N and _plane_table_ok(table)
-    ):
+    if isinstance(table, _Planes) and not (_INT_ENTERS_AS_COMPLEX and _plane_table_ok(table)):
         return None
     return table
 
@@ -298,15 +293,6 @@ def _value_at_1(F: ArithFn):
         raise ValueError(f"F has limit {F.limit}: the Dirichlet inverse needs F(1)")
     return F.values[1] if F._table is None else F._table[1:2].tolist()[0]
 
-
-# Planes from this N up, for a table or, counting all its values, a stack.
-# A plane step makes a dozen numpy calls where an object step makes three,
-# so the objects are faster on short tables: on a 2-vCPU VM (CPU time, best
-# of 25) the sweep of one complex inverse at N = 2000 took 1.6 ms on planes
-# and 1.5 ms on objects, planes were 1.15x faster at 4096 and 1.6x at 8192,
-# and at 2*10^5 they took 44 ms against 194 ms.  convolve's plane sweep,
-# which gathers and scatters the nonzero terms, shares the threshold.
-_PLANES_MIN_N = 2**13
 
 class _Planes:
     """Python complex values and the ints 0, 1 and -1 as one complex128
@@ -346,6 +332,10 @@ class _Planes:
     def __len__(self) -> int:
         return len(self.c)
 
+    @property
+    def shape(self) -> tuple:
+        return self.c.shape
+
     def __getitem__(self, key) -> "_Planes":
         return _Planes(self.c[key], self.k[key])
 
@@ -380,10 +370,9 @@ class _Planes:
         return self
 
     def push(self, terms: "_Planes", keep: np.ndarray) -> None:
-        """self += terms where keep holds.  The inverse's push passes over a
-        term F(d) Ft(m) that the loop skips, where Ft(m) compares equal to
-        0, as adding it as -0.0-0.0j unmarked would: every double, signed
-        zero, inf, nan and mark of its cell stays as it was."""
+        """self += terms where keep holds: a term the loop skips adds
+        nothing, and every double, signed zero, inf, nan and mark of its
+        cell stays as it was."""
         if keep.all():
             self.c += terms.c
             self.k |= terms.k
@@ -410,9 +399,9 @@ def _exact_ints(c: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 def _planes_or_none(values, later: set) -> _Planes | None:
-    """values as _Planes if N >= _PLANES_MIN_N and _plane_row takes them,
-    else None; later is _later_types(values)."""
-    if not _INT_ENTERS_AS_COMPLEX or len(values) <= _PLANES_MIN_N:
+    """values as _Planes if _plane_row takes them, else None; later is
+    _later_types(values)."""
+    if not _INT_ENTERS_AS_COMPLEX:
         return None
     planes = _Planes.zeros(len(values))
     return planes if _plane_row(values, later, planes) else None
@@ -432,10 +421,10 @@ def _plane_row(values, later: set, row: _Planes) -> bool:
     them is complex; return whether it could.  later is
     _later_types(values).  The values are read _CHUNK at a time, so that no
     full-length temporary is made."""
-    f1 = values[1]
-    if type(f1) is not int or f1 not in (1, -1) or not {complex} <= later <= {int, complex}:
+    # later is empty where N < 2, so values[1] is read only where it exists
+    if not {complex} <= later <= {int, complex} or type(values[1]) is not int or values[1] not in (1, -1):
         return False
-    row.c[1] = f1
+    row.c[1] = values[1]
     row.k[2:] = True
     for s in _chunks(2, len(values)):
         part = values[s]
@@ -453,8 +442,27 @@ def _plane_row(values, later: set, row: _Planes) -> bool:
 
 def _zeros_like(a):
     if isinstance(a, _Planes):
-        return _Planes.zeros(len(a))
-    return np.zeros(len(a), dtype=a.dtype)
+        return _Planes.zeros(*a.shape)
+    return np.zeros(a.shape, dtype=a.dtype)
+
+
+def _kept(a):
+    """keep = ~(a == 0), where the loop keeps a term, and the values to
+    form terms with: a itself on planes, and on objects a copy with each
+    zero made the int 0, so that a term the loop skips is never formed as
+    the loop would form it (0.0 * 10**400 raises; 0 * 10**400 is 0)."""
+    keep = ~(a == 0)
+    if isinstance(a, np.ndarray):
+        a = np.where(keep, a, 0)
+    return keep, a
+
+
+def _push(cells, terms, keep) -> None:
+    """cells += terms where keep holds, on planes or objects."""
+    if isinstance(cells, _Planes):
+        cells.push(terms, keep)
+    else:
+        np.add(cells, terms, out=cells, where=keep)
 
 
 def _abs_max(a: np.ndarray) -> int:
@@ -517,17 +525,16 @@ def _convolve_sweep(f, g):
         return _strided_convolve(f, g)
     N = len(f) - 1
     out = _zeros_like(f)
-    nonzero = ~(f == 0)
+    keep, fk = _kept(f)
     r = math.isqrt(N)
     for a in range(1, r + 1):
-        if nonzero[a]:
+        if keep[a]:
             for bs in _chunks(1, N // a + 1):
                 cells = out[a * bs.start : a * bs.stop : a]
                 cells += f[a : a + 1] * g[bs]
-    big = r + 1 + np.flatnonzero(nonzero[r + 1 :])
     for b in range(N // (r + 1), 0, -1):
-        for s in _chunks(0, np.searchsorted(big, N // b, side="right")):
-            out[big[s] * b] += f[big[s]] * g[b : b + 1]
+        for s in _chunks(r + 1, N // b + 1):
+            _push(out[s.start * b : s.stop * b : b], fk[s] * g[b : b + 1], keep[s])
     return out
 
 
@@ -601,14 +608,14 @@ def stack_tables(tables: Iterable[list], height: int):
     rows of one 2-D stack.  Each table is written into its row before the
     next is read, so the caller need keep none alive.
 
-    The stack is _Planes where it holds more than _PLANES_MIN_N values and
-    every table is one _plane_row takes; else it is an object array of the
-    tables.  Either way row i's tolist() is table i, and
-    np.asarray(stack, complex) holds the tables as complex doubles.
+    The stack is _Planes where every table is one _plane_row takes; else
+    it is an object array of the tables.  Either way row i's tolist() is
+    table i, and np.asarray(stack, complex) holds the tables as complex
+    doubles.
     """
     planes, rows = None, []
     for i, values in enumerate(tables):
-        if i == 0 and _INT_ENTERS_AS_COMPLEX and height * len(values) > _PLANES_MIN_N:
+        if i == 0 and _INT_ENTERS_AS_COMPLEX:
             planes = _Planes.zeros(height, len(values))
         if planes is not None and not _plane_row(values, _later_types(values), planes[i]):
             rows, planes = [planes[j].tolist() for j in range(i)], None
@@ -631,45 +638,49 @@ def dirichlet_inverse_stack(stack):
 
 def _inverse_sweep(f):
     """dirichlet_inverse on f, in f's representation: int64 and float64 go
-    to _strided_inverse, planes to _plane_inverse.
+    to _strided_inverse.  Planes, a table or a stack of tables along a
+    leading row axis, each row swept as on its own, and objects, a table,
+    take the loop below.
 
-    Each m <= isqrt(N) is finalized and pushed on its own.  Above that, a
-    block (M, 2M] hears only from m <= M, so it is finalized whole and
-    pushed for each d, in descending order on objects.  A cell holds the
-    sum of its terms until it is finalized and the inverse from then on:
-    every push goes to a cell above the one that makes it.
+    Once Ft(m) is final, its terms F(d) Ft(m) are pushed to every dm <= N.
+    After m = 1, the m run in blocks (M, 2M], which hear only from m <= M,
+    and each block in chunks of at most _CHUNK values, as a plane step
+    makes a dozen temporaries and an object step a Python object per value.
+    A chunk is finalized whole and pushed along its longer axis: each m's
+    strided slice of d where the chunk has fewer m than d, in increasing m,
+    else each d's slice of its m, in decreasing d.  So every cell takes its
+    terms in increasing m.  A term the loop skips, where Ft(m) compares
+    equal to 0 in its row, adds nothing (_kept, _push).
     """
     if _order_free(f):
         return _strided_inverse(f)
-    if isinstance(f, _Planes):
-        return _plane_inverse(f)
-    N = len(f) - 1
-    f1 = f[1]
-    exact_unit = f1 == 1 or f1 == -1
-    inv1 = f1 if exact_unit else 1 / f1
+    *rows, width = f.shape
+    N = width - 1
+    step = max(1, _CHUNK // math.prod(rows))  # columns of a chunk
+    f1 = f[..., 1:2]
+    unit = isinstance(f, _Planes) or f[1] == 1 or f[1] == -1  # planes hold only F(1) = +-1
     out = _zeros_like(f)
-    out[1] = inv1
-    r = math.isqrt(N)
-    for m in range(1, r + 1):
-        if m > 1:
-            out[m] = -inv1 * out[m] if exact_unit else -out[m] / f1
-        if out[m] == 0:
-            continue
-        for ds in _chunks(2, N // m + 1):
-            cells = out[ds.start * m : ds.stop * m : m]
-            cells += f[ds] * out[m : m + 1]
-    neg_inv1 = -f[1:2]
-    M = r
+    out[..., 1:2] = ft = f1 if unit else 1 / f1  # a unit F(1) is its own inverse
+    neg_inv1 = -f1
+    keep, ft = _kept(ft)
+    for s in _chunks(2, N + 1, step):
+        _push(out[..., s], f[..., s] * ft, keep)
+    M = 1
     while M < N:
-        top = min(2 * M, N)
-        for s in _chunks(M + 1, top + 1):
-            out[s] = neg_inv1 * out[s] if exact_unit else -out[s] / f[1:2]
-        ms = M + 1 + np.flatnonzero(~(out[M + 1 : top + 1] == 0))
-        ft = out[ms]
-        for d in range(N // (M + 1), 1, -1):
-            for s in _chunks(0, np.searchsorted(ms, N // d, side="right")):
-                out[ms[s] * d] += f[d : d + 1] * ft[s]
-        M = top
+        for s in _chunks(M + 1, min(2 * M, N) + 1, step):
+            out[..., s] = ft = neg_inv1 * out[..., s] if unit else -out[s] / f1
+            keep, ft = _kept(ft)
+            if s.stop - s.start < N // s.start - 1:
+                for j, m in enumerate(range(s.start, s.stop)):
+                    for ds in _chunks(2, N // m + 1, step):
+                        cells = out[..., ds.start * m : ds.stop * m : m]
+                        _push(cells, f[..., ds] * ft[..., j : j + 1], keep[..., j : j + 1])
+            else:
+                for d in range(N // s.start, 1, -1):
+                    k = min(s.stop, N // d + 1) - s.start  # the m in s with dm <= N
+                    cells = out[..., s.start * d : (s.start + k) * d : d]
+                    _push(cells, f[..., d : d + 1] * ft[..., :k], keep[..., :k])
+        M = min(2 * M, N)
     return out
 
 
@@ -697,45 +708,6 @@ def _strided_inverse(f: np.ndarray) -> np.ndarray:
             hi = min(top, N // d)
             out[(M + 1) * d : hi * d + 1 : d] += f[d] * block[: hi - M]
         M = top
-    return out
-
-
-def _plane_inverse(f: _Planes) -> _Planes:
-    """_inverse_sweep on planes: a table, or a stack of tables along a
-    leading row axis, each row swept as on its own.
-
-    After m = 1, the m run in blocks (M, 2M], which hear only from m <= M,
-    and each block in chunks of at most _CHUNK values, as a plane step
-    makes a dozen temporaries.  A chunk is finalized whole and pushed along
-    its longer axis: each m's strided slice of d where the chunk has fewer m
-    than d, in increasing m, else each d's slice of its m, in decreasing d.
-    So every cell takes its terms in increasing m.  A term the loop skips,
-    where Ft(m) compares equal to 0 in its row, adds nothing
-    (_Planes.push)."""
-    *rows, width = f.c.shape
-    N = width - 1
-    step = max(1, _CHUNK // math.prod(rows))  # columns of a chunk
-    out = _Planes.zeros(*rows, width)
-    out[..., 1:2] = ft = f[..., 1:2]  # the inverse of F(1) = +-1 is F(1)
-    neg_inv1 = -ft
-    for s in _chunks(2, N + 1, step):
-        out[..., s].push(f[..., s] * ft, ft.c != 0)
-    M = 1
-    while M < N:
-        for s in _chunks(M + 1, min(2 * M, N) + 1, step):
-            out[..., s] = ft = neg_inv1 * out[..., s]
-            keep = ft.c != 0
-            if s.stop - s.start < N // s.start - 1:
-                for j, m in enumerate(range(s.start, s.stop)):
-                    for ds in _chunks(2, N // m + 1, step):
-                        cells = out[..., ds.start * m : ds.stop * m : m]
-                        cells.push(f[..., ds] * ft[..., j : j + 1], keep[..., j : j + 1])
-            else:
-                for d in range(N // s.start, 1, -1):
-                    k = min(s.stop, N // d + 1) - s.start  # the m in s with dm <= N
-                    cells = out[..., s.start * d : (s.start + k) * d : d]
-                    cells.push(f[..., d : d + 1] * ft[..., :k], keep[..., :k])
-        M = min(2 * M, N)
     return out
 
 

@@ -1,10 +1,12 @@
-"""A guard against dead public API in src/factorbench.
+"""A guard against dead code in src/factorbench.
 
 Every public top-level function or class, and every public method of a public
 class, must be referenced somewhere in the package outside its own definition
-and __init__.py, or be a paper object listed in PAPER_OBJECTS with the test
-that pins it.  A reference is any name or attribute spelled like the object,
-so a method or function of the same name counts.
+(an import in __init__.py is no reference), or be a paper object listed in
+PAPER_OBJECTS with the test that pins it.  Every module-level private
+function, class and constant must be referenced likewise.  A reference is any
+name or attribute spelled like the object, so a method or function of the same
+name counts.
 """
 
 import ast
@@ -31,31 +33,63 @@ PAPER_OBJECTS = {
 }
 
 
-def unreferenced_public_objects(package: Path = PACKAGE) -> set[str]:
-    """The public top-level functions and classes of the package's modules,
-    and the public methods of those classes as Class.method, that no name or
-    attribute outside their own definition refers to."""
-    defs, refs = {}, {}
+def modules(package: Path):
+    """(path, syntax tree) of each of the package's modules, __init__.py included."""
     for path in sorted(package.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                defs[node.name] = (node, path)
-                if isinstance(node, ast.ClassDef):
-                    for item in node.body:
-                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                            defs[f"{node.name}.{item.name}"] = (item, path)
+        yield path, ast.parse(path.read_text(), filename=str(path))
+
+
+def unreferenced(defs: dict, package: Path) -> set[str]:
+    """The keys of defs, each (name, node, path) of a definition, whose name
+    no name or attribute in the package uses outside the definition's own
+    lines.  An import is no use."""
+    refs = {}
+    for path, tree in modules(package):
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 refs.setdefault(node.id, []).append((path, node.lineno))
             elif isinstance(node, ast.Attribute):
                 refs.setdefault(node.attr, []).append((path, node.lineno))
     return {
-        key for key, (node, path) in defs.items()
-        if all(p == path and node.lineno <= line <= node.end_lineno for p, line in refs.get(node.name, ()))
+        key for key, (name, node, path) in defs.items()
+        if all(p == path and node.lineno <= line <= node.end_lineno for p, line in refs.get(name, ()))
     }
+
+
+def unreferenced_public_objects(package: Path = PACKAGE) -> set[str]:
+    """The public top-level functions and classes of the package's modules,
+    and the public methods of those classes as Class.method, that no name or
+    attribute outside their own definition refers to."""
+    defs = {}
+    for path, tree in modules(package):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defs[node.name] = (node.name, node, path)
+                if isinstance(node, ast.ClassDef):
+                    for item in node.body:
+                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                            defs[f"{node.name}.{item.name}"] = (item.name, item, path)
+    return unreferenced(defs, package)
+
+
+def unreferenced_private_names(package: Path = PACKAGE) -> set[str]:
+    """The module-level private functions, classes and constants of the
+    package's modules that no name or attribute outside their own
+    definition refers to."""
+    defs = {}
+    for path, tree in modules(package):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defs[name] = (name, node, path)
+    return unreferenced(defs, package)
 
 
 def code_lines(package: Path = PACKAGE) -> int:
@@ -82,6 +116,32 @@ def test_every_public_object_is_used_or_a_pinned_paper_object():
     unlisted, stale = sorted(dead - set(PAPER_OBJECTS)), sorted(set(PAPER_OBJECTS) - dead)
     assert not unlisted, f"public but never referenced in the package: {unlisted}"
     assert not stale, f"in PAPER_OBJECTS but gone or now referenced: {stale}"
+
+
+def test_every_private_name_is_used_in_the_package():
+    dead = sorted(unreferenced_private_names())
+    assert not dead, f"private but never referenced in the package: {dead}"
+
+
+def test_a_dead_private_name_is_found(tmp_path):
+    (tmp_path / "module.py").write_text(
+        "from math import pi as _PI\n"
+        "_USED = 2\n"
+        "_DEAD = 3\n"
+        "\n"
+        "\n"
+        "def _dead(x):\n"
+        "    return _dead(x - 1) if x else _USED  # its own body does not count\n"
+        "\n"
+        "\n"
+        "class _Table:\n"
+        "    pass\n"
+        "\n"
+        "\n"
+        "def area():\n"
+        "    return _PI * _Table.__name__\n"
+    )
+    assert unreferenced_private_names(tmp_path) == {"_DEAD", "_dead"}
 
 
 def test_each_paper_object_names_a_test_that_exists():

@@ -599,7 +599,7 @@ def test_overflowing_inverse_is_a_user_error(capsys, command):
 
 @pytest.mark.parametrize("command", ["dz", "dz-eval"])
 def test_overflowing_inverse_on_planes_is_the_same_user_error(capsys, command):
-    # past 2^13 the inverse of a complex F_z is held as planes
+    # the inverse of a complex F_z is held as planes
     extra = ("--sigma", "3") if command == "dz-eval" else ()
     with warnings.catch_warnings():
         warnings.simplefilter("error")

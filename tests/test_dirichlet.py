@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from factorbench import (
@@ -189,11 +189,10 @@ def test_plane_kernels_match_loops_exactly(limit, f1, g1, seed):
     rng = random.Random(seed)
     F = ArithFn.from_values(random_plane_values(limit, f1, rng))
     G = ArithFn.from_values(random_plane_values(limit, g1, rng))
-    with mock.patch.object(dirichlet, "_PLANES_MIN_N", 0):  # planes at every size
-        if limit > 1:
-            assert dirichlet._planes_or_none(F.values, dirichlet._later_types(F.values)) is not None
-        assert typed(dirichlet_inverse(F).values) == typed(loop_inverse(F.values))
-        assert typed(convolve(F, G).values) == typed(loop_convolve(F.values, G.values))
+    if limit > 1:
+        assert dirichlet._planes_or_none(F.values, dirichlet._later_types(F.values)) is not None
+    assert typed(dirichlet_inverse(F).values) == typed(loop_inverse(F.values))
+    assert typed(convolve(F, G).values) == typed(loop_convolve(F.values, G.values))
 
 
 def plane_stack_tables(limit, height, rng):
@@ -220,13 +219,22 @@ def assert_stack_rows_match_the_loops(tables, stack):
         assert typed(inv_row.tolist()) == typed(loop_inverse(values))
 
 
+def with_stack_chunk_edges(test):
+    """test with an example at each limit within 2 of a stack's chunk,
+    _CHUNK // height columns, for heights 2 to 5."""
+    for height in range(2, 6):
+        for e in (-2, -1, 0, 1, 2):
+            test = example(dirichlet._CHUNK // height + e, height, e + 2)(test)
+    return test
+
+
 @settings(max_examples=40, deadline=None)
 @given(KERNEL_SIZES, st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=2**32))
+@with_stack_chunk_edges
 def test_stacked_plane_inverse_matches_the_loops_row_by_row(limit, height, seed):
     rng = random.Random(seed)
     tables = plane_stack_tables(limit, height, rng)
-    with mock.patch.object(dirichlet, "_PLANES_MIN_N", 0):  # planes at every size
-        stack = dirichlet.stack_tables(iter(tables), height)
+    stack = dirichlet.stack_tables(iter(tables), height)
     assert isinstance(stack, dirichlet._Planes) == (limit > 1)
     assert_stack_rows_match_the_loops(tables, stack)
 
@@ -234,7 +242,6 @@ def test_stacked_plane_inverse_matches_the_loops_row_by_row(limit, height, seed)
 @pytest.mark.parametrize("row", [0, 2])
 @pytest.mark.parametrize("spoil", ["float", "int", "interpreter"])
 def test_a_stack_planes_cannot_hold_matches_the_loops_row_by_row(row, spoil, monkeypatch):
-    monkeypatch.setattr(dirichlet, "_PLANES_MIN_N", 0)
     tables = plane_stack_tables(60, 4, random.Random(11))
     if spoil == "float":
         tables[row][7] = 0.5
@@ -247,10 +254,10 @@ def test_a_stack_planes_cannot_hold_matches_the_loops_row_by_row(row, spoil, mon
     assert_stack_rows_match_the_loops(tables, stack)
 
 
-def test_a_stack_takes_planes_past_2_13_values():
-    tables = plane_stack_tables(2048, 4, random.Random(3))  # 4 * 2049 values
-    assert isinstance(dirichlet.stack_tables(iter(tables), 4), dirichlet._Planes)
-    assert not isinstance(dirichlet.stack_tables(iter(tables[:3]), 3), dirichlet._Planes)
+@pytest.mark.parametrize("limit, height", [(2, 1), (2, 5), (40, 3), (2048, 4)])
+def test_a_plane_able_stack_of_any_size_takes_planes(limit, height):
+    tables = plane_stack_tables(limit, height, random.Random(3))
+    assert isinstance(dirichlet.stack_tables(iter(tables), height), dirichlet._Planes)
 
 
 @pytest.fixture
@@ -425,13 +432,13 @@ def test_complex_f_z_runs_on_planes_and_equals_the_loops(sweep_dtypes, sieve_big
     assert sweep_dtypes == [dirichlet._Planes] * 3
 
 
-@pytest.mark.parametrize("limit, sweep", [(2**13 - 1, object), (2**13, dirichlet._Planes)])
-def test_complex_tables_below_2_13_run_on_objects(limit, sweep, sweep_dtypes):
+@pytest.mark.parametrize("limit", [2, 100, 2**13 - 1, 2**13])
+def test_complex_tables_of_any_length_run_on_planes(limit, sweep_dtypes):
     fz = ArithFn(limit, [0, 1] + [complex(0.7, -1.1)] * (limit - 1))
     inv = dirichlet_inverse(fz)
     assert typed(inv.values) == typed(loop_inverse(fz.values))
     assert typed(convolve(fz, inv).values) == typed(loop_convolve(fz.values, inv.values))
-    assert sweep_dtypes == [sweep] * 2
+    assert sweep_dtypes == [dirichlet._Planes] * 2
 
 
 @pytest.mark.parametrize("values", [
@@ -443,8 +450,7 @@ def test_complex_tables_below_2_13_run_on_objects(limit, sweep, sweep_dtypes):
     [2, 1j, 0],  # an int F(1) other than +-1
     [1, 0, 2**70, 1j],  # a large int
 ])
-def test_complex_values_planes_cannot_hold_run_on_objects(values, sweep_dtypes, monkeypatch):
-    monkeypatch.setattr(dirichlet, "_PLANES_MIN_N", 0)
+def test_complex_values_planes_cannot_hold_run_on_objects(values, sweep_dtypes):
     F = ArithFn.from_values(values)
     G = ArithFn.from_values([1] + [1j] * (len(values) - 1))
     assert typed(dirichlet_inverse(F).values) == typed(loop_inverse(F.values))
@@ -453,8 +459,15 @@ def test_complex_values_planes_cannot_hold_run_on_objects(values, sweep_dtypes, 
     assert sweep_dtypes == [object] * 3
 
 
-def test_an_int_past_a_double_beside_complex_values_runs_on_objects(sweep_dtypes, monkeypatch):
-    monkeypatch.setattr(dirichlet, "_PLANES_MIN_N", 0)
+def test_a_term_the_loop_skips_is_never_formed():
+    # F(50) G(2) = 0.0 * 10**400 raises OverflowError, where the loop skips it
+    fv = [0, 1] + [0] * 99
+    fv[50] = 0.0
+    gv = [0, 1, 10**400] + [0] * 98
+    assert typed(convolve(ArithFn(100, fv), ArithFn(100, gv)).values) == typed(loop_convolve(fv, gv))
+
+
+def test_an_int_past_a_double_beside_complex_values_runs_on_objects(sweep_dtypes):
     # 10^400 * 1j overflows, but (F * G) makes only int products with it
     F = ArithFn.from_values([1, 10**400, 1j])
     G = ArithFn.from_values([1, 2, 3])
@@ -500,7 +513,7 @@ def held_inputs(kind, limit, rng):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.one_of(KERNEL_SIZES, st.sampled_from([2**13, 2**13 + 1])),
+    KERNEL_SIZES,
     st.sampled_from(["int64", "planes", "object"]),
     st.integers(min_value=0, max_value=2**32),
 )
@@ -516,19 +529,17 @@ def test_kernels_on_held_tables_equal_the_kernels_on_their_lists(limit, kind, se
         lambda R, S: dirichlet_inverse(restrict_support(R, support)),
         lambda R, S: series_eval(R, complex(1.5, -2.0)),
     ]
-    # planes at every size below 2^13, and at 2^13 and 2^13 + 1 as they come
-    with mock.patch.object(dirichlet, "_PLANES_MIN_N", min(dirichlet._PLANES_MIN_N, limit - 1)):
-        R, S = held_inputs(kind, limit, rng)
-        held = kind != "object" or limit == 1  # F(1) alone is an int, so int64
-        assert (R._table is not None, S._table is not None) == (held, held)
-        for kernel in kernels:
-            want = kernel(held_copy(R), held_copy(S))
-            got = kernel(R, S)
-            if isinstance(got, ArithFn):
-                got, want = typed(got.values), typed(want.values)
-            assert (type(got), repr(got)) == (type(want), repr(want))
-            assert (R._table is not None, S._table is not None) == (held, held)  # read as tables
-        assert typed(R.values) == typed(held_copy(R).values) and R._table is None
+    R, S = held_inputs(kind, limit, rng)
+    held = kind != "object" or limit == 1  # F(1) alone is an int, so int64
+    assert (R._table is not None, S._table is not None) == (held, held)
+    for kernel in kernels:
+        want = kernel(held_copy(R), held_copy(S))
+        got = kernel(R, S)
+        if isinstance(got, ArithFn):
+            got, want = typed(got.values), typed(want.values)
+        assert (type(got), repr(got)) == (type(want), repr(want))
+        assert (R._table is not None, S._table is not None) == (held, held)  # read as tables
+    assert typed(R.values) == typed(held_copy(R).values) and R._table is None
 
 
 @pytest.mark.parametrize("spoil", ["an unmarked 1", "a marked F(1)", "no complex"])
@@ -585,6 +596,11 @@ def test_inverses_of_a_limit_0_function_are_value_errors():
         for inverse in (dirichlet_inverse, inverse_via_alternating):
             with pytest.raises(ValueError, match="F has limit 0: the Dirichlet inverse needs F"):
                 inverse(F)
+
+
+def test_a_limit_0_function_of_floats_convolves_as_the_loop():
+    F = ArithFn(0, [0.0])  # no F(1) for the planes to read
+    assert typed(convolve(F, F).values) == typed(loop_convolve(F.values, F.values))
 
 
 def test_first_non_finite_reads_tables_and_lists():
