@@ -132,7 +132,7 @@ def _inverse_vs_alternating(tables: SieveTables, limit: int, rng: random.Random)
     """The sweep against the alternating-series inverse on F_z: exactly for
     z = 2, to 1e-9 relative for a complex z."""
     z = complex(0.6, 0.8)
-    f2, fz = (ArithFn(limit, [0, 1] + [-w] * (limit - 1)) for w in (2, z))
+    f2, fz = (ArithFn.constant_tail(limit, -w) for w in (2, z))
     exact_ok = dirichlet_inverse(f2).values == inverse_via_alternating(f2).values
     sweep = dirichlet_inverse(fz).values
     alt = inverse_via_alternating(fz).values

@@ -47,7 +47,7 @@ def build_context(z, limit: int, tables: SieveTables) -> ZFamilyContext:
     if limit > tables.limit:
         raise ValueError(f"limit {limit} beyond sieve limit {tables.limit}")
     z = _as_scalar(z)
-    fz = ArithFn(limit, [0, 1] + [-z] * (limit - 1))
+    fz = ArithFn.constant_tail(limit, -z)
     fz_tilde = dirichlet_inverse(fz)
     gz = dirichlet_inverse(restrict_support(fz_tilde, tables.mu[: limit + 1] != 0))
     beta_z = beta_for_z(z) if z == 0 or 1.0 + 1.0 / abs(z) > 1.0 else math.nan

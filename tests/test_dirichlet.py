@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from factorbench import (
@@ -278,6 +278,20 @@ def sweep_dtypes(monkeypatch):
 
     spy("_inverse_sweep")
     spy("_convolve_sweep")
+    return seen
+
+
+@pytest.fixture
+def list_scans(monkeypatch):
+    """The length of every list whose types _later_types scans, in order."""
+    seen = []
+    scan = dirichlet._later_types
+
+    def spied(values):
+        seen.append(len(values))
+        return scan(values)
+
+    monkeypatch.setattr(dirichlet, "_later_types", spied)
     return seen
 
 
@@ -586,6 +600,103 @@ def test_a_change_to_a_held_result_is_seen_by_every_later_kernel(z, limit, sieve
     assert series_eval(inv, 3) != series_eval(dirichlet_inverse(fz), 3)
     # the changed list is no table a sweep made, yet it still sweeps as one
     assert set(sweep_dtypes) == ({np.dtype(np.int64)} if z == 2 else {dirichlet._Planes})
+
+
+# values of every kind a constant function's later value can take: ints in
+# and past int64 and the 2^62 bound, a bool, floats with a signed zero, and
+# complex numbers with a signed zero, a nan and an overflowing product
+CONSTANT_TAILS = [0, 1, -1, 2, -3, 2**62 - 1, -(2**62), 2**62, 2**63, 10**30, True, 0.5, -0.0,
+                  complex(0.6, 0.8), complex(-0.0, 1.0), complex(math.nan, 0), 1e308 + 1e308j]
+
+
+def other_operand(v, limit, rng):
+    """A list function to convolve a constant with: small ints beside an
+    int v, plane values beside a complex v, floats beside the rest."""
+    if type(v) is int:
+        return ArithFn.from_values(random_small_ints(limit, rng))
+    if type(v) is complex:
+        return ArithFn.from_values(random_plane_values(limit, 1, rng))
+    return ArithFn.from_values(random_values("float", limit, 1, rng))
+
+
+def outcome(kernel, *args):
+    """kernel(*args) as (type, repr), per value for an ArithFn, or the
+    error it raises."""
+    try:
+        got = kernel(*args)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    if isinstance(got, ArithFn):
+        return typed(got.values)
+    return type(got), repr(got)
+
+
+@pytest.mark.parametrize("v", CONSTANT_TAILS, ids=repr)
+@settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(limit=st.one_of(st.sampled_from([0, 1, 2, 2**13 + 1]), KERNEL_SIZES),
+       seed=st.integers(min_value=0, max_value=2**32))
+@example(limit=0, seed=0)
+@example(limit=1, seed=0)
+@example(limit=2, seed=0)
+@example(limit=2**13 + 1, seed=0)
+def test_a_constant_function_equals_its_list_in_every_kernel(v, limit, seed, sweep_dtypes):
+    rng = random.Random(seed)
+    twin_values = [0, 1][: limit + 1] + [v] * (limit - 1)
+    G = other_operand(v, limit, rng)
+    support = np.array([n == 1 or rng.random() < 0.6 for n in range(limit + 1)])
+    kernels = [
+        dirichlet_inverse,
+        lambda F: convolve(F, G),
+        lambda F: convolve(G, F),
+        lambda F: convolve(F, F),
+        lambda F: restrict_support(F, support),
+        lambda F: series_eval(F, complex(1.5, -2.0)),
+        dirichlet.first_non_finite,
+        ArithFn.csv_text,
+        repr,
+        lambda F: F == ArithFn(limit, twin_values),
+    ]
+    if limit <= 300:
+        kernels.append(inverse_via_alternating)
+    for kernel in kernels:
+        # each kernel takes a fresh constant, as the first read of its values
+        # turns it into a list
+        constant = ArithFn.constant_tail(limit, v)
+        twin = ArithFn(limit, twin_values.copy())
+        start = len(sweep_dtypes)
+        want = outcome(kernel, twin)
+        swept = len(sweep_dtypes) - start
+        assert outcome(kernel, constant) == want
+        assert sweep_dtypes[start + swept :] == sweep_dtypes[start : start + swept]
+
+
+@pytest.mark.parametrize("v", [-2, complex(0.6, 0.8)])
+def test_a_change_to_a_constant_functions_list_is_seen_by_the_next_inverse(v, sweep_dtypes, list_scans):
+    limit = 2**13 + 1
+    F = ArithFn.constant_tail(limit, v)
+    unchanged = dirichlet_inverse(F)
+    assert list_scans == []
+    F.values[77] += 1
+    changed = [0, 1] + [v] * (limit - 1)
+    changed[77] += 1
+    assert typed(F.values) == typed(changed)
+    inv = dirichlet_inverse(F)
+    assert typed(inv.values) == typed(loop_inverse(changed)) != typed(unchanged.values)
+    assert list_scans == [limit + 1]
+    assert sweep_dtypes == [np.dtype(np.int64) if v == -2 else dirichlet._Planes] * 2
+
+
+@pytest.mark.parametrize("limit, ones, unit", [(0, [0], [0]), (1, [0, 1], [0, 1]), (2, [0, 1, 1], [0, 1, 0])])
+def test_ones_and_unit_at_the_smallest_limits(limit, ones, unit):
+    assert typed(ArithFn.ones(limit).values) == typed(ones)
+    assert typed(ArithFn.unit(limit).values) == typed(unit)
+    assert ArithFn.ones(limit).limit == ArithFn.unit(limit).limit == limit
+
+
+def test_a_negative_limit_is_a_value_error_that_names_it():
+    for make in (ArithFn.ones, ArithFn.unit, lambda limit: ArithFn.constant_tail(limit, 2j)):
+        with pytest.raises(ValueError, match=r"^limit must be >= 0, got -1$"):
+            make(-1)
 
 
 def test_inverses_of_a_limit_0_function_are_value_errors():

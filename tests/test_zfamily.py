@@ -16,6 +16,7 @@ from factorbench.zfamily import (
     inverse_at_prime_power,
     non_multiplicativity_witness,
 )
+from test_dirichlet import list_scans  # noqa: F401  (a fixture)
 
 
 @pytest.fixture(scope="module")
@@ -40,14 +41,15 @@ def test_z_minus_one_gives_mu_and_zeta(sieve_small):
 
 
 @pytest.mark.parametrize("z", [2, complex(0.7, -1.1)])
-def test_the_family_passes_its_tables_between_kernels_unconverted(z, sieve_small):
-    # F_z is a list; its inverse, the restriction and G_z hold their int64
-    # or plane tables, which convolve and series_eval read as they are
+def test_the_family_passes_its_tables_between_kernels_unconverted(z, sieve_small, list_scans):
+    # F_z is a constant function, and its inverse, the restriction and G_z
+    # hold their int64 or plane tables: the kernels read them all with no
+    # list to scan
     ctx = build_context(z, 2**13 + 1, sieve_small)
-    assert ctx.fz._table is None
     assert ctx.fz_tilde._table is not None and ctx.gz._table is not None
     product = convolve(ctx.fz, ctx.fz_tilde)
     series_eval(ctx.fz_tilde, 3)
+    assert list_scans == []
     assert ctx.fz_tilde._table is not None and product._table is not None
     if z == 2:
         assert product.values == [0, 1] + [0] * 2**13
